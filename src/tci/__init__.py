@@ -58,7 +58,6 @@ from .syntax import (
     pretty_expr,
     pretty_print,
     pretty_program,
-    substitute,
 )
 
 __version__ = "0.1.0"

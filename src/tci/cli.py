@@ -85,12 +85,12 @@ def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
         except (OSError, ValueError) as err:
             return RunReport(status="parse-error", message=f"bad input file {input_path}: {err}")
     budget = Budget(max_steps)
-    outcome, flushed, trace_root = run_main(program, input_tokens, budget=budget, trace=trace)
+    outcome, store, trace_root = run_main(program, input_tokens, budget=budget, trace=trace)
     if isinstance(outcome, Success):
         return RunReport(
             status="success",
-            bindings=dict(outcome.store.bindings),
-            output=flushed,
+            bindings=dict(store.bindings),
+            output=list(store.output),
             steps_used=budget.used,
             trace=trace_root,
         )

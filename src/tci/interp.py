@@ -5,6 +5,12 @@ trace in the store: each evaluation step opens a checkpoint on entry and
 rolls it back on failure, so partial updates never escape a failure at
 any nesting level.
 
+A call evaluates its arguments in the caller's frame and runs the
+procedure body unchanged under a fresh frame binding the parameters to
+those values.  Variable reads consult the frame before the store; a
+callee never sees its caller's frame, and parameters are never assigned
+(`Def` rejects that), so frames need no undo.
+
 `G1 | G2` runs both operands in order (the second from the first's result
 state when it succeeded) and succeeds if at least one does.  `G1 else G2`
 runs the handler only after rolling G1 back, and makes the failure tree
@@ -15,7 +21,9 @@ Trace lines are labeled with evaluation-rule ids: 1 success of `t`,
 `|` can succeed (both operands, only the second, only the first), 10/11
 an `else` whose first operand succeeded/failed.  Tests, case dispatch,
 calls in expression position, and rule-less failures are tagged `test`,
-`case`, `call-expr`, and `fail`.
+`case`, `call-expr`, and `fail`.  The first line under a call's node is
+the procedure body, prefixed once with the callee's frame, e.g.
+`[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from .syntax import (
     Var,
     pretty_expr,
     pretty_print,
-    substitute,
 )
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -67,10 +74,13 @@ RET_VAR = "ret"
 
 PRINT_BUILTIN = "print"
 
+# A call's parameter bindings, read before the store.
+Frame = dict[str, Value]
+
 
 @dataclass(frozen=True)
 class Success:
-    store: Store
+    """The goal succeeded; its effects are in the evaluator's store."""
 
 
 @dataclass(frozen=True)
@@ -152,28 +162,10 @@ def format_value(v: Value) -> str:
     return v if isinstance(v, str) else str(v)
 
 
-def _literal(v: Value) -> Expr:
-    return StrLit(v) if isinstance(v, str) else IntLit(v)
-
-
-def _default_tag(g: Goal) -> int | str:
-    match g:
-        case TrueGoal():
-            return 1
-        case Call():
-            return 4
-        case Assign():
-            return 5
-        case Seq():
-            return 6
-        case Else():
-            return 10
-        case Test():
-            return "test"
-        case Case():
-            return "case"
-        case _:
-            return "fail"
+def _frame_text(frame: Frame) -> str:
+    """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`."""
+    items = (f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {v}" for name, v in frame.items())
+    return "{" + ", ".join(items) + "}"
 
 
 def _result_text(out: Outcome) -> str:
@@ -200,7 +192,7 @@ class Evaluator:
     def run(self, goal: Goal) -> Outcome:
         entry_marks = self.store.open_checkpoints
         try:
-            return self._eval(goal, None)
+            return self._eval(goal, None, {})
         except RecursionError:
             return self._stack_exhausted(goal, entry_marks)
 
@@ -208,7 +200,7 @@ class Evaluator:
         entry_marks = self.store.open_checkpoints
         self.store.checkpoint()
         try:
-            value = self._expr(expr, None)
+            value = self._expr(expr, None, {})
         except _EvalFailure as fail:
             self.store.rollback()
             return Failure(fail.tree)
@@ -232,7 +224,7 @@ class Evaluator:
 
     # -- goals -------------------------------------------------------------
 
-    def _eval(self, g: Goal, ambient: ExceptionTree | None) -> Outcome:
+    def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> Outcome:
         if self._trace is not None:
             self._trace.append([])
         if not self.budget.spend():
@@ -240,11 +232,7 @@ class Evaluator:
             out: Outcome = Failure(throw(SYS_DEPTH))
         else:
             self.store.checkpoint()
-            rule = _default_tag(g)
-            try:
-                rule, out = self._dispatch(g, ambient)
-            except _EvalFailure as fail:
-                out = Failure(fail.tree)
+            rule, out = self._dispatch(g, ambient, frame)
             if isinstance(out, Success):
                 self.store.commit()
             else:
@@ -254,82 +242,95 @@ class Evaluator:
             self._trace[-1].append(TraceNode(rule, pretty_print(g), _result_text(out), children))
         return out
 
-    def _dispatch(self, g: Goal, ambient: ExceptionTree | None) -> tuple[int | str, Outcome]:
+    def _dispatch(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> tuple[int | str, Outcome]:
         match g:
             case TrueGoal():
-                return 1, Success(self.store)
+                return 1, Success()
             case Fail(path):
                 return "fail", Failure(throw(path))
             case Assign(var, expr):
-                value = self._expr(expr, ambient)
-                self.store.bind(var, value)
-                return 5, Success(self.store)
+                try:
+                    self.store.bind(var, self._expr(expr, ambient, frame))
+                except _EvalFailure as fail:
+                    return 5, Failure(fail.tree)
+                return 5, Success()
             case Test(left, relop, right):
-                lv = self._expr(left, ambient)
-                rv = self._expr(right, ambient)
+                try:
+                    lv = self._expr(left, ambient, frame)
+                    rv = self._expr(right, ambient, frame)
+                except _EvalFailure as fail:
+                    return "test", Failure(fail.tree)
                 if _test_holds(lv, relop, rv):
-                    return "test", Success(self.store)
+                    return "test", Success()
                 return "test", Failure(throw(SYS_TEST))
             case Seq(first, second):
-                out = self._eval(first, ambient)
+                out = self._eval(first, ambient, frame)
                 if isinstance(out, Failure):
                     return 6, out
-                return 6, self._eval(second, ambient)
+                return 6, self._eval(second, ambient, frame)
             case Union(first, second):
-                out1 = self._eval(first, ambient)
-                out2 = self._eval(second, ambient)
+                out1 = self._eval(first, ambient, frame)
+                out2 = self._eval(second, ambient, frame)
                 if isinstance(out1, Failure) and isinstance(out2, Failure):
                     return "fail", Failure(merge(out1.tree, out2.tree))
                 if isinstance(out1, Failure):
                     return 8, out2
                 if isinstance(out2, Failure):
-                    return 9, Success(self.store)
+                    return 9, out1
                 return 7, out2
             case Else(tried, handler):
-                out = self._eval(tried, ambient)
+                out = self._eval(tried, ambient, frame)
                 if isinstance(out, Success):
                     return 10, out
-                return 11, self._eval(handler, out.tree)
+                return 11, self._eval(handler, out.tree, frame)
             case Case(arms, default):
                 if ambient is None:
                     return "case", Failure(throw(SYS_CASE))
                 for pattern, body in arms:
                     if matches(pattern, ambient):
-                        return "case", self._eval(body, None)
+                        return "case", self._eval(body, None, frame)
                 if default is not None:
-                    return "case", self._eval(default, None)
+                    return "case", self._eval(default, None, frame)
                 return "case", Failure(ambient)
             case Call(name, args):
-                return 4, self._invoke(name, args, ambient)
+                return 4, self._invoke(name, args, ambient, frame)
         raise TypeError(f"not a goal: {g!r}")
 
-    def _invoke(self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None) -> Outcome:
-        values = [self._expr(a, ambient) for a in args]
+    def _invoke(
+        self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None, frame: Frame
+    ) -> Outcome:
+        try:
+            values = [self._expr(a, ambient, frame) for a in args]
+        except _EvalFailure as fail:
+            return Failure(fail.tree)
         defn = self.program.defs.get((name, len(values)))
         if defn is None:
             if name == PRINT_BUILTIN and len(values) == 1:
                 self.store.emit_output(format_value(values[0]))
-                return Success(self.store)
+                return Success()
             return Failure(throw(SYS_UNDEF))
-        mapping = {p: _literal(v) for p, v in zip(defn.params, values)}
-        return self._eval(substitute(defn.body, mapping), ambient)
+        callee_frame = dict(zip(defn.params, values))
+        out = self._eval(defn.body, ambient, callee_frame)
+        if self._trace is not None:
+            body_node = self._trace[-1][-1]
+            body_node.goal = f"{_frame_text(callee_frame)} {body_node.goal}"
+        return out
 
     # -- expressions -------------------------------------------------------
 
-    def _expr(self, e: Expr, ambient: ExceptionTree | None) -> Value:
+    def _expr(self, e: Expr, ambient: ExceptionTree | None, frame: Frame) -> Value:
         match e:
             case IntLit(value):
                 return value
             case StrLit(value):
                 return value
             case Var(name):
-                try:
-                    return self.store.lookup(name)
-                except UnboundVariable:
-                    raise _EvalFailure(throw(SYS_UNBOUND)) from None
+                if name in frame:
+                    return frame[name]
+                return self._lookup(name)
             case Binary(op, left, right):
-                lv = self._expr(left, ambient)
-                rv = self._expr(right, ambient)
+                lv = self._expr(left, ambient, frame)
+                rv = self._expr(right, ambient, frame)
                 if not (isinstance(lv, int) and isinstance(rv, int)):
                     raise _EvalFailure(throw(SYS_TEST))
                 if op == "+":
@@ -341,31 +342,26 @@ class Evaluator:
                 if rv == 0:
                     raise _EvalFailure(throw(SYS_DIV0))
                 return _int_div(lv, rv)
-            case CallExpr():
-                return self._call_value(e, ambient)
+            case CallExpr(name, args):
+                # No checkpoint of its own: a failure here fails the enclosing
+                # goal, whose step rolls back everything the call did.
+                if self._trace is not None:
+                    self._trace.append([])
+                out = self._invoke(name, args, ambient, frame)
+                if self._trace is not None:
+                    children = self._trace.pop()
+                    node = TraceNode("call-expr", pretty_expr(e), _result_text(out), children)
+                    self._trace[-1].append(node)
+                if isinstance(out, Failure):
+                    raise _EvalFailure(out.tree)
+                return self._lookup(RET_VAR)
             case Read():
                 return self.store.read_input()
         raise TypeError(f"not an expression: {e!r}")
 
-    def _call_value(self, e: CallExpr, ambient: ExceptionTree | None) -> Value:
-        if self._trace is not None:
-            self._trace.append([])
-        self.store.checkpoint()
+    def _lookup(self, name: str) -> Value:
         try:
-            out = self._invoke(e.name, e.args, ambient)
-        except _EvalFailure as fail:
-            out = Failure(fail.tree)
-        if isinstance(out, Success):
-            self.store.commit()
-        else:
-            self.store.rollback()
-        if self._trace is not None:
-            children = self._trace.pop()
-            self._trace[-1].append(TraceNode("call-expr", pretty_expr(e), _result_text(out), children))
-        if isinstance(out, Failure):
-            raise _EvalFailure(out.tree)
-        try:
-            return self.store.lookup(RET_VAR)
+            return self.store.lookup(name)
         except UnboundVariable:
             raise _EvalFailure(throw(SYS_UNBOUND)) from None
 
@@ -383,11 +379,12 @@ def run_main(
     input_tokens=(),
     budget: Budget | None = None,
     trace: bool = False,
-) -> tuple[Outcome, list[str], TraceNode | None]:
-    """Run a program's main goal on a fresh store.
+) -> tuple[Outcome, Store, TraceNode | None]:
+    """Run a program's main goal on a fresh store; returns (outcome, final store, trace).
 
-    Output is buffered in the store and flushed (returned) only when main
-    succeeds; a failing run observably did nothing.
+    Output is buffered in the store and kept only when main succeeds; a
+    failing run is rolled back to the empty store, so it observably did
+    nothing.
     """
     store = Store(input_tokens)
     ev = Evaluator(program, store, budget=budget, trace=trace)
@@ -395,8 +392,6 @@ def run_main(
     outcome = ev.run(program.main)
     if isinstance(outcome, Success):
         store.commit()
-        flushed = list(store.output)
     else:
         store.rollback()
-        flushed = []
-    return outcome, flushed, ev.trace_root
+    return outcome, store, ev.trace_root

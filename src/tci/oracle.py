@@ -4,8 +4,9 @@
 searching the evaluation rules over immutable store values up to a depth
 bound.  It shares the AST and the failure-path vocabulary with the
 evaluator but none of its machinery: stores are threaded functionally
-instead of mutated under an undo log, so a bug in one side is unlikely to
-hide the same bug in the other.
+instead of mutated under an undo log, and a call substitutes its argument
+values into the procedure body instead of binding them in a frame, so a
+bug in one side is unlikely to hide the same bug in the other.
 
 `gen_program` produces small, deterministic, recursion-free programs (the
 call graph is acyclic, keeping the search space finite).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from .failure import (
     ExceptionTree,
@@ -50,7 +52,6 @@ from .syntax import (
     TrueGoal,
     Union,
     Var,
-    substitute,
 )
 
 Value = int | str
@@ -270,6 +271,48 @@ def _lit(v: Value) -> Expr:
     return StrLit(v) if isinstance(v, str) else IntLit(v)
 
 
+def substitute_expr(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    match e:
+        case Var(name) if name in bindings:
+            return bindings[name]
+        case Binary(op, left, right):
+            return Binary(op, substitute_expr(left, bindings), substitute_expr(right, bindings))
+        case CallExpr(name, args):
+            return CallExpr(name, tuple(substitute_expr(a, bindings) for a in args))
+        case _:
+            return e
+
+
+def substitute(g: Goal, bindings: Mapping[str, Expr]) -> Goal:
+    """Replace free occurrences of the bound names throughout a goal.
+
+    Goals introduce no local binders, so replacement is plain.  Assignment
+    targets are left alone: `Def` guarantees a body never assigns to one of
+    its parameters.
+    """
+    match g:
+        case TrueGoal() | Fail():
+            return g
+        case Assign(var, expr):
+            return Assign(var, substitute_expr(expr, bindings))
+        case Test(left, relop, right):
+            return Test(substitute_expr(left, bindings), relop, substitute_expr(right, bindings))
+        case Seq(first, second):
+            return Seq(substitute(first, bindings), substitute(second, bindings))
+        case Union(first, second):
+            return Union(substitute(first, bindings), substitute(second, bindings))
+        case Else(tried, handler):
+            return Else(substitute(tried, bindings), substitute(handler, bindings))
+        case Case(arms, default):
+            return Case(
+                tuple((p, substitute(body, bindings)) for p, body in arms),
+                None if default is None else substitute(default, bindings),
+            )
+        case Call(name, args):
+            return Call(name, tuple(substitute_expr(a, bindings) for a in args))
+    raise TypeError(f"not a goal: {g!r}")
+
+
 # -- program generation ------------------------------------------------------
 
 _VARS = ("x", "y", "z", "w")
@@ -288,7 +331,9 @@ def gen_program(seed: int, size_bound: int = 6) -> tuple[Program, StoreVal, tupl
 
     Goals draw on every constructor within `size_bound` nodes; at most two
     procedure definitions of arity <= 2 with an acyclic call graph, so
-    every run terminates.
+    every run terminates.  Procedure bodies read every parameter name, not
+    only their own, so a name that is a parameter elsewhere must resolve
+    to the store rather than to a caller's argument.
     """
     rng = random.Random(seed)
     defs: dict[tuple[str, int], Def] = {}
@@ -297,11 +342,10 @@ def gen_program(seed: int, size_bound: int = 6) -> tuple[Program, StoreVal, tupl
     # later names are generated first so earlier definitions may call them
     for name in reversed(("p", "q")[:n_defs]):
         arity = rng.randrange(3)
-        params = _PARAMS[:arity]
-        body = _gen_goal(rng, rng.randrange(1, 4), tuple(callable_sigs), params, in_def=True)
-        defs[(name, arity)] = Def(name, params, body)
+        body = _gen_goal(rng, rng.randrange(1, 4), tuple(callable_sigs), in_def=True)
+        defs[(name, arity)] = Def(name, _PARAMS[:arity], body)
         callable_sigs.append((name, arity))
-    main = _gen_goal(rng, size_bound, tuple(callable_sigs), (), in_def=False)
+    main = _gen_goal(rng, size_bound, tuple(callable_sigs), in_def=False)
 
     bindings: dict[str, Value] = {}
     for _ in range(rng.randrange(4)):
@@ -315,29 +359,27 @@ def _gen_goal(
     rng: random.Random,
     budget: int,
     callables: tuple[tuple[str, int], ...],
-    params: tuple[str, ...],
     in_def: bool,
 ) -> Goal:
     if budget >= 3 and rng.random() < 0.6:
         if budget >= 4 and rng.random() < 0.18:
-            return _gen_case(rng, budget, callables, params, in_def)
+            return _gen_case(rng, budget, callables, in_def)
         kind = rng.choice(("seq", "union", "else"))
         left_budget = budget // 2
-        left = _gen_goal(rng, left_budget, callables, params, in_def)
-        right = _gen_goal(rng, budget - 1 - left_budget, callables, params, in_def)
+        left = _gen_goal(rng, left_budget, callables, in_def)
+        right = _gen_goal(rng, budget - 1 - left_budget, callables, in_def)
         if kind == "seq":
             return Seq(left, right)
         if kind == "union":
             return Union(left, right)
         return Else(left, right)
-    return _gen_leaf(rng, callables, params, in_def)
+    return _gen_leaf(rng, callables, in_def)
 
 
 def _gen_case(
     rng: random.Random,
     budget: int,
     callables: tuple[tuple[str, int], ...],
-    params: tuple[str, ...],
     in_def: bool,
 ) -> Goal:
     n_arms = 1 + rng.randrange(2)
@@ -345,22 +387,21 @@ def _gen_case(
     bodies = n_arms + (1 if with_default else 0)
     each = max(1, (budget - 1) // bodies)
     arms = tuple(
-        (rng.choice(_PATHS), _gen_goal(rng, each, callables, params, in_def)) for _ in range(n_arms)
+        (rng.choice(_PATHS), _gen_goal(rng, each, callables, in_def)) for _ in range(n_arms)
     )
-    default = _gen_goal(rng, each, callables, params, in_def) if with_default else None
+    default = _gen_goal(rng, each, callables, in_def) if with_default else None
     return Case(arms, default)
 
 
 def _gen_leaf(
     rng: random.Random,
     callables: tuple[tuple[str, int], ...],
-    params: tuple[str, ...],
     in_def: bool,
 ) -> Goal:
     r = rng.random()
     if callables and r < 0.18:
         name, arity = rng.choice(callables)
-        return Call(name, tuple(_gen_expr(rng, 1, callables, params) for _ in range(arity)))
+        return Call(name, tuple(_gen_expr(rng, 1, callables, in_def) for _ in range(arity)))
     if r < 0.32:
         return TrueGoal()
     if r < 0.46:
@@ -370,11 +411,11 @@ def _gen_leaf(
             target = _RET
         else:
             target = rng.choice(_VARS)
-        return Assign(target, _gen_expr(rng, 2, callables, params))
+        return Assign(target, _gen_expr(rng, 2, callables, in_def))
     return Test(
-        _gen_expr(rng, 1, callables, params),
+        _gen_expr(rng, 1, callables, in_def),
         rng.choice(RELOPS),
-        _gen_expr(rng, 1, callables, params),
+        _gen_expr(rng, 1, callables, in_def),
     )
 
 
@@ -382,13 +423,13 @@ def _gen_expr(
     rng: random.Random,
     depth: int,
     callables: tuple[tuple[str, int], ...],
-    params: tuple[str, ...],
+    in_def: bool,
 ) -> Expr:
     r = rng.random()
     if r < 0.35:
         return IntLit(rng.randrange(-3, 4))
     if r < 0.60:
-        pool = _VARS + params
+        pool = _VARS + _PARAMS if in_def else _VARS
         return Var(rng.choice(pool))
     if r < 0.68:
         return StrLit(rng.choice(_STRINGS))
@@ -396,11 +437,11 @@ def _gen_expr(
         return Read()
     if depth > 0 and (callables and r < 0.82):
         name, arity = rng.choice(callables)
-        return CallExpr(name, tuple(_gen_expr(rng, 0, callables, params) for _ in range(arity)))
+        return CallExpr(name, tuple(_gen_expr(rng, 0, callables, in_def) for _ in range(arity)))
     if depth > 0:
         return Binary(
             rng.choice(("+", "-", "*", "/")),
-            _gen_expr(rng, depth - 1, callables, params),
-            _gen_expr(rng, depth - 1, callables, params),
+            _gen_expr(rng, depth - 1, callables, in_def),
+            _gen_expr(rng, depth - 1, callables, in_def),
         )
     return IntLit(rng.randrange(-3, 4))

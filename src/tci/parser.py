@@ -49,7 +49,6 @@ from .syntax import (
     TrueGoal,
     Union,
     Var,
-    assigned_vars,
 )
 
 KEYWORDS = frozenset({"t", "f", "else", "case", "of", "main", "Failtree"})
@@ -270,19 +269,13 @@ class _Parser:
             while self.at(","):
                 self.advance()
                 params.append(self.expect("ident", "a parameter name").text)
-        if len(set(params)) != len(params):
-            raise ParseError(name_tok.span, f"duplicate parameter in definition of {name_tok.text}")
         self.expect(")")
         self.expect("=")
         body = self.goal()
-        clobbered = assigned_vars(body) & set(params)
-        if clobbered:
-            names = ", ".join(sorted(clobbered))
-            raise ParseError(
-                name_tok.span,
-                f"definition of {name_tok.text} assigns to its own parameter(s): {names}",
-            )
-        return Def(name_tok.text, tuple(params), body), name_tok.span
+        try:
+            return Def(name_tok.text, tuple(params), body), name_tok.span
+        except ValueError as err:
+            raise ParseError(name_tok.span, str(err)) from None
 
     # -- goals -------------------------------------------------------------
 

@@ -9,7 +9,7 @@ arity plus a main goal.  All nodes are immutable and compare structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .failure import FailPath, ROOT
 
@@ -135,7 +135,10 @@ TRUE = TrueGoal()
 
 @dataclass(frozen=True)
 class Def:
-    """A procedure definition name(p1, ..., pn) = body."""
+    """A procedure definition name(p1, ..., pn) = body.
+
+    Parameters are distinct and read-only: the body may not assign to one.
+    """
 
     name: str
     params: tuple[str, ...]
@@ -145,63 +148,16 @@ class Def:
         object.__setattr__(self, "params", tuple(self.params))
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter in definition of {self.name}")
+        clobbered = assigned_vars(self.body) & set(self.params)
+        if clobbered:
+            names = ", ".join(sorted(clobbered))
+            raise ValueError(f"definition of {self.name} assigns to its own parameter(s): {names}")
 
 
 @dataclass(frozen=True)
 class Program:
     defs: dict[tuple[str, int], Def]
     main: Goal
-
-
-class SubstitutionIntoAssignTarget(Exception):
-    """A substituted variable appears as an assignment target; values are not assignable."""
-
-    def __init__(self, var: str):
-        super().__init__(f"cannot substitute into assignment target {var!r}")
-        self.var = var
-
-
-def substitute_expr(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    match e:
-        case Var(name) if name in bindings:
-            return bindings[name]
-        case Binary(op, left, right):
-            return Binary(op, substitute_expr(left, bindings), substitute_expr(right, bindings))
-        case CallExpr(name, args):
-            return CallExpr(name, tuple(substitute_expr(a, bindings) for a in args))
-        case _:
-            return e
-
-
-def substitute(g: Goal, bindings: Mapping[str, Expr]) -> Goal:
-    """Replace free occurrences of the bound names throughout a goal.
-
-    Goals introduce no local binders, so replacement is plain; an
-    assignment whose target is one of the bound names is rejected.
-    """
-    match g:
-        case TrueGoal() | Fail():
-            return g
-        case Assign(var, expr):
-            if var in bindings:
-                raise SubstitutionIntoAssignTarget(var)
-            return Assign(var, substitute_expr(expr, bindings))
-        case Test(left, relop, right):
-            return Test(substitute_expr(left, bindings), relop, substitute_expr(right, bindings))
-        case Seq(first, second):
-            return Seq(substitute(first, bindings), substitute(second, bindings))
-        case Union(first, second):
-            return Union(substitute(first, bindings), substitute(second, bindings))
-        case Else(tried, handler):
-            return Else(substitute(tried, bindings), substitute(handler, bindings))
-        case Case(arms, default):
-            return Case(
-                tuple((p, substitute(body, bindings)) for p, body in arms),
-                None if default is None else substitute(default, bindings),
-            )
-        case Call(name, args):
-            return Call(name, tuple(substitute_expr(a, bindings) for a in args))
-    raise TypeError(f"not a goal: {g!r}")
 
 
 def expr_vars(e: Expr) -> set[str]:

@@ -132,8 +132,8 @@ class TestCase:
         # a procedure called from the handler can dispatch on the tree
         src = "handle() = case Failtree of { /F/usr/EOF: x = 9 }\nmain f(EOF) else handle()"
         program = parse_program(src)
-        out, _, _ = run_main(program)
-        assert isinstance(out, Success) and out.store.bindings == {"x": 9}
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.bindings == {"x": 9}
 
     def test_nested_else_rebinds_tree(self):
         g = parse_goal(
@@ -182,34 +182,71 @@ class TestExpressions:
 
 class TestRunMain:
     def test_trivial_program(self):
-        out, flushed, _ = run_main(parse_program("main t"))
-        assert isinstance(out, Success) and flushed == []
+        out, store, _ = run_main(parse_program("main t"))
+        assert isinstance(out, Success) and store.output == []
 
     def test_failing_program_flushes_nothing(self):
-        out, flushed, _ = run_main(parse_program('main print("x"); f(EOF)'))
+        out, store, _ = run_main(parse_program('main x = 1; print("x"); f(EOF)'))
         assert failure_paths(out) == {"/F/usr/EOF"}
-        assert flushed == []
+        assert store.snapshot() == ({}, 0, ())
 
     def test_golden_else_form_with_input(self):
-        out, flushed, _ = run_main(parse_program(GOLDEN_ELSE), [10, -1])
+        out, store, _ = run_main(parse_program(GOLDEN_ELSE), [10, -1])
         assert isinstance(out, Success)
-        assert out.store.bindings == {"m": 6, "ret": 24, "x": 24}
-        assert flushed == []
+        assert store.bindings == {"m": 6, "ret": 24, "x": 24}
+        assert store.output == []
 
     def test_golden_else_form_empty_input_handles_eof(self):
-        out, flushed, _ = run_main(parse_program(GOLDEN_ELSE), [])
+        out, store, _ = run_main(parse_program(GOLDEN_ELSE), [])
         assert isinstance(out, Success)
-        assert out.store.bindings["x"] == 24
-        assert flushed == ["end of input"]
+        assert store.bindings["x"] == 24
+        assert store.output == ["end of input"]
 
     def test_golden_union_form_absorbs_failure(self):
-        out, flushed, _ = run_main(parse_program(GOLDEN_UNION), [])
+        out, store, _ = run_main(parse_program(GOLDEN_UNION), [])
         assert isinstance(out, Success)
-        assert out.store.bindings["x"] == 24
+        assert store.bindings["x"] == 24
 
     def test_print_builtin_renders_values(self):
-        out, flushed, _ = run_main(parse_program('main print(1 + 2); print("a")'))
-        assert isinstance(out, Success) and flushed == ["3", "a"]
+        out, store, _ = run_main(parse_program('main print(1 + 2); print("a")'))
+        assert isinstance(out, Success) and store.output == ["3", "a"]
+
+
+class TestFrames:
+    def test_parameter_shadows_global(self):
+        program = parse_program("p(n) = m = n + 1\nmain n = 10; p(1)")
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success)
+        assert store.bindings == {"n": 10, "m": 2}
+
+    def test_callee_does_not_see_callers_frame(self):
+        program = parse_program("g() = x = n\np(n) = g()\nmain p(1)")
+        out, _, _ = run_main(program)
+        assert failure_paths(out) == {str(SYS_UNBOUND)}
+
+    def test_callee_reads_global_of_a_callers_parameter_name(self):
+        program = parse_program("g() = x = n\np(n) = g()\nmain n = 5; p(1)")
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.bindings == {"n": 5, "x": 5}
+
+    def test_parameter_visible_in_handler_and_case_arm(self):
+        program = parse_program(
+            "p(n) = f(EOF) else (x = n; case Failtree of { /F/usr/EOF: y = n + 1 })\nmain p(4)"
+        )
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.bindings == {"x": 4, "y": 5}
+
+    def test_trace_prefixes_each_body_with_its_frame(self):
+        program = parse_program('show(s, k) = print(s)\nid(n) = ret = n\nmain x = id(2); show("a", x)')
+        _, _, root = run_main(program, trace=True)
+        assert render_trace(root).splitlines() == [
+            '[rule 6] x = id(2); show("a", x) => success',
+            "  [rule 5] x = id(2) => success",
+            "    [rule call-expr] id(2) => success",
+            "      [rule 5] {n = 2} ret = n => success",
+            '  [rule 4] show("a", x) => success',
+            '    [rule 4] {s = "a", k = 2} print(s) => success',
+        ]
 
 
 class TestBudget:

@@ -1,7 +1,7 @@
 import pytest
 
 from tci.failure import FailPath, ROOT
-from tci.oracle import gen_program
+from tci.oracle import gen_program, substitute
 from tci.parser import parse_goal, parse_program
 from tci.syntax import (
     Assign,
@@ -9,11 +9,11 @@ from tci.syntax import (
     Call,
     CallExpr,
     Case,
+    Def,
     Else,
     Fail,
     IntLit,
     Seq,
-    SubstitutionIntoAssignTarget,
     Test as RelopTest,
     TrueGoal,
     Union,
@@ -23,7 +23,6 @@ from tci.syntax import (
     pretty_print,
     pretty_program,
     shared_union_vars,
-    substitute,
 )
 
 # the body of the golden factorial definition
@@ -54,11 +53,6 @@ class TestSubstitute:
             ),
         )
         assert substitute(FACTORIAL_BODY, {"n": IntLit(4)}) == expected
-
-    def test_assign_target_rejected(self):
-        g = Assign("n", IntLit(1))
-        with pytest.raises(SubstitutionIntoAssignTarget):
-            substitute(g, {"n": IntLit(3)})
 
     def test_case_arms_patterns_untouched(self):
         g = Case(((FailPath.parse("/F/usr"), Assign("x", Var("n"))),), None)
@@ -129,6 +123,14 @@ class TestInvariants:
     def test_case_requires_arms(self):
         with pytest.raises(ValueError):
             Case((), TrueGoal())
+
+    def test_def_rejects_assignment_to_parameter(self):
+        # parameters are read-only wherever the assignment sits in the body
+        with pytest.raises(ValueError, match="parameter"):
+            Def("p", ("n",), Else(TrueGoal(), Assign("n", IntLit(1))))
+        with pytest.raises(ValueError, match="duplicate parameter"):
+            Def("p", ("n", "n"), TrueGoal())
+        assert Def("p", ("n",), Assign("m", Var("n"))).params == ("n",)
 
     def test_shared_union_vars_lint(self):
         g = parse_goal("(x = 1) | (x = 2)")
