@@ -21,14 +21,28 @@ Grammar:
 `else`, `|` and `;` are right-associative, loosest to tightest in that
 order.  `=` assigns; `==` compares.  A run of `/`-joined identifiers with
 a leading `/` is a failure-path token.  `//` starts a line comment.
+
+Lexical classes are ASCII: an INT is `[0-9]+`, an IDENT is
+`[A-Za-z_][A-Za-z0-9_]*`, a STRING is `"` up to the next `"` on the same
+line, and whitespace is space, tab, carriage return and newline.  Any
+other character is a lexical error.
+
+A goal that starts with `(` is a test, as in `(x + 1) * 2 == y`, when the
+token after the matching `)` is a relational or arithmetic operator;
+otherwise it is a parenthesised goal.  No goal can be followed by an
+operator, so this one-token decision never rejects a valid program and
+the parser never backtracks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .failure import FailPath, user_path
 from .syntax import (
+    ARITH_OPS,
     Assign,
     Binary,
     Call,
@@ -53,9 +67,6 @@ from .syntax import (
 
 KEYWORDS = frozenset({"t", "f", "else", "case", "of", "main", "Failtree"})
 
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
-_ONE_CHAR_OPS = "=<>+-*/;|:,(){}"
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -67,12 +78,16 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "str", "path", "eof", or the keyword/operator text
     text: str
-    span: SourceSpan
+    line: int
+    column: int
     value: object = None
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, len(self.text))
 
 
 class SourceError(Exception):
@@ -106,111 +121,64 @@ class MissingMain(ParseError):
         super().__init__(span, "program has no main goal")
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# One match per token: a skipped prefix of whitespace and `//` comments,
+# then exactly one named group.  A string may lack its closing quote so
+# that the tokenizer can report it; `bad` takes any other character.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"(?:(?P<path>(?:/[A-Za-z_][A-Za-z0-9_]*)+)"
+    r"|(?P<int>-?[0-9]+)"
+    r'|(?P<str>"[^"\n]*"?)'
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>==|!=|<=|>=|[=<>+\-*/;|:,(){}])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
+)
 
+_WORD_KINDS = {**{k: k for k in KEYWORDS}, "_": "_"}
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# token kinds that can end an expression: a `-` after one is binary minus
+_VALUE_ENDS = frozenset({"int", "ident", "str", ")"})
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def emit(kind: str, text: str, l: int, c: int, value: object = None) -> None:
-        tokens.append(Token(kind, text, SourceSpan(l, c, len(text)), value))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-
-        if ch == "/" and i + 1 < n and _is_ident_start(source[i + 1]):
-            # a failure path: maximal run of /-joined identifiers
-            j = i
-            while j < n and source[j] == "/" and j + 1 < n and _is_ident_start(source[j + 1]):
-                j += 1
-                while j < n and _is_ident_char(source[j]):
-                    j += 1
-            text = source[i:j]
-            emit("path", text, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-
-        if ch.isdigit() or (
-            ch == "-"
-            and i + 1 < n
-            and source[i + 1].isdigit()
-            and (not tokens or tokens[-1].kind not in ("int", "ident", "str", ")"))
-        ):
-            # a leading minus folds into the literal unless the previous
-            # token could end an expression (then it is binary minus)
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            emit("int", text, start_line, start_col, int(text))
-            col += j - i
-            i = j
-            continue
-
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError(SourceSpan(start_line, start_col, j - i), "unterminated string literal")
-            text = source[i : j + 1]
-            emit("str", text, start_line, start_col, text[1:-1])
-            col += j + 1 - i
-            i = j + 1
-            continue
-
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            text = source[i:j]
-            if text == "_":
-                emit("_", text, start_line, start_col)
-            elif text in KEYWORDS:
-                emit(text, text, start_line, start_col)
-            else:
-                emit("ident", text, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            emit(two, two, start_line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            emit(ch, ch, start_line, start_col)
-            i += 1
-            col += 1
-            continue
-
-        raise LexError(SourceSpan(start_line, start_col, 1), f"unrecognized character {ch!r}")
-
-    tokens.append(Token("eof", "", SourceSpan(line, col, 0)))
+    line, line_start = 1, 0
+    kind = ""
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        text = m[group]
+        start = m.start(group)
+        if start != m.start():
+            newlines = source.count("\n", m.start(), start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", 0, start) + 1
+        col = start - line_start + 1
+        value = None
+        if group == "word":
+            kind = _WORD_KINDS.get(text, "ident")
+        elif group == "op":
+            kind = text
+        elif group == "int":
+            if text[0] == "-" and kind in _VALUE_ENDS:
+                # a leading minus folds into the literal unless the previous
+                # token could end an expression (then it is binary minus)
+                tokens.append(Token("-", "-", line, col))
+                text, col = text[1:], col + 1
+            kind, value = "int", int(text)
+        elif group == "str":
+            if len(text) < 2 or text[-1] != '"':
+                raise LexError(SourceSpan(line, col, len(text)), "unterminated string literal")
+            kind, value = "str", text[1:-1]
+        elif group == "path":
+            kind = "path"
+        elif group == "eof":
+            break
+        else:
+            raise LexError(SourceSpan(line, col, 1), f"unrecognized character {text!r}")
+        tokens.append(Token(kind, text, line, col, value))
+    tokens.append(Token("eof", "", line, col))
     return tokens
 
 
@@ -218,15 +186,34 @@ def tokenize(source: str) -> list[Token]:
 # separates case arms instead of sequencing
 _ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "("})
 
+# tokens that make a parenthesised operand out of the `(...)` before them
+_OPERATORS = frozenset(RELOPS + ARITH_OPS)
+
+
+def _right_nested(node, parts: list) -> Goal:
+    """`node(p0, node(p1, ... pn))`, built without recursion."""
+    g = parts.pop()
+    while parts:
+        g = node(parts.pop(), g)
+    return g
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        # index of the matching ")" of every "(" that has one
+        self.closing: dict[int, int] = {}
+        opened: list[int] = []
+        for j, tok in enumerate(tokens):
+            if tok.kind == "(":
+                opened.append(j)
+            elif tok.kind == ")" and opened:
+                self.closing[opened.pop()] = j
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        # eof is last and is never looked past
+        return self.tokens[self.i + ahead]
 
     def at(self, *kinds: str) -> bool:
         return self.tokens[self.i].kind in kinds
@@ -256,9 +243,7 @@ class _Parser:
                 raise DuplicateDefinition(span, *key)
             defs[key] = d
         self.expect("main")
-        main = self.goal()
-        self.expect("eof", "end of input")
-        return Program(defs, main)
+        return Program(defs, self.goal())
 
     def definition(self) -> tuple[Def, SourceSpan]:
         name_tok = self.expect("ident", "a procedure definition or 'main'")
@@ -280,25 +265,25 @@ class _Parser:
     # -- goals -------------------------------------------------------------
 
     def goal(self) -> Goal:
-        g = self.union_goal()
-        if self.at("else"):
+        parts = [self.union_goal()]
+        while self.at("else"):
             self.advance()
-            return Else(g, self.goal())
-        return g
+            parts.append(self.union_goal())
+        return _right_nested(Else, parts)
 
     def union_goal(self) -> Goal:
-        g = self.seq_goal()
-        if self.at("|"):
+        parts = [self.seq_goal()]
+        while self.at("|"):
             self.advance()
-            return Union(g, self.union_goal())
-        return g
+            parts.append(self.seq_goal())
+        return _right_nested(Union, parts)
 
     def seq_goal(self) -> Goal:
-        g = self.atom_goal()
-        if self.at(";") and self.peek(1).kind in _ATOM_STARTS:
+        parts = [self.atom_goal()]
+        while self.at(";") and self.peek(1).kind in _ATOM_STARTS:
             self.advance()
-            return Seq(g, self.seq_goal())
-        return g
+            parts.append(self.atom_goal())
+        return _right_nested(Seq, parts)
 
     def atom_goal(self) -> Goal:
         tok = self.peek()
@@ -319,30 +304,21 @@ class _Parser:
             name = self.advance().text
             self.advance()
             return Assign(name, self.expr())
-
-        # Remaining forms share prefixes: a test, a call, or a parenthesized
-        # goal.  Try the expression route first and fall back.
-        mark = self.i
-        expr_error: ParseError | None = None
-        try:
-            e = self.expr()
-        except ParseError as err:
-            expr_error = err
-            e = None
-        if e is not None:
-            if self.at(*RELOPS):
-                op = self.advance().kind
-                return Test(e, op, self.expr())
-            if isinstance(e, CallExpr):
-                return Call(e.name, e.args)
         if tok.kind == "(":
-            self.i = mark
-            self.advance()
-            g = self.goal()
-            self.expect(")")
-            return g
-        if expr_error is not None:
-            raise expr_error
+            close = self.closing.get(self.i)
+            if close is None or self.tokens[close + 1].kind not in _OPERATORS:
+                self.advance()
+                g = self.goal()
+                self.expect(")")
+                return g
+
+        # a test, or a call statement
+        e = self.expr()
+        if self.at(*RELOPS):
+            op = self.advance().kind
+            return Test(e, op, self.expr())
+        if isinstance(e, CallExpr):
+            return Call(e.name, e.args)
         raise ParseError(tok.span, "", expected=("a statement",))
 
     def case_goal(self) -> Goal:
@@ -444,12 +420,19 @@ class _Parser:
         raise ParseError(tok.span, "", expected=("an expression",))
 
 
-def parse_goal(source: str) -> Goal:
+def _parse(source: str, rule):
     p = _Parser(tokenize(source))
-    g = p.goal()
+    try:
+        result = rule(p)
+    except RecursionError:
+        raise ParseError(p.peek().span, "nesting too deep") from None
     p.expect("eof", "end of input")
-    return g
+    return result
+
+
+def parse_goal(source: str) -> Goal:
+    return _parse(source, _Parser.goal)
 
 
 def parse_program(source: str) -> Program:
-    return _Parser(tokenize(source)).program()
+    return _parse(source, _Parser.program)

@@ -209,22 +209,24 @@ def assigned_vars(g: Goal) -> set[str]:
 
 
 def iter_goals(g: Goal) -> Iterator[Goal]:
-    """The goal and every sub-goal, pre-order."""
-    yield g
-    match g:
-        case Seq(first, second) | Union(first, second):
-            yield from iter_goals(first)
-            yield from iter_goals(second)
-        case Else(tried, handler):
-            yield from iter_goals(tried)
-            yield from iter_goals(handler)
-        case Case(arms, default):
-            for _, body in arms:
-                yield from iter_goals(body)
-            if default is not None:
-                yield from iter_goals(default)
-        case _:
-            pass
+    """The goal and every sub-goal, pre-order.
+
+    The walk keeps its own stack, so a goal of any depth is walked in
+    linear time without host recursion.
+    """
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        yield g
+        match g:
+            case Seq(first, second) | Union(first, second):
+                stack += (second, first)
+            case Else(tried, handler):
+                stack += (handler, tried)
+            case Case(arms, default):
+                if default is not None:
+                    stack.append(default)
+                stack.extend(body for _, body in reversed(arms))
 
 
 def _expr_atom(e: Expr) -> str:

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,15 @@ EMPTY_PROGRAM = Program({}, TRUE)
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default limit, which `cli.main` raises for the rest of the process."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 def make_store(bindings=None, input_tokens=()) -> Store:

@@ -1,3 +1,5 @@
+import pytest
+
 from tci.cli import (
     EXIT_FAILURE,
     EXIT_PARSE_ERROR,
@@ -11,7 +13,7 @@ from tci.cli import (
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -42,6 +44,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE_ERROR
         assert "1:" in err
+
+    @pytest.mark.parametrize("char", ["²", "٣", "é"])
+    def test_non_ascii_digit_or_letter_exits_2(self, tmp_path, capsys, char):
+        path = write(tmp_path, "p.tc", f"main x = {char}")
+        code = main(["run", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert f"1:10: unrecognized character {char!r}" in err
+
+    def test_too_deep_nesting_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "p.tc", "main " + "(" * 10_000 + "t" + ")" * 10_000)
+        code = main(["run", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert "nesting too deep" in err
 
     def test_input_file_feeds_read(self, tmp_path, capsys):
         prog = write(tmp_path, "p.tc", "main x = read(); y = read()")

@@ -10,6 +10,7 @@ from tci.parser import (
     MissingMain,
     ParseError,
     SourceError,
+    _Parser,
     parse_goal,
     parse_program,
     tokenize,
@@ -29,6 +30,7 @@ from tci.syntax import (
     TrueGoal,
     Union,
     Var,
+    iter_goals,
     pretty_print,
     pretty_program,
 )
@@ -86,6 +88,10 @@ class TestTokenize:
         toks = tokenize("t\n  f")
         assert (toks[0].span.line, toks[0].span.column) == (1, 1)
         assert (toks[1].span.line, toks[1].span.column) == (2, 3)
+
+    def test_eof_column_after_trailing_comment(self):
+        eof = tokenize("t // c")[-1]
+        assert (eof.kind, eof.span.line, eof.span.column) == ("eof", 1, 7)
 
 
 class TestParseGoal:
@@ -193,6 +199,68 @@ main (openfile(); readfile()) | x = factorial(4)
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ParseError):
             parse_program("main t t")
+
+
+class TestParenthesisDecision:
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("(x + 1) * 2 == y",
+             RelopTest(Binary("*", Binary("+", Var("x"), IntLit(1)), IntLit(2)), "==", Var("y"))),
+            ("((x)) == 1", RelopTest(Var("x"), "==", IntLit(1))),
+            ("(x) - 1 < y", RelopTest(Binary("-", Var("x"), IntLit(1)), "<", Var("y"))),
+            ("(g(x))", Call("g", (Var("x"),))),
+            ("(f(x))", Fail(FailPath.parse("/F/usr/x"))),
+        ],
+    )
+    def test_operand_or_goal(self, source, expected):
+        assert parse_goal(source) == expected
+
+    @pytest.mark.parametrize("source", ["(x = 1) == 2", "(t; x = 1", "((x) == 1"])
+    def test_malformed_parentheses_rejected_inside_the_source(self, source):
+        with pytest.raises(ParseError) as err:
+            parse_goal(source)
+        assert err.value.span.line == 1
+        assert 1 <= err.value.span.column <= len(source) + 1
+
+
+class TestLinearity:
+    @staticmethod
+    def expr_calls(monkeypatch, source):
+        calls = 0
+        original = _Parser.expr
+
+        def counting(parser):
+            nonlocal calls
+            calls += 1
+            return original(parser)
+
+        monkeypatch.setattr(_Parser, "expr", counting)
+        parse_goal(source)
+        monkeypatch.undo()
+        return calls
+
+    def test_expr_calls_grow_linearly_with_nesting(self, monkeypatch):
+        def nested(n):
+            goals = "(" * n + "t; (x) == 1" + ")" * n
+            operand = "(" * n + "x" + ")" * n + " == 1"
+            return f"{goals} | {operand}"
+
+        small, large = (self.expr_calls(monkeypatch, nested(n)) for n in (100, 200))
+        assert large <= 2 * small + 10
+
+    def test_long_chains_parse_at_the_default_recursion_limit(self, default_recursion_limit):
+        n = 20_000
+        chain = "; ".join(f"x{i} = {i}" for i in range(n))
+        g = parse_goal(chain)
+        assert isinstance(g, Seq) and g.first == Assign("x0", IntLit(0))
+        assert sum(isinstance(sub, Seq) for sub in iter_goals(g)) == n - 1
+        g = parse_goal(" | ".join(["t"] * n))
+        assert sum(isinstance(sub, Union) for sub in iter_goals(g)) == n - 1
+        body = parse_program(f"p(u) = {chain}\nmain p(1)").defs[("p", 1)].body
+        assert sum(isinstance(sub, Assign) for sub in iter_goals(body)) == n
+        with pytest.raises(ParseError, match="parameter"):
+            parse_program(f"p(u) = {chain}; u = 1\nmain p(1)")
 
 
 class TestErrorSpans:

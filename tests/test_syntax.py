@@ -20,6 +20,7 @@ from tci.syntax import (
     Var,
     expr_vars,
     free_vars,
+    iter_goals,
     pretty_print,
     pretty_program,
     shared_union_vars,
@@ -131,6 +132,15 @@ class TestInvariants:
         with pytest.raises(ValueError, match="duplicate parameter"):
             Def("p", ("n", "n"), TrueGoal())
         assert Def("p", ("n",), Assign("m", Var("n"))).params == ("n",)
+
+    def test_def_validates_a_deep_body(self, default_recursion_limit):
+        # the parameter check walks the body without host recursion
+        body = Assign("n", IntLit(1))
+        for i in range(20_000):
+            body = Seq(Assign(f"x{i}", IntLit(i)), body)
+        with pytest.raises(ValueError, match="parameter"):
+            Def("p", ("n",), body)
+        assert len(list(iter_goals(Def("p", ("m",), body).body))) == 40_001
 
     def test_shared_union_vars_lint(self):
         g = parse_goal("(x = 1) | (x = 2)")
