@@ -15,10 +15,7 @@ from .interp import (
     Failure,
     Outcome,
     Success,
-    TraceNode,
-    eval_expr,
     eval_goal,
-    render_trace,
     run_main,
 )
 from .oracle import SearchConfig, StoreVal, derive_bounded, gen_program

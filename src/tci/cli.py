@@ -18,9 +18,8 @@ from .interp import (
     DEFAULT_MAX_STEPS,
     Failure,
     Success,
-    TraceNode,
     eval_goal,
-    render_trace,
+    format_binding,
     run_main,
 )
 from .oracle import (
@@ -56,7 +55,7 @@ class RunReport:
     output: list[str] = field(default_factory=list)
     steps_used: int = 0
     message: str = ""
-    trace: TraceNode | None = None
+    trace: list[str] | None = None
 
     @property
     def exit_code(self) -> int:
@@ -85,32 +84,28 @@ def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
         except (OSError, ValueError) as err:
             return RunReport(status="parse-error", message=f"bad input file {input_path}: {err}")
     budget = Budget(max_steps)
-    outcome, store, trace_root = run_main(program, input_tokens, budget=budget, trace=trace)
+    outcome, store, trace_lines = run_main(program, input_tokens, budget=budget, trace=trace)
     if isinstance(outcome, Success):
         return RunReport(
             status="success",
             bindings=dict(store.bindings),
             output=list(store.output),
             steps_used=budget.used,
-            trace=trace_root,
+            trace=trace_lines,
         )
-    return RunReport(status="failure", failtree=outcome.tree, steps_used=budget.used, trace=trace_root)
-
-
-def format_binding_value(v: Value) -> str:
-    return f'"{v}"' if isinstance(v, str) else str(v)
+    return RunReport(status="failure", failtree=outcome.tree, steps_used=budget.used, trace=trace_lines)
 
 
 def _print_report(report: RunReport) -> None:
     if report.trace is not None:
-        print(render_trace(report.trace), file=sys.stderr)
+        print("\n".join(report.trace), file=sys.stderr)
     if report.status == "parse-error":
         print(f"error: {report.message}", file=sys.stderr)
     elif report.status == "failure":
         print(render(report.failtree))
     elif report.status == "success":
         for name in sorted(report.bindings):
-            print(f"{name} = {format_binding_value(report.bindings[name])}")
+            print(format_binding(name, report.bindings[name]))
         for line in report.output:
             print(line)
 

@@ -16,19 +16,24 @@ state when it succeeded) and succeeds if at least one does.  `G1 else G2`
 runs the handler only after rolling G1 back, and makes the failure tree
 available to `case Failtree of` goals for the handler's dynamic extent.
 
-Trace lines are labeled with evaluation-rule ids: 1 success of `t`,
-4 a procedure call, 5 an assignment, 6 sequencing, 7/8/9 the three ways a
-`|` can succeed (both operands, only the second, only the first), 10/11
-an `else` whose first operand succeeded/failed.  Tests, case dispatch,
-calls in expression position, and rule-less failures are tagged `test`,
-`case`, `call-expr`, and `fail`.  The first line under a call's node is
-the procedure body, prefixed once with the callee's frame, e.g.
+The trace is a flat list of lines in pre-order, one per goal step and
+one per call in expression position, each indented two spaces per
+enclosing step: `[rule R] text => result`.  A step reserves its line on
+entry and fills it in on exit, when its rule and result are known.  Rule
+ids: 1 success of `t`, 4 a procedure call, 5 an assignment, 6
+sequencing, 7/8/9 the three ways a `|` can succeed (both operands, only
+the second, only the first), 10/11 an `else` whose first operand
+succeeded/failed.  Tests, case dispatch, calls in expression position,
+and rule-less failures are tagged `test`, `case`, `call-expr`, and
+`fail`.  The first line under a call's line is the procedure body,
+prefixed once with the callee's frame, e.g.
 `[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .failure import (
     ExceptionTree,
@@ -109,26 +114,6 @@ class Budget:
         return self.max_steps - self.remaining
 
 
-@dataclass
-class TraceNode:
-    rule: int | str
-    goal: str
-    result: str
-    children: list[TraceNode] = field(default_factory=list)
-
-
-def render_trace(node: TraceNode) -> str:
-    lines: list[str] = []
-
-    def walk(n: TraceNode, depth: int) -> None:
-        lines.append(f"{'  ' * depth}[rule {n.rule}] {n.goal} => {n.result}")
-        for child in n.children:
-            walk(child, depth + 1)
-
-    walk(node, 0)
-    return "\n".join(lines)
-
-
 class _EvalFailure(Exception):
     """Internal: aborts expression evaluation, carrying the failure tree."""
 
@@ -142,18 +127,22 @@ def _int_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _test_holds(left: Value, op: str, right: Value) -> bool:
+    # integers compare by every relop, strings only by (in)equality
     if isinstance(left, int) and isinstance(right, int):
-        return {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[op]
+        return _COMPARE[op](left, right)
     if isinstance(left, str) and isinstance(right, str) and op in ("==", "!="):
-        return (left == right) if op == "==" else (left != right)
+        return _COMPARE[op](left, right)
     return False
 
 
@@ -162,10 +151,14 @@ def format_value(v: Value) -> str:
     return v if isinstance(v, str) else str(v)
 
 
+def format_binding(name: str, v: Value) -> str:
+    """A binding as run output and trace frames show it: `n = 1`, `s = "a"`."""
+    return f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {v}"
+
+
 def _frame_text(frame: Frame) -> str:
     """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`."""
-    items = (f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {v}" for name, v in frame.items())
-    return "{" + ", ".join(items) + "}"
+    return "{" + ", ".join(format_binding(name, v) for name, v in frame.items()) + "}"
 
 
 def _result_text(out: Outcome) -> str:
@@ -181,52 +174,44 @@ class Evaluator:
         self.program = program
         self.store = store
         self.budget = budget if budget is not None else Budget()
-        self._trace: list[list[TraceNode]] | None = [[]] if trace else None
-
-    @property
-    def trace_root(self) -> TraceNode | None:
-        if self._trace and self._trace[0]:
-            return self._trace[0][0]
-        return None
+        self.trace: list[str] | None = [] if trace else None
+        self._depth = 0  # traced steps now open: the indent of the next trace line
 
     def run(self, goal: Goal) -> Outcome:
+        """Evaluate one goal; on failure the store is as `run` found it."""
         entry_marks = self.store.open_checkpoints
+        entry_lines = len(self.trace) if self.trace is not None else 0
         try:
             return self._eval(goal, None, {})
         except RecursionError:
-            return self._stack_exhausted(goal, entry_marks)
+            # The object program out-recursed the host stack before the step
+            # budget fired; report it as the same depth failure, after undoing
+            # every checkpoint the aborted descent left open.
+            while self.store.open_checkpoints > entry_marks:
+                self.store.rollback()
+            out = Failure(throw(SYS_DEPTH))
+            if self.trace is not None:
+                del self.trace[entry_lines:]
+                self._depth = 0
+                self.trace.append(f"[rule fail] {pretty_print(goal)} => {_result_text(out)}")
+            return out
 
-    def eval_expr(self, expr: Expr) -> tuple[Store, Value] | Failure:
-        entry_marks = self.store.open_checkpoints
-        self.store.checkpoint()
-        try:
-            value = self._expr(expr, None, {})
-        except _EvalFailure as fail:
-            self.store.rollback()
-            return Failure(fail.tree)
-        except RecursionError:
-            return self._stack_exhausted(expr, entry_marks)
-        self.store.commit()
-        return self.store, value
+    def _open_line(self) -> int:
+        """Reserve the trace line of a step being entered; returns its index."""
+        self.trace.append("")
+        self._depth += 1
+        return len(self.trace) - 1
 
-    def _stack_exhausted(self, subject, entry_marks: int) -> Failure:
-        # The object program out-recursed the host stack before the step
-        # budget fired; report it as the same depth failure, after undoing
-        # every checkpoint the aborted descent left open.
-        while self.store.open_checkpoints > entry_marks:
-            self.store.rollback()
-        out = Failure(throw(SYS_DEPTH))
-        if self._trace is not None:
-            del self._trace[1:]
-            text = pretty_print(subject) if isinstance(subject, Goal) else pretty_expr(subject)
-            self._trace[0].append(TraceNode("fail", text, _result_text(out), []))
-        return out
+    def _close_line(self, at: int, rule: int | str, text: str, out: Outcome) -> None:
+        self._depth -= 1
+        self.trace[at] = f"{'  ' * self._depth}[rule {rule}] {text} => {_result_text(out)}"
 
     # -- goals -------------------------------------------------------------
 
-    def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> Outcome:
-        if self._trace is not None:
-            self._trace.append([])
+    def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame, head: str = "") -> Outcome:
+        """One step: checkpoint, dispatch, commit or roll back.  `head` prefixes its trace text."""
+        if self.trace is not None:
+            at = self._open_line()
         if not self.budget.spend():
             rule: int | str = "fail"
             out: Outcome = Failure(throw(SYS_DEPTH))
@@ -237,9 +222,8 @@ class Evaluator:
                 self.store.commit()
             else:
                 self.store.rollback()
-        if self._trace is not None:
-            children = self._trace.pop()
-            self._trace[-1].append(TraceNode(rule, pretty_print(g), _result_text(out), children))
+        if self.trace is not None:
+            self._close_line(at, rule, head + pretty_print(g), out)
         return out
 
     def _dispatch(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> tuple[int | str, Outcome]:
@@ -310,11 +294,8 @@ class Evaluator:
                 return Success()
             return Failure(throw(SYS_UNDEF))
         callee_frame = dict(zip(defn.params, values))
-        out = self._eval(defn.body, ambient, callee_frame)
-        if self._trace is not None:
-            body_node = self._trace[-1][-1]
-            body_node.goal = f"{_frame_text(callee_frame)} {body_node.goal}"
-        return out
+        head = _frame_text(callee_frame) + " " if self.trace is not None else ""
+        return self._eval(defn.body, ambient, callee_frame, head)
 
     # -- expressions -------------------------------------------------------
 
@@ -345,13 +326,11 @@ class Evaluator:
             case CallExpr(name, args):
                 # No checkpoint of its own: a failure here fails the enclosing
                 # goal, whose step rolls back everything the call did.
-                if self._trace is not None:
-                    self._trace.append([])
+                if self.trace is not None:
+                    at = self._open_line()
                 out = self._invoke(name, args, ambient, frame)
-                if self._trace is not None:
-                    children = self._trace.pop()
-                    node = TraceNode("call-expr", pretty_expr(e), _result_text(out), children)
-                    self._trace[-1].append(node)
+                if self.trace is not None:
+                    self._close_line(at, "call-expr", pretty_expr(e), out)
                 if isinstance(out, Failure):
                     raise _EvalFailure(out.tree)
                 return self._lookup(RET_VAR)
@@ -370,17 +349,13 @@ def eval_goal(program: Program, store: Store, goal: Goal, budget: Budget | None 
     return Evaluator(program, store, budget).run(goal)
 
 
-def eval_expr(program: Program, store: Store, expr: Expr, budget: Budget | None = None):
-    return Evaluator(program, store, budget).eval_expr(expr)
-
-
 def run_main(
     program: Program,
     input_tokens=(),
     budget: Budget | None = None,
     trace: bool = False,
-) -> tuple[Outcome, Store, TraceNode | None]:
-    """Run a program's main goal on a fresh store; returns (outcome, final store, trace).
+) -> tuple[Outcome, Store, list[str] | None]:
+    """Run a program's main goal on a fresh store; returns (outcome, final store, trace lines).
 
     Output is buffered in the store and kept only when main succeeds; a
     failing run is rolled back to the empty store, so it observably did
@@ -388,10 +363,4 @@ def run_main(
     """
     store = Store(input_tokens)
     ev = Evaluator(program, store, budget=budget, trace=trace)
-    store.checkpoint()
-    outcome = ev.run(program.main)
-    if isinstance(outcome, Success):
-        store.commit()
-    else:
-        store.rollback()
-    return outcome, store, ev.trace_root
+    return ev.run(program.main), store, ev.trace

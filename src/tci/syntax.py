@@ -161,46 +161,40 @@ class Program:
 
 
 def expr_vars(e: Expr) -> set[str]:
-    match e:
-        case Var(name):
-            return {name}
-        case Binary(_, left, right):
-            return expr_vars(left) | expr_vars(right)
-        case CallExpr(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= expr_vars(a)
-            return out
-        case _:
-            return set()
+    """Variable names an expression reads, walked with its own stack."""
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        match stack.pop():
+            case Var(name):
+                out.add(name)
+            case Binary(_, left, right):
+                stack += (left, right)
+            case CallExpr(_, args):
+                stack += args
+    return out
 
 
-def free_vars(g: Goal) -> set[str]:
-    """All variable names a goal reads or assigns (procedure names excluded)."""
+def _own_vars(g: Goal) -> set[str]:
+    """Variable names in a goal's own target and expressions, not in its sub-goals."""
     match g:
-        case TrueGoal() | Fail():
-            return set()
         case Assign(var, expr):
             return {var} | expr_vars(expr)
         case Test(left, _, right):
             return expr_vars(left) | expr_vars(right)
-        case Seq(first, second) | Union(first, second):
-            return free_vars(first) | free_vars(second)
-        case Else(tried, handler):
-            return free_vars(tried) | free_vars(handler)
-        case Case(arms, default):
-            out: set[str] = set()
-            for _, body in arms:
-                out |= free_vars(body)
-            if default is not None:
-                out |= free_vars(default)
-            return out
         case Call(_, args):
-            out = set()
-            for a in args:
-                out |= expr_vars(a)
-            return out
+            return set().union(*map(expr_vars, args))
+        case TrueGoal() | Fail() | Seq() | Union() | Else() | Case():
+            return set()
     raise TypeError(f"not a goal: {g!r}")
+
+
+def free_vars(g: Goal) -> set[str]:
+    """All variable names a goal reads or assigns (procedure names excluded)."""
+    out: set[str] = set()
+    for sub in iter_goals(g):
+        out |= _own_vars(sub)
+    return out
 
 
 def assigned_vars(g: Goal) -> set[str]:
@@ -303,15 +297,32 @@ def pretty_program(p: Program) -> str:
 
 
 def shared_union_vars(g: Goal) -> list[tuple[Union, list[str]]]:
-    """`|` nodes whose branches share variables, with the shared names.
+    """`|` nodes whose branches share variables, with the shared names, pre-order.
 
     The two branches of `|` are meant to be independent; sharing state
-    between them makes the combined update order observable.
+    between them makes the combined update order observable.  Each
+    subtree's variable set is built once, children before parents
+    (reversed pre-order), by merging the smaller set into the larger, so
+    the walk does O(n log n) set-element work and no host recursion.
     """
     found = []
-    for sub in iter_goals(g):
-        if isinstance(sub, Union):
-            shared = free_vars(sub.first) & free_vars(sub.second)
-            if shared:
-                found.append((sub, sorted(shared)))
+    done: list[set[str]] = []  # sets of the finished subtrees; a node's first child on top
+    for sub in reversed(list(iter_goals(g))):
+        match sub:
+            case Seq() | Union() | Else():
+                children = 2
+            case Case(arms, default):
+                children = len(arms) + (default is not None)
+            case _:
+                children = 0
+        if isinstance(sub, Union) and (shared := done[-1] & done[-2]):
+            found.append((sub, sorted(shared)))
+        names = _own_vars(sub)
+        for _ in range(children):
+            child = done.pop()
+            if len(child) > len(names):
+                names, child = child, names
+            names |= child
+        done.append(names)
+    found.reverse()
     return found

@@ -11,7 +11,8 @@ the gates are:
   6. selfcheck --cases 1000 --seed 0 --max-depth 8 exits 0, < 1% exhausted
   7. parse/pretty-print round trip on >= 1000 generated programs
   8. handler matching table, including the sys-vs-usr pair
-  9. byte-identical stdout and trace across repeated runs of every golden
+  9. byte-identical stdout and trace across repeated runs of every golden,
+     matching the frozen stdout and trace
 """
 
 import subprocess
@@ -197,4 +198,5 @@ def test_criterion_9_determinism(program, input_name, expected):
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
     assert first.stdout == (GOLDEN / expected).read_bytes()
+    assert first.stderr == (GOLDEN / expected).with_suffix(".trace").read_bytes()
     print(f"PASS criterion 9: {program} ({input_name or 'no input'}) byte-identical across runs")

@@ -1,7 +1,7 @@
 from conftest import EMPTY_PROGRAM, make_store, run
 
 from tci.failure import ROOT, SYS_CASE, SYS_DEPTH, SYS_DIV0, SYS_TEST, SYS_UNBOUND, SYS_UNDEF, throw
-from tci.interp import Budget, Evaluator, Failure, Success, eval_expr, eval_goal, render_trace, run_main
+from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
@@ -86,8 +86,14 @@ class TestGoalForms:
     def test_string_equality_tests(self):
         out, _ = run(parse_goal('x == "a"'), bindings={"x": "a"})
         assert isinstance(out, Success)
-        out, _ = run(parse_goal('x < "a"'), bindings={"x": "a"})
-        assert failure_paths(out) == {str(SYS_TEST)}
+        out, _ = run(parse_goal('x != "b"'), bindings={"x": "a"})
+        assert isinstance(out, Success)
+        # strings have no order: an ordering test fails even where it would hold
+        for relop in ("<", "<=", ">", ">="):
+            out, _ = run(parse_goal(f'x {relop} "a"'), bindings={"x": "a"})
+            assert failure_paths(out) == {str(SYS_TEST)}
+            out, _ = run(parse_goal(f'"a" {relop} "b"'))
+            assert failure_paths(out) == {str(SYS_TEST)}
 
     def test_mixed_type_comparison_fails(self):
         out, _ = run(parse_goal('1 == "a"'))
@@ -144,39 +150,32 @@ class TestCase:
 
 
 class TestExpressions:
+    # each expression is evaluated as the right side of `y = <expr>`
     def test_variable_arithmetic(self):
-        store = make_store({"x": 3})
-        result = eval_expr(EMPTY_PROGRAM, store, parse_goal("y = x + 1").expr)
-        assert result[1] == 4
+        out, store = run(parse_goal("y = x + 1"), bindings={"x": 3})
+        assert isinstance(out, Success) and store.bindings["y"] == 4
 
     def test_division_by_zero(self):
-        store = make_store()
-        result = eval_expr(EMPTY_PROGRAM, store, parse_goal("y = 6 / 0").expr)
-        assert isinstance(result, Failure)
-        assert result.tree == throw(SYS_DIV0)
+        out, _ = run(parse_goal("y = 6 / 0"))
+        assert isinstance(out, Failure)
+        assert out.tree == throw(SYS_DIV0)
 
     def test_division_truncates_toward_zero(self):
         for text, expected in (("7 / 2", 3), ("-7 / 2", -3), ("7 / -2", -3), ("-7 / -2", 3)):
-            store = make_store()
-            _, value = eval_expr(EMPTY_PROGRAM, store, parse_goal(f"y = {text}").expr)
-            assert value == expected, text
+            _, store = run(parse_goal(f"y = {text}"))
+            assert store.bindings["y"] == expected, text
 
     def test_call_in_expression_position(self):
-        program = parse_program(GOLDEN_UNION)
-        store = make_store()
-        result = eval_expr(program, store, parse_goal("y = factorial(4)").expr)
-        assert result[1] == 24
+        out, store = run(parse_goal("y = factorial(4)"), parse_program(GOLDEN_UNION))
+        assert isinstance(out, Success) and store.bindings["y"] == 24
 
     def test_call_without_ret_is_unbound(self):
-        program = parse_program("p() = t\nmain t")
-        store = make_store()
-        result = eval_expr(program, store, parse_goal("y = p()").expr)
-        assert isinstance(result, Failure) and result.tree == throw(SYS_UNBOUND)
+        out, _ = run(parse_goal("y = p()"), parse_program("p() = t\nmain t"))
+        assert isinstance(out, Failure) and out.tree == throw(SYS_UNBOUND)
 
     def test_failed_expression_rolls_back_reads(self):
-        store = make_store(input_tokens=[5])
-        result = eval_expr(EMPTY_PROGRAM, store, parse_goal("y = read() + z").expr)
-        assert isinstance(result, Failure)
+        out, store = run(parse_goal("y = read() + z"), input_tokens=[5])
+        assert isinstance(out, Failure)
         assert store.cursor == 0
 
 
@@ -238,8 +237,8 @@ class TestFrames:
 
     def test_trace_prefixes_each_body_with_its_frame(self):
         program = parse_program('show(s, k) = print(s)\nid(n) = ret = n\nmain x = id(2); show("a", x)')
-        _, _, root = run_main(program, trace=True)
-        assert render_trace(root).splitlines() == [
+        _, _, lines = run_main(program, trace=True)
+        assert lines == [
             '[rule 6] x = id(2); show("a", x) => success',
             "  [rule 5] x = id(2) => success",
             "    [rule call-expr] id(2) => success",
@@ -358,7 +357,7 @@ class TestProperties:
                         isinstance(out, Success),
                         out.tree.sorted_paths() if isinstance(out, Failure) else None,
                         store.snapshot(),
-                        render_trace(ev.trace_root),
+                        ev.trace,
                     )
                 )
             assert results[0] == results[1]
@@ -382,3 +381,28 @@ class TestProperties:
                 assert isinstance(out, Failure)
                 assert reference.tree == out.tree
         assert exhausted <= 3
+
+
+SUM = "sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum(3000, 0)"
+
+
+class TestStackExhaustion:
+    # at the default recursion limit, sum(3000, 0) runs out of host stack
+    # long before its step budget
+    def test_run_main_reports_depth_and_an_empty_store(self, default_recursion_limit):
+        out, store, _ = run_main(parse_program(SUM))
+        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert store.snapshot() == ({}, 0, ())
+
+    def test_trace_is_one_fail_line(self, default_recursion_limit):
+        _, _, lines = run_main(parse_program(SUM), trace=True)
+        assert lines == ["[rule fail] sum(3000, 0) => failure(/F/sys/depth)"]
+
+    def test_eval_goal_keeps_an_outer_checkpoint_open(self, default_recursion_limit):
+        program = parse_program(SUM)
+        store = make_store({"x": 1})
+        store.checkpoint()
+        out = eval_goal(program, store, program.main)
+        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert store.open_checkpoints == 1
+        assert store.snapshot() == ({"x": 1}, 0, ())

@@ -12,6 +12,7 @@ from tci.syntax import (
     Def,
     Else,
     Fail,
+    Goal,
     IntLit,
     Seq,
     Test as RelopTest,
@@ -150,3 +151,54 @@ class TestInvariants:
 
     def test_independent_union_not_flagged(self):
         assert shared_union_vars(parse_goal("(x = 1) | (y = 2)")) == []
+
+
+def recursive_free_vars(g: Goal) -> set[str]:
+    """The structural definition of `free_vars`, as a reference for the linear walks."""
+    match g:
+        case Seq(first, second) | Union(first, second) | Else(first, second):
+            return recursive_free_vars(first) | recursive_free_vars(second)
+        case Case(arms, default):
+            bodies = [body for _, body in arms] + ([default] if default is not None else [])
+            return set().union(*map(recursive_free_vars, bodies))
+        case Assign(var, expr):
+            return {var} | expr_vars(expr)
+        case RelopTest(left, _, right):
+            return expr_vars(left) | expr_vars(right)
+        case Call(_, args):
+            return set().union(*map(expr_vars, args))
+    return set()
+
+
+class TestSharedUnionVars:
+    def test_agrees_with_the_recursive_definition(self):
+        flagged = 0
+        for seed in range(3000):
+            program, _, _ = gen_program(seed, 8)
+            for g in [program.main] + [d.body for d in program.defs.values()]:
+                assert free_vars(g) == recursive_free_vars(g)
+                expected = [
+                    (sub, sorted(recursive_free_vars(sub.first) & recursive_free_vars(sub.second)))
+                    for sub in iter_goals(g)
+                    if isinstance(sub, Union)
+                ]
+                expected = [(sub, names) for sub, names in expected if names]
+                assert shared_union_vars(g) == expected, pretty_print(g)
+                flagged += len(expected)
+        assert flagged > 100
+
+    def test_wide_union_is_walked_without_host_recursion(self, default_recursion_limit):
+        n = 20_000
+        g = parse_goal(" | ".join(f"x{i} = {i}" for i in range(n)))
+        assert shared_union_vars(g) == []
+        # only the outermost `|` has x0 on both sides
+        g = parse_goal(" | ".join([f"x{i} = {i}" for i in range(n - 1)] + ["x0 = 1"]))
+        assert shared_union_vars(g) == [(g, ["x0"])]
+
+    def test_long_expression_is_walked_without_host_recursion(self, default_recursion_limit):
+        e = Var("a")
+        for i in range(20_000):
+            e = Binary("+", e, Var(f"v{i % 3}"))
+        g = Union(Assign("x", e), Assign("y", Var("v2")))
+        assert free_vars(g) == {"a", "v0", "v1", "v2", "x", "y"}
+        assert shared_union_vars(g) == [(g, ["v2"])]
