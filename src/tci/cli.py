@@ -123,9 +123,13 @@ def cmd_check(path: str) -> tuple[int, list[str]]:
     diagnostics = []
     goals = [d.body for _, d in sorted(program.defs.items())] + [program.main]
     for goal in goals:
-        for node, names in shared_union_vars(goal):
-            joined = ", ".join(names)
-            diagnostics.append(f"warning: '|' branches share variables: {joined} (in: {pretty_print(node)})")
+        found = shared_union_vars(goal)
+        # Flagged `|`s nest: printing the innermost first lets each text be
+        # built from the texts of the flagged `|`s inside it.
+        texts: dict[int, str] = {}
+        shown = [pretty_print(node, texts) for node, _ in reversed(found)]
+        for (_, names), text in zip(found, reversed(shown)):
+            diagnostics.append(f"warning: '|' branches share variables: {', '.join(names)} (in: {text})")
     return EXIT_SUCCESS, diagnostics
 
 

@@ -19,7 +19,11 @@ available to `case Failtree of` goals for the handler's dynamic extent.
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
 enclosing step: `[rule R] text => result`.  A step reserves its line on
-entry and fills it in on exit, when its rule and result are known.  Rule
+entry and fills it in on exit, when its rule and result are known.  The
+texts go through one memo per run (`pretty_print` keyed by node
+identity): a step's text is built once, from the texts its sub-steps
+built just before it, so a `;` chain's statements are not printed again
+for every enclosing step.  Rule
 ids: 1 success of `t`, 4 a procedure call, 5 an assignment, 6
 sequencing, 7/8/9 the three ways a `|` can succeed (both operands, only
 the second, only the first), 10/11 an `else` whose first operand
@@ -176,11 +180,15 @@ class Evaluator:
         self.budget = budget if budget is not None else Budget()
         self.trace: list[str] | None = [] if trace else None
         self._depth = 0  # traced steps now open: the indent of the next trace line
+        self._texts: dict[int, str] | None = None  # id(node) -> trace text, while `run` runs
 
     def run(self, goal: Goal) -> Outcome:
         """Evaluate one goal; on failure the store is as `run` found it."""
         entry_marks = self.store.open_checkpoints
         entry_lines = len(self.trace) if self.trace is not None else 0
+        # Every node this run can print is alive until it returns (the
+        # program and `goal`), so no id in the memo is reused.
+        self._texts = {}
         try:
             return self._eval(goal, None, {})
         except RecursionError:
@@ -193,8 +201,10 @@ class Evaluator:
             if self.trace is not None:
                 del self.trace[entry_lines:]
                 self._depth = 0
-                self.trace.append(f"[rule fail] {pretty_print(goal)} => {_result_text(out)}")
+                self.trace.append(f"[rule fail] {pretty_print(goal, self._texts)} => {_result_text(out)}")
             return out
+        finally:
+            self._texts = None
 
     def _open_line(self) -> int:
         """Reserve the trace line of a step being entered; returns its index."""
@@ -223,7 +233,7 @@ class Evaluator:
             else:
                 self.store.rollback()
         if self.trace is not None:
-            self._close_line(at, rule, head + pretty_print(g), out)
+            self._close_line(at, rule, head + pretty_print(g, self._texts), out)
         return out
 
     def _dispatch(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> tuple[int | str, Outcome]:
@@ -330,7 +340,7 @@ class Evaluator:
                     at = self._open_line()
                 out = self._invoke(name, args, ambient, frame)
                 if self.trace is not None:
-                    self._close_line(at, "call-expr", pretty_expr(e), out)
+                    self._close_line(at, "call-expr", pretty_expr(e, self._texts), out)
                 if isinstance(out, Failure):
                     raise _EvalFailure(out.tree)
                 return self._lookup(RET_VAR)

@@ -223,30 +223,6 @@ def iter_goals(g: Goal) -> Iterator[Goal]:
                 stack.extend(body for _, body in reversed(arms))
 
 
-def _expr_atom(e: Expr) -> str:
-    # Nested arithmetic is always parenthesized, so reading the text back
-    # cannot re-associate it.
-    text = pretty_expr(e)
-    return f"({text})" if isinstance(e, Binary) else text
-
-
-def pretty_expr(e: Expr) -> str:
-    match e:
-        case IntLit(value):
-            return str(value)
-        case StrLit(value):
-            return f'"{value}"'
-        case Var(name):
-            return name
-        case Binary(op, left, right):
-            return f"{_expr_atom(left)} {op} {_expr_atom(right)}"
-        case CallExpr(name, args):
-            return f"{name}({', '.join(pretty_expr(a) for a in args)})"
-        case Read():
-            return "read()"
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _fail_text(path: FailPath) -> str:
     segs = path.segments
     if segs == ("F",):
@@ -256,36 +232,113 @@ def _fail_text(path: FailPath) -> str:
     return f"f({path})"
 
 
-def _goal_atom(g: Goal) -> str:
-    text = pretty_print(g)
-    return f"({text})" if isinstance(g, (Seq, Union, Else)) else text
+def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
+    """The goals and expressions a node's text is built from, left to right."""
+    match node:
+        case Seq() | Union():
+            return (node.first, node.second)
+        case Assign():
+            return (node.expr,)
+        case Binary() | Test():
+            return (node.left, node.right)
+        case Call() | CallExpr():
+            return node.args
+        case Else():
+            return (node.tried, node.handler)
+        case Case(arms, default):
+            bodies = tuple(body for _, body in arms)
+            return bodies if default is None else bodies + (default,)
+    return ()
 
 
-def pretty_print(g: Goal) -> str:
-    """Concrete syntax for a goal; parses back to the same tree."""
-    match g:
+def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
+    # A compound operand is always parenthesized, so reading the text back
+    # cannot re-associate nested arithmetic or chains.
+    text = texts[id(node)]
+    return f"({text})" if isinstance(node, (Binary, Seq, Union, Else)) else text
+
+
+def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
+    """One node's text, from its children's texts in `texts`."""
+    match node:  # the most frequent nodes first
+        case Seq(first, second):
+            return f"{_atom(first, texts)}; {_atom(second, texts)}"
+        case Assign(var, expr):
+            return f"{var} = {texts[id(expr)]}"
+        case IntLit(value):
+            return str(value)
+        case Var(name):
+            return name
+        case Binary(op, left, right) | Test(left, op, right):
+            return f"{_atom(left, texts)} {op} {_atom(right, texts)}"
+        case Call(name, args) | CallExpr(name, args):
+            return f"{name}({', '.join(texts[id(a)] for a in args)})"
+        case Union(first, second):
+            return f"{_atom(first, texts)} | {_atom(second, texts)}"
+        case Else(tried, handler):
+            return f"{_atom(tried, texts)} else {_atom(handler, texts)}"
         case TrueGoal():
             return "t"
         case Fail(path):
             return _fail_text(path)
-        case Assign(var, expr):
-            return f"{var} = {pretty_expr(expr)}"
-        case Test(left, relop, right):
-            return f"{_expr_atom(left)} {relop} {_expr_atom(right)}"
-        case Seq(first, second):
-            return f"{_goal_atom(first)}; {_goal_atom(second)}"
-        case Union(first, second):
-            return f"{_goal_atom(first)} | {_goal_atom(second)}"
-        case Else(tried, handler):
-            return f"{_goal_atom(tried)} else {_goal_atom(handler)}"
+        case StrLit(value):
+            return f'"{value}"'
+        case Read():
+            return "read()"
         case Case(arms, default):
-            parts = [f"{path}: {_goal_atom(body)}" for path, body in arms]
+            parts = [f"{path}: {_atom(body, texts)}" for path, body in arms]
             if default is not None:
-                parts.append(f"_: {_goal_atom(default)}")
+                parts.append(f"_: {_atom(default, texts)}")
             return "case Failtree of { " + "; ".join(parts) + " }"
-        case Call(name, args):
-            return f"{name}({', '.join(pretty_expr(a) for a in args)})"
-    raise TypeError(f"not a goal: {g!r}")
+    raise TypeError(f"not a goal or expression: {node!r}")
+
+
+def _text(root: Goal | Expr, texts: dict[int, str] | None) -> str:
+    if texts is None:
+        texts = {}
+    text = texts.get(id(root))
+    if text is not None:
+        return text
+    stack = [(root, None)]  # (node, its children once they are pushed)
+    while stack:
+        node, children = stack.pop()
+        if children is None:
+            if id(node) not in texts:
+                children = _children(node)
+                stack.append((node, children))
+                stack += [(child, None) for child in children]
+            continue
+        try:
+            texts[id(node)] = _format(node, texts)
+        except KeyError:
+            # a child this node shares with a sibling was dropped when the
+            # sibling was built: build it again
+            stack.append((node, None))
+            continue
+        for child in children:
+            texts.pop(id(child), None)
+    return texts[id(root)]
+
+
+def pretty_print(g: Goal, texts: dict[int, str] | None = None) -> str:
+    """Concrete syntax for a goal; parses back to the same tree.
+
+    The text of the goal and of every sub-node not in `texts` is built
+    children before parents on an explicit stack, so a goal of any depth
+    is printed without host recursion.  `texts` is a memo keyed by node
+    identity that keeps each text until its parent's text is built from
+    it.  A caller that prints the nodes of one tree children first (as
+    the evaluator closes its trace lines) thus builds each text from its
+    children's texts and holds only the texts no parent has used yet.
+    The caller keeps every node in the memo alive while it uses the memo,
+    so that no `id` is reused.
+    """
+    return _text(g, texts)
+
+
+def pretty_expr(e: Expr, texts: dict[int, str] | None = None) -> str:
+    """Concrete syntax for an expression, built and memoized as `pretty_print` does."""
+    return _text(e, texts)
 
 
 def pretty_program(p: Program) -> str:

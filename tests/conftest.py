@@ -4,7 +4,24 @@ from pathlib import Path
 import pytest
 
 from tci import Program, Store, eval_goal
-from tci.syntax import TRUE
+from tci.syntax import (
+    TRUE,
+    Assign,
+    Binary,
+    Call,
+    CallExpr,
+    Case,
+    Else,
+    Fail,
+    IntLit,
+    Read,
+    Seq,
+    StrLit,
+    Test,
+    TrueGoal,
+    Union,
+    Var,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,3 +51,48 @@ def run(goal, program=EMPTY_PROGRAM, bindings=None, input_tokens=()):
     store = make_store(bindings, input_tokens)
     outcome = eval_goal(program, store, goal)
     return outcome, store
+
+
+def recursive_pretty(node) -> str:
+    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the memoized walk."""
+
+    def atom(sub) -> str:
+        text = recursive_pretty(sub)
+        return f"({text})" if isinstance(sub, (Binary, Seq, Union, Else)) else text
+
+    match node:
+        case IntLit(value):
+            return str(value)
+        case StrLit(value):
+            return f'"{value}"'
+        case Var(name):
+            return name
+        case Read():
+            return "read()"
+        case Binary(op, left, right) | Test(left, op, right):
+            return f"{atom(left)} {op} {atom(right)}"
+        case Call(name, args) | CallExpr(name, args):
+            return f"{name}({', '.join(map(recursive_pretty, args))})"
+        case TrueGoal():
+            return "t"
+        case Fail(path):
+            segs = path.segments
+            if segs == ("F",):
+                return "f"
+            if len(segs) > 2 and segs[:2] == ("F", "usr"):
+                return "f(" + "/".join(segs[2:]) + ")"
+            return f"f({path})"
+        case Assign(var, expr):
+            return f"{var} = {recursive_pretty(expr)}"
+        case Seq(first, second):
+            return f"{atom(first)}; {atom(second)}"
+        case Union(first, second):
+            return f"{atom(first)} | {atom(second)}"
+        case Else(tried, handler):
+            return f"{atom(tried)} else {atom(handler)}"
+        case Case(arms, default):
+            parts = [f"{path}: {atom(body)}" for path, body in arms]
+            if default is not None:
+                parts.append(f"_: {atom(default)}")
+            return "case Failtree of { " + "; ".join(parts) + " }"
+    raise TypeError(node)

@@ -60,6 +60,23 @@ class TestRun:
         assert code == EXIT_PARSE_ERROR
         assert "nesting too deep" in err
 
+    @pytest.mark.parametrize(
+        "goal",
+        ["; ".join(f"x{i} = {i}" for i in range(20_000)), "x = " + " + ".join(["1"] * 20_000)],
+        ids=["chain", "sum"],
+    )
+    def test_deep_program_fails_with_depth_under_trace(self, tmp_path, capsys, goal):
+        # the evaluator runs out of host stack; printing the goal for the
+        # trace's one fail line must not
+        path = write(tmp_path, "p.tc", f"main {goal}")
+        assert main(["run", path]) == EXIT_FAILURE
+        plain = capsys.readouterr().out
+        assert plain == "F\n└─ sys\n   └─ depth\n"
+        assert main(["run", path, "--trace"]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert captured.err.splitlines()[-1].endswith("=> failure(/F/sys/depth)")
+
     def test_input_file_feeds_read(self, tmp_path, capsys):
         prog = write(tmp_path, "p.tc", "main x = read(); y = read()")
         data = write(tmp_path, "data.txt", "7 9\n")

@@ -1,5 +1,6 @@
-from conftest import EMPTY_PROGRAM, make_store, run
+from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
 
+from tci import interp, syntax
 from tci.failure import ROOT, SYS_CASE, SYS_DEPTH, SYS_DIV0, SYS_TEST, SYS_UNBOUND, SYS_UNDEF, throw
 from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
@@ -247,6 +248,85 @@ class TestFrames:
             '    [rule 4] {s = "a", k = 2} print(s) => success',
         ]
 
+
+
+class TestTraceText:
+    @staticmethod
+    def formatted_nodes(monkeypatch, n):
+        """The nodes whose text is built during a traced run of an n-statement chain."""
+        formatted = []
+        original = syntax._format
+
+        def counting(node, texts):
+            formatted.append(node)
+            return original(node, texts)
+
+        monkeypatch.setattr(syntax, "_format", counting)
+        program = parse_program("main " + "; ".join(f"x{i} = {i}" for i in range(n)))
+        run_main(program, trace=True)
+        monkeypatch.undo()
+        return formatted
+
+    def test_formatting_grows_linearly_with_a_chain(self, monkeypatch):
+        small, large = (self.formatted_nodes(monkeypatch, n) for n in (200, 400))
+        assert len(large) <= 2 * len(small) + 10
+        # each Seq, Assign and literal once
+        assert len(large) == len({id(node) for node in large}) == 3 * 400 - 1
+
+    def test_body_text_under_each_frame(self):
+        # one body runs under five frames; equal-but-distinct goal and
+        # expression nodes (`g(1)`, `x = 1`) each print their own line
+        program = parse_program(
+            "fib(n) = (n < 2; ret = n) else ret = fib(n - 1) + fib(n - 2)\n"
+            "g(k) = ret = k\n"
+            "main x = 1; g(1); y = g(1) + fib(2); x = 1"
+        )
+        out, store, lines = run_main(program, trace=True)
+        assert isinstance(out, Success) and store.bindings["y"] == 2
+        body = "(n < 2; ret = n) else ret = fib(n - 1) + fib(n - 2)"
+        assert lines == [
+            "[rule 6] x = 1; (g(1); (y = g(1) + fib(2); x = 1)) => success",
+            "  [rule 5] x = 1 => success",
+            "  [rule 6] g(1); (y = g(1) + fib(2); x = 1) => success",
+            "    [rule 4] g(1) => success",
+            "      [rule 5] {k = 1} ret = k => success",
+            "    [rule 6] y = g(1) + fib(2); x = 1 => success",
+            "      [rule 5] y = g(1) + fib(2) => success",
+            "        [rule call-expr] g(1) => success",
+            "          [rule 5] {k = 1} ret = k => success",
+            "        [rule call-expr] fib(2) => success",
+            f"          [rule 11] {{n = 2}} {body} => success",
+            "            [rule 6] n < 2; ret = n => failure(/F/sys/test)",
+            "              [rule test] n < 2 => failure(/F/sys/test)",
+            "            [rule 5] ret = fib(n - 1) + fib(n - 2) => success",
+            "              [rule call-expr] fib(n - 1) => success",
+            f"                [rule 10] {{n = 1}} {body} => success",
+            "                  [rule 6] n < 2; ret = n => success",
+            "                    [rule test] n < 2 => success",
+            "                    [rule 5] ret = n => success",
+            "              [rule call-expr] fib(n - 2) => success",
+            f"                [rule 10] {{n = 0}} {body} => success",
+            "                  [rule 6] n < 2; ret = n => success",
+            "                    [rule test] n < 2 => success",
+            "                    [rule 5] ret = n => success",
+            "      [rule 5] x = 1 => success",
+        ]
+
+    def test_trace_agrees_with_the_recursive_definition(self, monkeypatch):
+        # the same runs with every line's text printed afresh by the reference
+        reference = lambda node, texts=None: recursive_pretty(node)  # noqa: E731
+        for seed in range(300):
+            program, sv, inp = gen_program(seed, 8)
+            traces = []
+            for printer in (None, reference):
+                if printer is not None:
+                    monkeypatch.setattr(interp, "pretty_print", printer)
+                    monkeypatch.setattr(interp, "pretty_expr", printer)
+                ev = Evaluator(program, Store(inp, dict(sv.bindings)), Budget(5000), trace=True)
+                ev.run(program.main)
+                traces.append(ev.trace)
+                monkeypatch.undo()
+            assert traces[0] == traces[1]
 
 class TestBudget:
     def test_nonterminating_recursion_fails_with_depth(self):

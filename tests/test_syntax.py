@@ -1,4 +1,5 @@
 import pytest
+from conftest import recursive_pretty
 
 from tci.failure import FailPath, ROOT
 from tci.oracle import gen_program, substitute
@@ -11,6 +12,7 @@ from tci.syntax import (
     Case,
     Def,
     Else,
+    Expr,
     Fail,
     Goal,
     IntLit,
@@ -22,6 +24,7 @@ from tci.syntax import (
     expr_vars,
     free_vars,
     iter_goals,
+    pretty_expr,
     pretty_print,
     pretty_program,
     shared_union_vars,
@@ -86,6 +89,69 @@ class TestPrettyPrint:
         assert pretty_print(Fail(FailPath.parse("/F/usr/EOF"))) == "f(EOF)"
         assert pretty_print(Fail(FailPath.parse("/F/sys/test"))) == "f(/F/sys/test)"
         assert pretty_print(Fail(ROOT)) == "f"
+
+    def test_agrees_with_the_recursive_definition(self):
+        for seed in range(1000):
+            program, _, _ = gen_program(seed, 8)
+            for g in [program.main] + [d.body for d in program.defs.values()]:
+                # every goal and expression, alone and through one memo
+                # shared by the whole goal, children before parents
+                texts: dict[int, str] = {}
+                for sub in reversed(list(iter_goals(g))):
+                    for e in goal_exprs(sub):
+                        assert pretty_expr(e) == pretty_expr(e, texts) == recursive_pretty(e)
+                    assert pretty_print(sub) == pretty_print(sub, texts) == recursive_pretty(sub)
+
+    def test_memo_keeps_only_texts_no_parent_used(self):
+        g = parse_goal("x = 1; (y = 2 | z = h(3)); t")
+        texts: dict[int, str] = {}
+        assert pretty_expr(g.second.first.first.expr, texts) == "2"
+        assert pretty_print(g, texts) == "x = 1; ((y = 2 | z = h(3)); t)"
+        assert texts == {id(g): "x = 1; ((y = 2 | z = h(3)); t)"}
+
+    def test_shared_sub_nodes(self):
+        # a node built twice into one tree: its text is dropped once one
+        # parent is built and rebuilt for the other
+        x = Binary("+", Var("x"), IntLit(1))
+        a = Assign("y", x)
+        g = Union(Seq(a, RelopTest(x, "<", x)), Else(a, Seq(a, a)))
+        for node in (g, Seq(g, g), Seq(Seq(a, TrueGoal()), a)):
+            assert pretty_print(node) == recursive_pretty(node)
+            assert pretty_print(node, {}) == pretty_print(node, {id(a): "y = x + 1"}) == recursive_pretty(node)
+
+    @staticmethod
+    def chain(n: int) -> Goal:
+        g = Assign("x", IntLit(1))
+        for _ in range(n - 1):
+            g = Seq(Assign("x", IntLit(1)), g)
+        return g
+
+    @staticmethod
+    def total(n: int) -> Expr:
+        e = IntLit(1)
+        for _ in range(n - 1):
+            e = Binary("+", e, IntLit(1))
+        return e
+
+    def test_deep_goals_print_without_host_recursion(self, default_recursion_limit):
+        n = 20_000
+        assert pretty_print(self.chain(n)) == "x = 1; (" * (n - 2) + "x = 1; x = 1" + ")" * (n - 2)
+        assert pretty_expr(self.total(n)) == "(" * (n - 2) + "1 + 1" + ") + 1" * (n - 2)
+        # The parser recurses once per parenthesis, so at this recursion
+        # limit only a shallower text reads back.
+        for g in (self.chain(150), Assign("y", self.total(150))):
+            assert parse_goal(pretty_print(g)) == g
+
+
+def goal_exprs(g: Goal) -> list[Expr]:
+    match g:
+        case Assign(_, expr):
+            return [expr]
+        case RelopTest(left, _, right):
+            return [left, right]
+        case Call(_, args):
+            return list(args)
+    return []
 
 
 class TestFreeVars:
