@@ -5,6 +5,12 @@ trace in the store: each evaluation step opens a checkpoint on entry and
 rolls it back on failure, so partial updates never escape a failure at
 any nesting level.
 
+One step is one call of `_eval`: it picks the goal's rule by testing
+`type(goal) is ...`, most frequent types first, and runs it in the same
+host frame; expressions are dispatched the same way by `_expr`.
+Outcomes are immutable, so they are shared: one Success, and one Failure
+for each fixed /F/sys path the machine throws, built at import.
+
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged under a fresh frame binding the parameters to
 those values.  Variable reads consult the frame before the store; a
@@ -99,6 +105,16 @@ class Failure:
 
 Outcome = Success | Failure
 
+# Outcomes are immutable, so the evaluator shares one success and one
+# failure per fixed /F/sys path; it tests for success by identity.
+_SUCCESS = Success()
+_FAIL_TEST = Failure(throw(SYS_TEST))
+_FAIL_UNBOUND = Failure(throw(SYS_UNBOUND))
+_FAIL_DIV0 = Failure(throw(SYS_DIV0))
+_FAIL_UNDEF = Failure(throw(SYS_UNDEF))
+_FAIL_DEPTH = Failure(throw(SYS_DEPTH))
+_FAIL_CASE = Failure(throw(SYS_CASE))
+
 
 class Budget:
     """Step allowance, one unit per goal evaluated; exhaustion fails with /F/sys/depth."""
@@ -119,10 +135,10 @@ class Budget:
 
 
 class _EvalFailure(Exception):
-    """Internal: aborts expression evaluation, carrying the failure tree."""
+    """Internal: aborts expression evaluation, carrying the failure outcome."""
 
-    def __init__(self, tree: ExceptionTree):
-        self.tree = tree
+    def __init__(self, out: Failure):
+        self.out = out
 
 
 def _int_div(a: int, b: int) -> int:
@@ -197,7 +213,7 @@ class Evaluator:
             # every checkpoint the aborted descent left open.
             while self.store.open_checkpoints > entry_marks:
                 self.store.rollback()
-            out = Failure(throw(SYS_DEPTH))
+            out = _FAIL_DEPTH
             if self.trace is not None:
                 del self.trace[entry_lines:]
                 self._depth = 0
@@ -219,76 +235,90 @@ class Evaluator:
     # -- goals -------------------------------------------------------------
 
     def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame, head: str = "") -> Outcome:
-        """One step: checkpoint, dispatch, commit or roll back.  `head` prefixes its trace text."""
+        """One step: spend, checkpoint, the rule of `g`'s type, commit or roll back.
+
+        `head` prefixes the step's trace text.  The `is` chain tests the
+        most frequent goal types first.
+        """
         if self.trace is not None:
             at = self._open_line()
+        store = self.store
         if not self.budget.spend():
             rule: int | str = "fail"
-            out: Outcome = Failure(throw(SYS_DEPTH))
+            out: Outcome = _FAIL_DEPTH
         else:
-            self.store.checkpoint()
-            rule, out = self._dispatch(g, ambient, frame)
-            if isinstance(out, Success):
-                self.store.commit()
+            store.checkpoint()
+            t = type(g)
+            if t is Seq:
+                rule = 6
+                out = self._eval(g.first, ambient, frame)
+                if out is _SUCCESS:
+                    out = self._eval(g.second, ambient, frame)
+            elif t is Assign:
+                rule = 5
+                try:
+                    value = self._expr(g.expr, ambient, frame)
+                except _EvalFailure as fail:
+                    out = fail.out
+                else:
+                    store.bind(g.var, value)
+                    out = _SUCCESS
+            elif t is Call:
+                rule = 4
+                out = self._invoke(g.name, g.args, ambient, frame)
+            elif t is Test:
+                rule = "test"
+                try:
+                    lv = self._expr(g.left, ambient, frame)
+                    rv = self._expr(g.right, ambient, frame)
+                except _EvalFailure as fail:
+                    out = fail.out
+                else:
+                    out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
+            elif t is Else:
+                out = self._eval(g.tried, ambient, frame)
+                if out is _SUCCESS:
+                    rule = 10
+                else:
+                    rule = 11
+                    out = self._eval(g.handler, out.tree, frame)
+            elif t is Union:
+                first = self._eval(g.first, ambient, frame)
+                out = self._eval(g.second, ambient, frame)
+                if first is _SUCCESS:
+                    rule = 7 if out is _SUCCESS else 9
+                    out = _SUCCESS
+                elif out is _SUCCESS:
+                    rule = 8
+                else:
+                    rule = "fail"
+                    out = Failure(merge(first.tree, out.tree))
+            elif t is TrueGoal:
+                rule = 1
+                out = _SUCCESS
+            elif t is Fail:
+                rule = "fail"
+                out = Failure(throw(g.path))
+            elif t is Case:
+                rule = "case"
+                if ambient is None:
+                    out = _FAIL_CASE
+                else:
+                    for pattern, body in g.arms:
+                        if matches(pattern, ambient):
+                            break
+                    else:
+                        body = g.default
+                    out = Failure(ambient) if body is None else self._eval(body, None, frame)
             else:
-                self.store.rollback()
+                raise TypeError(f"not a goal: {g!r}")
+            if out is _SUCCESS:
+                store.commit()
+            else:
+                store.rollback()
         if self.trace is not None:
             self._close_line(at, rule, head + pretty_print(g, self._texts), out)
         return out
-
-    def _dispatch(self, g: Goal, ambient: ExceptionTree | None, frame: Frame) -> tuple[int | str, Outcome]:
-        match g:
-            case TrueGoal():
-                return 1, Success()
-            case Fail(path):
-                return "fail", Failure(throw(path))
-            case Assign(var, expr):
-                try:
-                    self.store.bind(var, self._expr(expr, ambient, frame))
-                except _EvalFailure as fail:
-                    return 5, Failure(fail.tree)
-                return 5, Success()
-            case Test(left, relop, right):
-                try:
-                    lv = self._expr(left, ambient, frame)
-                    rv = self._expr(right, ambient, frame)
-                except _EvalFailure as fail:
-                    return "test", Failure(fail.tree)
-                if _test_holds(lv, relop, rv):
-                    return "test", Success()
-                return "test", Failure(throw(SYS_TEST))
-            case Seq(first, second):
-                out = self._eval(first, ambient, frame)
-                if isinstance(out, Failure):
-                    return 6, out
-                return 6, self._eval(second, ambient, frame)
-            case Union(first, second):
-                out1 = self._eval(first, ambient, frame)
-                out2 = self._eval(second, ambient, frame)
-                if isinstance(out1, Failure) and isinstance(out2, Failure):
-                    return "fail", Failure(merge(out1.tree, out2.tree))
-                if isinstance(out1, Failure):
-                    return 8, out2
-                if isinstance(out2, Failure):
-                    return 9, out1
-                return 7, out2
-            case Else(tried, handler):
-                out = self._eval(tried, ambient, frame)
-                if isinstance(out, Success):
-                    return 10, out
-                return 11, self._eval(handler, out.tree, frame)
-            case Case(arms, default):
-                if ambient is None:
-                    return "case", Failure(throw(SYS_CASE))
-                for pattern, body in arms:
-                    if matches(pattern, ambient):
-                        return "case", self._eval(body, None, frame)
-                if default is not None:
-                    return "case", self._eval(default, None, frame)
-                return "case", Failure(ambient)
-            case Call(name, args):
-                return 4, self._invoke(name, args, ambient, frame)
-        raise TypeError(f"not a goal: {g!r}")
 
     def _invoke(
         self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None, frame: Frame
@@ -296,13 +326,13 @@ class Evaluator:
         try:
             values = [self._expr(a, ambient, frame) for a in args]
         except _EvalFailure as fail:
-            return Failure(fail.tree)
+            return fail.out
         defn = self.program.defs.get((name, len(values)))
         if defn is None:
             if name == PRINT_BUILTIN and len(values) == 1:
                 self.store.emit_output(format_value(values[0]))
-                return Success()
-            return Failure(throw(SYS_UNDEF))
+                return _SUCCESS
+            return _FAIL_UNDEF
         callee_frame = dict(zip(defn.params, values))
         head = _frame_text(callee_frame) + " " if self.trace is not None else ""
         return self._eval(defn.body, ambient, callee_frame, head)
@@ -310,49 +340,49 @@ class Evaluator:
     # -- expressions -------------------------------------------------------
 
     def _expr(self, e: Expr, ambient: ExceptionTree | None, frame: Frame) -> Value:
-        match e:
-            case IntLit(value):
-                return value
-            case StrLit(value):
-                return value
-            case Var(name):
-                if name in frame:
-                    return frame[name]
-                return self._lookup(name)
-            case Binary(op, left, right):
-                lv = self._expr(left, ambient, frame)
-                rv = self._expr(right, ambient, frame)
-                if not (isinstance(lv, int) and isinstance(rv, int)):
-                    raise _EvalFailure(throw(SYS_TEST))
-                if op == "+":
-                    return lv + rv
-                if op == "-":
-                    return lv - rv
-                if op == "*":
-                    return lv * rv
-                if rv == 0:
-                    raise _EvalFailure(throw(SYS_DIV0))
-                return _int_div(lv, rv)
-            case CallExpr(name, args):
-                # No checkpoint of its own: a failure here fails the enclosing
-                # goal, whose step rolls back everything the call did.
-                if self.trace is not None:
-                    at = self._open_line()
-                out = self._invoke(name, args, ambient, frame)
-                if self.trace is not None:
-                    self._close_line(at, "call-expr", pretty_expr(e, self._texts), out)
-                if isinstance(out, Failure):
-                    raise _EvalFailure(out.tree)
-                return self._lookup(RET_VAR)
-            case Read():
-                return self.store.read_input()
+        t = type(e)
+        if t is Var:
+            name = e.name
+            if name in frame:
+                return frame[name]
+            return self._lookup(name)
+        if t is IntLit or t is StrLit:
+            return e.value
+        if t is Binary:
+            lv = self._expr(e.left, ambient, frame)
+            rv = self._expr(e.right, ambient, frame)
+            if not (isinstance(lv, int) and isinstance(rv, int)):
+                raise _EvalFailure(_FAIL_TEST)
+            op = e.op
+            if op == "+":
+                return lv + rv
+            if op == "-":
+                return lv - rv
+            if op == "*":
+                return lv * rv
+            if rv == 0:
+                raise _EvalFailure(_FAIL_DIV0)
+            return _int_div(lv, rv)
+        if t is CallExpr:
+            # No checkpoint of its own: a failure here fails the enclosing
+            # goal, whose step rolls back everything the call did.
+            if self.trace is not None:
+                at = self._open_line()
+            out = self._invoke(e.name, e.args, ambient, frame)
+            if self.trace is not None:
+                self._close_line(at, "call-expr", pretty_expr(e, self._texts), out)
+            if out is not _SUCCESS:
+                raise _EvalFailure(out)
+            return self._lookup(RET_VAR)
+        if t is Read:
+            return self.store.read_input()
         raise TypeError(f"not an expression: {e!r}")
 
     def _lookup(self, name: str) -> Value:
         try:
             return self.store.lookup(name)
         except UnboundVariable:
-            raise _EvalFailure(throw(SYS_UNBOUND)) from None
+            raise _EvalFailure(_FAIL_UNBOUND) from None
 
 
 def eval_goal(program: Program, store: Store, goal: Goal, budget: Budget | None = None) -> Outcome:

@@ -234,20 +234,20 @@ def _fail_text(path: FailPath) -> str:
 
 def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
     """The goals and expressions a node's text is built from, left to right."""
-    match node:
-        case Seq() | Union():
-            return (node.first, node.second)
-        case Assign():
-            return (node.expr,)
-        case Binary() | Test():
-            return (node.left, node.right)
-        case Call() | CallExpr():
-            return node.args
-        case Else():
-            return (node.tried, node.handler)
-        case Case(arms, default):
-            bodies = tuple(body for _, body in arms)
-            return bodies if default is None else bodies + (default,)
+    t = type(node)
+    if t is Seq or t is Union:
+        return (node.first, node.second)
+    if t is Assign:
+        return (node.expr,)
+    if t is Binary or t is Test:
+        return (node.left, node.right)
+    if t is Call or t is CallExpr:
+        return node.args
+    if t is Else:
+        return (node.tried, node.handler)
+    if t is Case:
+        bodies = tuple(body for _, body in node.arms)
+        return bodies if node.default is None else bodies + (node.default,)
     return ()
 
 
@@ -259,37 +259,38 @@ def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
 
 
 def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
-    """One node's text, from its children's texts in `texts`."""
-    match node:  # the most frequent nodes first
-        case Seq(first, second):
-            return f"{_atom(first, texts)}; {_atom(second, texts)}"
-        case Assign(var, expr):
-            return f"{var} = {texts[id(expr)]}"
-        case IntLit(value):
-            return str(value)
-        case Var(name):
-            return name
-        case Binary(op, left, right) | Test(left, op, right):
-            return f"{_atom(left, texts)} {op} {_atom(right, texts)}"
-        case Call(name, args) | CallExpr(name, args):
-            return f"{name}({', '.join(texts[id(a)] for a in args)})"
-        case Union(first, second):
-            return f"{_atom(first, texts)} | {_atom(second, texts)}"
-        case Else(tried, handler):
-            return f"{_atom(tried, texts)} else {_atom(handler, texts)}"
-        case TrueGoal():
-            return "t"
-        case Fail(path):
-            return _fail_text(path)
-        case StrLit(value):
-            return f'"{value}"'
-        case Read():
-            return "read()"
-        case Case(arms, default):
-            parts = [f"{path}: {_atom(body, texts)}" for path, body in arms]
-            if default is not None:
-                parts.append(f"_: {_atom(default, texts)}")
-            return "case Failtree of { " + "; ".join(parts) + " }"
+    """One node's text, from its children's texts in `texts`; the most frequent types first."""
+    t = type(node)
+    if t is Seq:
+        return f"{_atom(node.first, texts)}; {_atom(node.second, texts)}"
+    if t is Assign:
+        return f"{node.var} = {texts[id(node.expr)]}"
+    if t is IntLit:
+        return str(node.value)
+    if t is Var:
+        return node.name
+    if t is Binary or t is Test:
+        op = node.op if t is Binary else node.relop
+        return f"{_atom(node.left, texts)} {op} {_atom(node.right, texts)}"
+    if t is Call or t is CallExpr:
+        return f"{node.name}({', '.join(texts[id(a)] for a in node.args)})"
+    if t is Union:
+        return f"{_atom(node.first, texts)} | {_atom(node.second, texts)}"
+    if t is Else:
+        return f"{_atom(node.tried, texts)} else {_atom(node.handler, texts)}"
+    if t is TrueGoal:
+        return "t"
+    if t is Fail:
+        return _fail_text(node.path)
+    if t is StrLit:
+        return f'"{node.value}"'
+    if t is Read:
+        return "read()"
+    if t is Case:
+        parts = [f"{path}: {_atom(body, texts)}" for path, body in node.arms]
+        if node.default is not None:
+            parts.append(f"_: {_atom(node.default, texts)}")
+        return "case Failtree of { " + "; ".join(parts) + " }"
     raise TypeError(f"not a goal or expression: {node!r}")
 
 

@@ -328,6 +328,40 @@ class TestTraceText:
                 monkeypatch.undo()
             assert traces[0] == traces[1]
 
+class TestRuleIds:
+    # one small goal per rule: (definitions, goal, step budget, its step's trace line)
+    CASES = [
+        ("", "t", None, "[rule 1] t => success"),
+        ("p() = t", "p()", None, "[rule 4] p() => success"),
+        ("", "x = 1", None, "[rule 5] x = 1 => success"),
+        ("", "t; t", None, "[rule 6] t; t => success"),
+        ("", "t | t", None, "[rule 7] t | t => success"),
+        ("", "f | t", None, "[rule 8] f | t => success"),
+        ("", "t | f", None, "[rule 9] t | f => success"),
+        ("", "f(b) | f(a)", None, "[rule fail] f(b) | f(a) => failure(/F/usr/a, /F/usr/b)"),
+        ("", "t else f", None, "[rule 10] t else f => success"),
+        ("", "f else t", None, "[rule 11] f else t => success"),
+        ("", "1 < 2", None, "[rule test] 1 < 2 => success"),
+        ("", "2 < 1", None, "[rule test] 2 < 1 => failure(/F/sys/test)"),
+        ("", "case Failtree of { /F: t }", None, "[rule case] case Failtree of { /F: t } => failure(/F/sys/case)"),
+        ("", "f(a) else case Failtree of { /F/usr/a: t }", None,
+         "  [rule case] case Failtree of { /F/usr/a: t } => success"),
+        ("", "f(a) else case Failtree of { /F/sys: t }", None,
+         "  [rule case] case Failtree of { /F/sys: t } => failure(/F/usr/a)"),
+        ("p() = ret = 1", "x = p()", None, "  [rule call-expr] p() => success"),
+        ("", "t", 0, "[rule fail] t => failure(/F/sys/depth)"),
+        ("", "t; t", 2, "  [rule fail] t => failure(/F/sys/depth)"),
+    ]
+
+    def test_each_rule_on_its_trace_line(self):
+        for defs, goal, steps, line in self.CASES:
+            program = parse_program(f"{defs}\nmain {goal}")
+            budget = Budget(steps) if steps is not None else None
+            ev = Evaluator(program, Store(), budget, trace=True)
+            ev.run(program.main)
+            assert line in ev.trace, (goal, ev.trace)
+
+
 class TestBudget:
     def test_nonterminating_recursion_fails_with_depth(self):
         program = parse_program("loop() = loop()\nmain loop()")
@@ -486,3 +520,11 @@ class TestStackExhaustion:
         assert failure_paths(out) == {str(SYS_DEPTH)}
         assert store.open_checkpoints == 1
         assert store.snapshot() == ({"x": 1}, 0, ())
+
+
+class TestHostFrames:
+    def test_each_step_takes_one_host_frame(self, default_recursion_limit):
+        # a step runs its rule in its own frame, so 250 nested calls fit
+        # under Python's default recursion limit
+        out, store, _ = run_main(parse_program(SUM.replace("3000", "250")))
+        assert isinstance(out, Success) and store.bindings["ret"] == 250 * 251 // 2
