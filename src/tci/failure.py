@@ -92,20 +92,26 @@ def matches(handler: FailPath, tree: ExceptionTree) -> bool:
 
 
 def render(tree: ExceptionTree) -> str:
-    """Deterministic tree drawing; children sorted by segment name."""
+    """Deterministic tree drawing; children sorted by segment name.
+
+    The drawing is made in pre-order on an explicit stack, so a path of
+    any length is drawn without host recursion.
+    """
     root: dict = {}
     for path in tree.paths:
         node = root
         for seg in path.segments[1:]:
             node = node.setdefault(seg, {})
     lines = ["F"]
-
-    def walk(node: dict, prefix: str) -> None:
-        names = sorted(node)
-        for i, name in enumerate(names):
-            last = i == len(names) - 1
-            lines.append(prefix + ("└─ " if last else "├─ ") + name)
-            walk(node[name], prefix + ("   " if last else "│  "))
-
-    walk(root, "")
+    stack = _entries(root, "")
+    while stack:
+        name, node, prefix, last = stack.pop()
+        lines.append(prefix + ("└─ " if last else "├─ ") + name)
+        stack += _entries(node, prefix + ("   " if last else "│  "))
     return "\n".join(lines)
+
+
+def _entries(node: dict, prefix: str) -> list[tuple[str, dict, str, bool]]:
+    """A node's children as (name, subtree, prefix, is last), last first: the top of a stack."""
+    names = sorted(node, reverse=True)
+    return [(name, node[name], prefix, i == 0) for i, name in enumerate(names)]

@@ -251,33 +251,47 @@ def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
     return ()
 
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
-    # A compound operand is always parenthesized, so reading the text back
-    # cannot re-associate nested arithmetic or chains.
+    """A compound operand's text in parentheses, so reading it back cannot re-associate it."""
     text = texts[id(node)]
     return f"({text})" if isinstance(node, (Binary, Seq, Union, Else)) else text
+
+
+def _chain(left: Goal, sep: str, right: Goal, t: type, texts: dict[int, str]) -> str:
+    """`left sep right` for the right-associative `;`, `|` and `else`: a right
+    operand of the same kind needs no parentheses."""
+    return _atom(left, texts) + sep + (texts[id(right)] if type(right) is t else _atom(right, texts))
 
 
 def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
     """One node's text, from its children's texts in `texts`; the most frequent types first."""
     t = type(node)
     if t is Seq:
-        return f"{_atom(node.first, texts)}; {_atom(node.second, texts)}"
+        return _chain(node.first, "; ", node.second, Seq, texts)
     if t is Assign:
         return f"{node.var} = {texts[id(node.expr)]}"
     if t is IntLit:
         return str(node.value)
     if t is Var:
         return node.name
-    if t is Binary or t is Test:
-        op = node.op if t is Binary else node.relop
-        return f"{_atom(node.left, texts)} {op} {_atom(node.right, texts)}"
+    if t is Binary:
+        # Arithmetic is left-associative: a left operand that binds at
+        # least as tightly needs no parentheses.
+        left = node.left
+        if type(left) is Binary and _PRECEDENCE[left.op] >= _PRECEDENCE[node.op]:
+            return f"{texts[id(left)]} {node.op} {_atom(node.right, texts)}"
+        return f"{_atom(left, texts)} {node.op} {_atom(node.right, texts)}"
+    if t is Test:
+        return f"{_atom(node.left, texts)} {node.relop} {_atom(node.right, texts)}"
     if t is Call or t is CallExpr:
         return f"{node.name}({', '.join(texts[id(a)] for a in node.args)})"
     if t is Union:
-        return f"{_atom(node.first, texts)} | {_atom(node.second, texts)}"
+        return _chain(node.first, " | ", node.second, Union, texts)
     if t is Else:
-        return f"{_atom(node.tried, texts)} else {_atom(node.handler, texts)}"
+        return _chain(node.tried, " else ", node.handler, Else, texts)
     if t is TrueGoal:
         return "t"
     if t is Fail:

@@ -53,12 +53,23 @@ def run(goal, program=EMPTY_PROGRAM, bindings=None, input_tokens=()):
     return outcome, store
 
 
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 def recursive_pretty(node) -> str:
-    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the memoized walk."""
+    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the memoized walk.
+
+    A compound operand is parenthesized, except the right operand of the
+    same right-associative `;`/`|`/`else` and the left operand of an
+    arithmetic operator that binds at least as tightly as its parent.
+    """
 
     def atom(sub) -> str:
         text = recursive_pretty(sub)
         return f"({text})" if isinstance(sub, (Binary, Seq, Union, Else)) else text
+
+    def chain(left, sep, right, kind) -> str:
+        return atom(left) + sep + (recursive_pretty(right) if isinstance(right, kind) else atom(right))
 
     match node:
         case IntLit(value):
@@ -69,7 +80,10 @@ def recursive_pretty(node) -> str:
             return name
         case Read():
             return "read()"
-        case Binary(op, left, right) | Test(left, op, right):
+        case Binary(op, left, right):
+            bare = isinstance(left, Binary) and PRECEDENCE[left.op] >= PRECEDENCE[op]
+            return f"{recursive_pretty(left) if bare else atom(left)} {op} {atom(right)}"
+        case Test(left, op, right):
             return f"{atom(left)} {op} {atom(right)}"
         case Call(name, args) | CallExpr(name, args):
             return f"{name}({', '.join(map(recursive_pretty, args))})"
@@ -85,11 +99,11 @@ def recursive_pretty(node) -> str:
         case Assign(var, expr):
             return f"{var} = {recursive_pretty(expr)}"
         case Seq(first, second):
-            return f"{atom(first)}; {atom(second)}"
+            return chain(first, "; ", second, Seq)
         case Union(first, second):
-            return f"{atom(first)} | {atom(second)}"
+            return chain(first, " | ", second, Union)
         case Else(tried, handler):
-            return f"{atom(tried)} else {atom(handler)}"
+            return chain(tried, " else ", handler, Else)
         case Case(arms, default):
             parts = [f"{path}: {atom(body)}" for path, body in arms]
             if default is not None:

@@ -8,6 +8,7 @@ from tci.cli import (
     cmd_run,
     cmd_selfcheck,
     main,
+    _print_report,
 )
 
 
@@ -76,6 +77,19 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == plain
         assert captured.err.splitlines()[-1].endswith("=> failure(/F/sys/depth)")
+
+    def test_deep_failure_path_is_drawn(self, tmp_path, capsys, default_recursion_limit):
+        # The tree is drawn without host recursion.  At `main`'s recursion
+        # limit of 20,000 the same check takes a path over 20,000 segments
+        # long, whose staircase drawing is about 0.6 G characters.
+        n = 1500
+        path = write(tmp_path, "p.tc", "main f(" + "/".join(["a"] * n) + ")")
+        report = cmd_run(path)
+        assert report.exit_code == EXIT_FAILURE
+        _print_report(report)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["F", "└─ usr", "   └─ a"]
+        assert len(lines) == n + 2 and lines[-1] == "   " * n + "└─ a"
 
     def test_input_file_feeds_read(self, tmp_path, capsys):
         prog = write(tmp_path, "p.tc", "main x = read(); y = read()")

@@ -285,9 +285,9 @@ class TestTraceText:
         assert isinstance(out, Success) and store.bindings["y"] == 2
         body = "(n < 2; ret = n) else ret = fib(n - 1) + fib(n - 2)"
         assert lines == [
-            "[rule 6] x = 1; (g(1); (y = g(1) + fib(2); x = 1)) => success",
+            "[rule 6] x = 1; g(1); y = g(1) + fib(2); x = 1 => success",
             "  [rule 5] x = 1 => success",
-            "  [rule 6] g(1); (y = g(1) + fib(2); x = 1) => success",
+            "  [rule 6] g(1); y = g(1) + fib(2); x = 1 => success",
             "    [rule 4] g(1) => success",
             "      [rule 5] {k = 1} ret = k => success",
             "    [rule 6] y = g(1) + fib(2); x = 1 => success",

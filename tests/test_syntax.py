@@ -106,8 +106,8 @@ class TestPrettyPrint:
         g = parse_goal("x = 1; (y = 2 | z = h(3)); t")
         texts: dict[int, str] = {}
         assert pretty_expr(g.second.first.first.expr, texts) == "2"
-        assert pretty_print(g, texts) == "x = 1; ((y = 2 | z = h(3)); t)"
-        assert texts == {id(g): "x = 1; ((y = 2 | z = h(3)); t)"}
+        assert pretty_print(g, texts) == "x = 1; (y = 2 | z = h(3)); t"
+        assert texts == {id(g): "x = 1; (y = 2 | z = h(3)); t"}
 
     def test_shared_sub_nodes(self):
         # a node built twice into one tree: its text is dropped once one
@@ -135,12 +135,33 @@ class TestPrettyPrint:
 
     def test_deep_goals_print_without_host_recursion(self, default_recursion_limit):
         n = 20_000
-        assert pretty_print(self.chain(n)) == "x = 1; (" * (n - 2) + "x = 1; x = 1" + ")" * (n - 2)
-        assert pretty_expr(self.total(n)) == "(" * (n - 2) + "1 + 1" + ") + 1" * (n - 2)
-        # The parser recurses once per parenthesis, so at this recursion
-        # limit only a shallower text reads back.
+        chain = "; ".join(["x = 1"] * n)
+        assert pretty_print(self.chain(n)) == chain
+        assert pretty_expr(self.total(n)) == " + ".join(["1"] * n)
+        # Neither text has a parenthesis, so both read back at this limit.
+        # `==` on trees this deep recurses, so the reading is compared by
+        # its text; shallow trees are compared directly.
+        sum_goal = "y = " + " + ".join(["1"] * n)
+        for text in (chain, sum_goal):
+            assert pretty_print(parse_goal(text)) == text
         for g in (self.chain(150), Assign("y", self.total(150))):
             assert parse_goal(pretty_print(g)) == g
+
+    def test_only_needed_parentheses(self):
+        cases = {
+            "a = 1; b = 2; c = 3": "a = 1; b = 2; c = 3",
+            "(a = 1; b = 2); c = 3": "(a = 1; b = 2); c = 3",
+            "t | t | (f else t else f)": "t | t | (f else t else f)",
+            "(t | t) else t else (t; t)": "(t | t) else t else (t; t)",
+            "x = 1 + 2 * 3 - 4 / 5 * 6": "x = 1 + (2 * 3) - (4 / 5 * 6)",
+            "x = a - (b - c)": "x = a - (b - c)",
+            "x = (a + b) * c": "x = (a + b) * c",
+            "(a - b) - c < (a * b) - c": "(a - b - c) < (a * b - c)",
+        }
+        for source, text in cases.items():
+            g = parse_goal(source)
+            assert pretty_print(g) == text
+            assert parse_goal(text) == g
 
 
 def goal_exprs(g: Goal) -> list[Expr]:
