@@ -261,8 +261,7 @@ def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
 
 
 def _chain(left: Goal, sep: str, right: Goal, t: type, texts: dict[int, str]) -> str:
-    """`left sep right` for the right-associative `;`, `|` and `else`: a right
-    operand of the same kind needs no parentheses."""
+    """`left sep right` for a right-associative `;`, `|` or `else` node of type `t`."""
     return _atom(left, texts) + sep + (texts[id(right)] if type(right) is t else _atom(right, texts))
 
 
@@ -278,12 +277,10 @@ def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
     if t is Var:
         return node.name
     if t is Binary:
-        # Arithmetic is left-associative: a left operand that binds at
-        # least as tightly needs no parentheses.
         left = node.left
-        if type(left) is Binary and _PRECEDENCE[left.op] >= _PRECEDENCE[node.op]:
-            return f"{texts[id(left)]} {node.op} {_atom(node.right, texts)}"
-        return f"{_atom(left, texts)} {node.op} {_atom(node.right, texts)}"
+        bare = type(left) is Binary and _PRECEDENCE[left.op] >= _PRECEDENCE[node.op]
+        left_text = texts[id(left)] if bare else _atom(left, texts)
+        return f"{left_text} {node.op} {_atom(node.right, texts)}"
     if t is Test:
         return f"{_atom(node.left, texts)} {node.relop} {_atom(node.right, texts)}"
     if t is Call or t is CallExpr:
@@ -337,6 +334,12 @@ def _text(root: Goal | Expr, texts: dict[int, str] | None) -> str:
 
 def pretty_print(g: Goal, texts: dict[int, str] | None = None) -> str:
     """Concrete syntax for a goal; parses back to the same tree.
+
+    A compound operand is parenthesized, except where the grammar reads
+    it the same way without: the right operand of the same
+    right-associative `;`, `|` or `else`, and the left operand of an
+    arithmetic operator when the operand's own operator binds at least
+    as tightly (`a + b - c`, `a * b + c`; but `a - (b - c)`).
 
     The text of the goal and of every sub-node not in `texts` is built
     children before parents on an explicit stack, so a goal of any depth
