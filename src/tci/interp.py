@@ -105,8 +105,8 @@ class Failure:
 
 Outcome = Success | Failure
 
-# Outcomes are immutable, so the evaluator shares one success and one
-# failure per fixed /F/sys path; it tests for success by identity.
+# The evaluator's one Success, which it tests for by identity, and its
+# failures at fixed paths.
 _SUCCESS = Success()
 _FAIL_TEST = Failure(throw(SYS_TEST))
 _FAIL_UNBOUND = Failure(throw(SYS_UNBOUND))

@@ -328,6 +328,7 @@ class TestTraceText:
                 monkeypatch.undo()
             assert traces[0] == traces[1]
 
+
 class TestRuleIds:
     # one small goal per rule: (definitions, goal, step budget, its step's trace line)
     CASES = [

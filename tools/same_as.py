@@ -125,7 +125,7 @@ def first_difference(mine: list, theirs: list) -> str | None:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python3 tools/same_as.py OTHER_CHECKOUT", file=sys.stderr)
         return 2
     other = Path(argv[0]).resolve()
     if not (other / "src" / "tci").is_dir():
