@@ -223,7 +223,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    # deep object-language recursion nests host frames; give it headroom
+    # the evaluator nests host frames with object-language recursion; give
+    # it headroom (the parser keeps its own stacks and needs none)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     try:
         if args.command == "run":

@@ -32,11 +32,23 @@ token after the matching `)` is a relational or arithmetic operator;
 otherwise it is a parenthesised goal.  No goal can be followed by an
 operator, so this one-token decision never rejects a valid program and
 the parser never backtracks.
+
+`tokenize` makes one regex pass and keeps the tokens in three parallel
+arrays (kind, text, start offset), with no object per token and no line
+count.  A literal's value is converted where the parser builds it, and a
+`line:col` span is worked out from the offset only when an error or a
+`Token` view needs one.  The parser keeps its own stacks: goals are
+reduced by operator precedence over a stack of open `(` and `case`
+contexts, and expressions by shunting-yard (Dijkstra 1961).  So nesting
+of any depth parses without host recursion, at any recursion limit, in
+time linear in the tokens.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,6 +90,12 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
+def _span(source: str, offset: int, length: int) -> SourceSpan:
+    """The span at `offset`, its 1-based line and column found by counting the newlines before it."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return SourceSpan(source.count("\n", 0, line_start) + 1, offset - line_start + 1, length)
+
+
 class Token(NamedTuple):
     kind: str  # "ident", "int", "str", "path", "eof", or the keyword/operator text
     text: str
@@ -88,6 +106,30 @@ class Token(NamedTuple):
     @property
     def span(self) -> SourceSpan:
         return SourceSpan(self.line, self.column, len(self.text))
+
+
+class Tokens(Sequence):
+    """The tokens of one source as parallel arrays; indexing builds `Token` views."""
+
+    def __init__(self, source: str, kinds: list[str], texts: list[str], starts: array):
+        self.source = source
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._view(j) for j in range(*i.indices(len(self.kinds)))]
+        return self._view(i)
+
+    def _view(self, i: int) -> Token:
+        kind, text = self.kinds[i], self.texts[i]
+        span = _span(self.source, self.starts[i], len(text))
+        value = int(text) if kind == "int" else text[1:-1] if kind == "str" else None
+        return Token(kind, text, span.line, span.column, value)
 
 
 class SourceError(Exception):
@@ -141,45 +183,46 @@ _WORD_KINDS = {**{k: k for k in KEYWORDS}, "_": "_"}
 _VALUE_ENDS = frozenset({"int", "ident", "str", ")"})
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+def tokenize(source: str) -> Tokens:
+    """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts = array("l")
     kind = ""
     for m in _TOKEN.finditer(source):
         group = m.lastgroup
         text = m[group]
         start = m.start(group)
-        if start != m.start():
-            newlines = source.count("\n", m.start(), start)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", 0, start) + 1
-        col = start - line_start + 1
-        value = None
-        if group == "word":
-            kind = _WORD_KINDS.get(text, "ident")
-        elif group == "op":
+        if group == "op":
             kind = text
+        elif group == "word":
+            kind = _WORD_KINDS.get(text, "ident")
         elif group == "int":
             if text[0] == "-" and kind in _VALUE_ENDS:
                 # a leading minus folds into the literal unless the previous
                 # token could end an expression (then it is binary minus)
-                tokens.append(Token("-", "-", line, col))
-                text, col = text[1:], col + 1
-            kind, value = "int", int(text)
+                kinds.append("-")
+                texts.append("-")
+                starts.append(start)
+                text, start = text[1:], start + 1
+            kind = "int"
         elif group == "str":
             if len(text) < 2 or text[-1] != '"':
-                raise LexError(SourceSpan(line, col, len(text)), "unterminated string literal")
-            kind, value = "str", text[1:-1]
+                raise LexError(_span(source, start, len(text)), "unterminated string literal")
+            kind = "str"
         elif group == "path":
             kind = "path"
         elif group == "eof":
             break
         else:
-            raise LexError(SourceSpan(line, col, 1), f"unrecognized character {text!r}")
-        tokens.append(Token(kind, text, line, col, value))
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+            raise LexError(_span(source, start, 1), f"unrecognized character {text!r}")
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(start)
+    return Tokens(source, kinds, texts, starts)
 
 
 # tokens that can begin an atomic goal; a `;` not followed by one of these
@@ -189,243 +232,294 @@ _ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "("})
 # tokens that make a parenthesised operand out of the `(...)` before them
 _OPERATORS = frozenset(RELOPS + ARITH_OPS)
 
+_RELOPS = frozenset(RELOPS)
 
-def _right_nested(node, parts: list) -> Goal:
-    """`node(p0, node(p1, ... pn))`, built without recursion."""
-    g = parts.pop()
-    while parts:
-        g = node(parts.pop(), g)
-    return g
+# goal operators, all right-associative: precedence (tightest highest) and
+# node; any other token ends the goal
+_GOAL_OPS = {";": (3, Seq), "|": (2, Union), "else": (1, Else)}
+_GOAL_END = (0, None)
+
+# arithmetic operators, all left-associative, as entries of `expr`'s operator
+# stack: (precedence, tightest highest; operator; no call arguments)
+_BINARY = {"+": (1, "+", None), "-": (1, "-", None), "*": (2, "*", None), "/": (2, "/", None)}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens):
+        self.source = tokens.source
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.starts = tokens.starts
         self.i = 0
         # index of the matching ")" of every "(" that has one
         self.closing: dict[int, int] = {}
         opened: list[int] = []
-        for j, tok in enumerate(tokens):
-            if tok.kind == "(":
+        for j, kind in enumerate(self.kinds):
+            if kind == "(":
                 opened.append(j)
-            elif tok.kind == ")" and opened:
+            elif kind == ")" and opened:
                 self.closing[opened.pop()] = j
 
-    def peek(self, ahead: int = 0) -> Token:
-        # eof is last and is never looked past
-        return self.tokens[self.i + ahead]
+    def error(self, i: int, what: str) -> ParseError:
+        """`expected <what>` at token `i`."""
+        return ParseError(self.span(i), "", expected=(what,))
 
-    def at(self, *kinds: str) -> bool:
-        return self.tokens[self.i].kind in kinds
+    def span(self, i: int) -> SourceSpan:
+        return _span(self.source, self.starts[i], len(self.texts[i]))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.span, "", expected=(what or f"'{kind}'",))
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """The current token's text, stepping past it, if it is of `kind`."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.error(i, what or f"'{kind}'")
+        self.i = i + 1
+        return self.texts[i]
 
     # -- program -----------------------------------------------------------
 
     def program(self) -> Program:
+        kinds = self.kinds
         defs: dict[tuple[str, int], Def] = {}
-        while not self.at("main"):
-            if self.at("eof"):
-                raise MissingMain(self.peek().span)
-            d, span = self.definition()
+        while kinds[self.i] != "main":
+            if kinds[self.i] == "eof":
+                raise MissingMain(self.span(self.i))
+            name_at = self.i
+            d = self.definition()
             key = (d.name, len(d.params))
             if key in defs:
-                raise DuplicateDefinition(span, *key)
+                raise DuplicateDefinition(self.span(name_at), *key)
             defs[key] = d
-        self.expect("main")
+        self.i += 1
         return Program(defs, self.goal())
 
-    def definition(self) -> tuple[Def, SourceSpan]:
-        name_tok = self.expect("ident", "a procedure definition or 'main'")
+    def definition(self) -> Def:
+        name_at = self.i
+        name = self.expect("ident", "a procedure definition or 'main'")
         self.expect("(")
         params: list[str] = []
-        if not self.at(")"):
-            params.append(self.expect("ident", "a parameter name").text)
-            while self.at(","):
-                self.advance()
-                params.append(self.expect("ident", "a parameter name").text)
+        if self.kinds[self.i] != ")":
+            params.append(self.expect("ident", "a parameter name"))
+            while self.kinds[self.i] == ",":
+                self.i += 1
+                params.append(self.expect("ident", "a parameter name"))
         self.expect(")")
         self.expect("=")
         body = self.goal()
         try:
-            return Def(name_tok.text, tuple(params), body), name_tok.span
+            return Def(name, tuple(params), body)
         except ValueError as err:
-            raise ParseError(name_tok.span, str(err)) from None
+            raise ParseError(self.span(name_at), str(err)) from None
 
     # -- goals -------------------------------------------------------------
 
     def goal(self) -> Goal:
-        parts = [self.union_goal()]
-        while self.at("else"):
-            self.advance()
-            parts.append(self.union_goal())
-        return _right_nested(Else, parts)
+        """One goal, reduced by operator precedence on an explicit stack.
 
-    def union_goal(self) -> Goal:
-        parts = [self.seq_goal()]
-        while self.at("|"):
-            self.advance()
-            parts.append(self.seq_goal())
-        return _right_nested(Union, parts)
+        `stack` is flat, three slots an entry with the precedence last.
+        It holds each left operand that waits for its right one, as goal,
+        node type, precedence, over the frame of each context still open,
+        innermost last: `(`, a case arm or a case default, as name, data,
+        0.  A frame's precedence 0 stops every reduction, so an operator
+        or the end of a goal reduces only inside its own context.  (Flat
+        slots, not a tuple an entry: CPython keeps up to 2000 freed
+        tuples of each size for reuse, so the entries of a long chain
+        would stay allocated after the parse.)
+        """
+        kinds = self.kinds
+        stack: list = ["goal", None, 0]
+        while True:
+            g = self.atom_goal(stack)
+            while g is not None:
+                i = self.i
+                prec, node = _GOAL_OPS.get(kinds[i], _GOAL_END)
+                if kinds[i] == ";" and kinds[i + 1] not in _ATOM_STARTS:
+                    prec = 0  # a `;` that separates case arms
+                while stack[-1] > prec:
+                    g = stack[-2](stack[-3], g)
+                    del stack[-3:]
+                if prec:
+                    self.i = i + 1
+                    stack += g, node, prec
+                    break
+                # the goal of the innermost context is complete
+                frame, data = stack[-3], stack[-2]
+                del stack[-3:]
+                if frame == "goal":
+                    return g
+                if frame == "(":
+                    self.expect(")")
+                    continue
+                if frame == "arm":
+                    arms, path = data
+                    arms.append((path, g))
+                    default = None
+                    if kinds[self.i] == ";":
+                        self.i += 1
+                        if kinds[self.i] == "_":
+                            self.i += 1
+                            self.expect(":")
+                            stack += "default", arms, 0
+                        else:
+                            stack += "arm", (arms, self.case_arm()), 0
+                        break
+                else:
+                    arms, default = data, g
+                self.expect("}")
+                g = Case(tuple(arms), default)
 
-    def seq_goal(self) -> Goal:
-        parts = [self.atom_goal()]
-        while self.at(";") and self.peek(1).kind in _ATOM_STARTS:
-            self.advance()
-            parts.append(self.atom_goal())
-        return _right_nested(Seq, parts)
-
-    def atom_goal(self) -> Goal:
-        tok = self.peek()
-        if tok.kind == "t":
-            self.advance()
+    def atom_goal(self, stack: list) -> Goal | None:
+        """The atomic goal at the current token, or None once the `(` or `case` it opens is on `stack`."""
+        kinds = self.kinds
+        i = self.i
+        kind = kinds[i]
+        if kind == "t":
+            self.i = i + 1
             return TrueGoal()
-        if tok.kind == "f":
-            self.advance()
-            if self.at("("):
-                self.advance()
+        if kind == "ident" and kinds[i + 1] == "=":
+            self.i = i + 2
+            return Assign(self.texts[i], self.expr())
+        if kind == "f":
+            self.i = i + 1
+            if kinds[i + 1] == "(":
+                self.i = i + 2
                 path = self.failarg()
                 self.expect(")")
                 return Fail(path)
             return Fail()
-        if tok.kind == "case":
-            return self.case_goal()
-        if tok.kind == "ident" and self.peek(1).kind == "=":
-            name = self.advance().text
-            self.advance()
-            return Assign(name, self.expr())
-        if tok.kind == "(":
-            close = self.closing.get(self.i)
-            if close is None or self.tokens[close + 1].kind not in _OPERATORS:
-                self.advance()
-                g = self.goal()
-                self.expect(")")
-                return g
+        if kind == "case":
+            self.i = i + 1
+            self.expect("Failtree")
+            self.expect("of")
+            self.expect("{")
+            stack += "arm", ([], self.case_arm()), 0
+            return None
+        if kind == "(":
+            close = self.closing.get(i)
+            if close is None or kinds[close + 1] not in _OPERATORS:
+                self.i = i + 1
+                stack += "(", None, 0
+                return None
 
         # a test, or a call statement
         e = self.expr()
-        if self.at(*RELOPS):
-            op = self.advance().kind
-            return Test(e, op, self.expr())
-        if isinstance(e, CallExpr):
+        kind = kinds[self.i]
+        if kind in _RELOPS:
+            self.i += 1
+            return Test(e, kind, self.expr())
+        if type(e) is CallExpr:
             return Call(e.name, e.args)
-        raise ParseError(tok.span, "", expected=("a statement",))
+        raise self.error(i, "a statement")
 
-    def case_goal(self) -> Goal:
-        self.expect("case")
-        self.expect("Failtree")
-        self.expect("of")
-        self.expect("{")
-        arms = [self.case_arm()]
-        default: Goal | None = None
-        while self.at(";"):
-            self.advance()
-            if self.at("_"):
-                self.advance()
-                self.expect(":")
-                default = self.goal()
-                break
-            arms.append(self.case_arm())
-        self.expect("}")
-        return Case(tuple(arms), default)
-
-    def case_arm(self) -> tuple[FailPath, Goal]:
-        tok = self.expect("path", "a failure path")
-        try:
-            path = FailPath.parse(tok.text)
-        except ValueError as err:
-            raise ParseError(tok.span, str(err)) from None
+    def case_arm(self) -> FailPath:
+        """An arm's path, stepping past it and its `:`."""
+        i = self.i
+        self.expect("path", "a failure path")
+        path = self.fail_path(i)
         self.expect(":")
-        return path, self.goal()
+        return path
+
+    def fail_path(self, i: int) -> FailPath:
+        try:
+            return FailPath.parse(self.texts[i])
+        except ValueError as err:
+            raise ParseError(self.span(i), str(err)) from None
 
     def failarg(self) -> FailPath:
-        tok = self.peek()
-        if tok.kind == "path":
-            self.advance()
-            try:
-                return FailPath.parse(tok.text)
-            except ValueError as err:
-                raise ParseError(tok.span, str(err)) from None
-        name = self.expect("ident", "a failure name or path").text
-        segments = [name]
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        if kinds[i] == "path":
+            self.i = i + 1
+            return self.fail_path(i)
+        segments = [self.expect("ident", "a failure name or path")]
         while True:
-            if self.at("path"):
-                segments.extend(self.advance().text[1:].split("/"))
-            elif self.at("/") and self.peek(1).kind == "ident":
-                self.advance()
-                segments.append(self.advance().text)
+            i = self.i
+            if kinds[i] == "path":
+                segments.extend(texts[i][1:].split("/"))
+                self.i = i + 1
+            elif kinds[i] == "/" and kinds[i + 1] == "ident":
+                segments.append(texts[i + 1])
+                self.i = i + 2
             else:
-                break
-        return user_path(segments)
+                return user_path(segments)
 
     # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
-        e = self.term()
-        while self.at("+", "-"):
-            op = self.advance().kind
-            e = Binary(op, e, self.term())
-        return e
+        """One expression, by shunting-yard over an operand and an operator stack.
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.at("*", "/"):
-            op = self.advance().kind
-            e = Binary(op, e, self.factor())
-        return e
+        `ops` holds each binary operator as (precedence, op, None), over
+        the marker of each `(` or call still open, as (0, None, None) or
+        (0, name, arguments so far).  A marker's precedence 0 stops every
+        reduction, so an operator reduces only inside its own parentheses.
+        """
+        kinds, texts = self.kinds, self.texts
+        operands: list[Expr] = []
+        ops: list[tuple] = []
+        i = self.i
+        while True:
+            # an operand
+            kind = kinds[i]
+            if kind == "int":
+                operands.append(IntLit(int(texts[i])))
+                i += 1
+            elif kind == "ident":
+                name = texts[i]
+                if kinds[i + 1] != "(":
+                    operands.append(Var(name))
+                    i += 1
+                elif kinds[i + 2] == ")":
+                    operands.append(Read() if name == "read" else CallExpr(name, ()))
+                    i += 3
+                else:
+                    ops.append((0, name, []))
+                    i += 2
+                    continue
+            elif kind == "(":
+                ops.append((0, None, None))
+                i += 1
+                continue
+            elif kind == "str":
+                operands.append(StrLit(texts[i][1:-1]))
+                i += 1
+            elif kind == "-" and kinds[i + 1] == "int":
+                operands.append(IntLit(-int(texts[i + 1])))
+                i += 2
+            else:
+                raise self.error(i, "an expression")
 
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(tok.value)
-        if tok.kind == "str":
-            self.advance()
-            return StrLit(tok.value)
-        if tok.kind == "-" and self.peek(1).kind == "int":
-            self.advance()
-            return IntLit(-self.advance().value)
-        if tok.kind == "ident":
-            name = self.advance().text
-            if name == "read" and self.at("(") and self.peek(1).kind == ")":
-                self.advance()
-                self.advance()
-                return Read()
-            if self.at("("):
-                self.advance()
-                args: list[Expr] = []
-                if not self.at(")"):
-                    args.append(self.expr())
-                    while self.at(","):
-                        self.advance()
-                        args.append(self.expr())
-                self.expect(")")
-                return CallExpr(name, tuple(args))
-            return Var(name)
-        if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ParseError(tok.span, "", expected=("an expression",))
+            # after an operand: binary operators, and `)` or `,` inside an open marker
+            while True:
+                kind = kinds[i]
+                binary = _BINARY.get(kind)
+                prec = 1 if binary is None else binary[0]
+                while ops and ops[-1][0] >= prec:
+                    right = operands.pop()
+                    operands[-1] = Binary(ops.pop()[1], operands[-1], right)
+                if binary is not None:
+                    ops.append(binary)
+                    i += 1
+                    break
+                if not ops:
+                    self.i = i
+                    return operands.pop()
+                _, name, args = ops[-1]
+                if kind == ")":
+                    ops.pop()
+                    i += 1
+                    if args is not None:
+                        args.append(operands.pop())
+                        operands.append(CallExpr(name, tuple(args)))
+                elif kind == "," and args is not None:
+                    args.append(operands.pop())
+                    i += 1
+                    break
+                else:
+                    raise self.error(i, "')'")
 
 
 def _parse(source: str, rule):
     p = _Parser(tokenize(source))
-    try:
-        result = rule(p)
-    except RecursionError:
-        raise ParseError(p.peek().span, "nesting too deep") from None
+    result = rule(p)
     p.expect("eof", "end of input")
     return result
 

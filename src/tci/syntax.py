@@ -165,27 +165,27 @@ def expr_vars(e: Expr) -> set[str]:
     out: set[str] = set()
     stack = [e]
     while stack:
-        match stack.pop():
-            case Var(name):
-                out.add(name)
-            case Binary(_, left, right):
-                stack += (left, right)
-            case CallExpr(_, args):
-                stack += args
+        e = stack.pop()
+        if type(e) is Var:
+            out.add(e.name)
+        elif type(e) is Binary:
+            stack += (e.left, e.right)
+        elif type(e) is CallExpr:
+            stack += e.args
     return out
 
 
 def _own_vars(g: Goal) -> set[str]:
     """Variable names in a goal's own target and expressions, not in its sub-goals."""
-    match g:
-        case Assign(var, expr):
-            return {var} | expr_vars(expr)
-        case Test(left, _, right):
-            return expr_vars(left) | expr_vars(right)
-        case Call(_, args):
-            return set().union(*map(expr_vars, args))
-        case TrueGoal() | Fail() | Seq() | Union() | Else() | Case():
-            return set()
+    t = type(g)
+    if t is Assign:
+        return {g.var} | expr_vars(g.expr)
+    if t is Test:
+        return expr_vars(g.left) | expr_vars(g.right)
+    if t is Call:
+        return set().union(*map(expr_vars, g.args))
+    if t is TrueGoal or t is Fail or t is Seq or t is Union or t is Else or t is Case:
+        return set()
     raise TypeError(f"not a goal: {g!r}")
 
 
@@ -212,15 +212,15 @@ def iter_goals(g: Goal) -> Iterator[Goal]:
     while stack:
         g = stack.pop()
         yield g
-        match g:
-            case Seq(first, second) | Union(first, second):
-                stack += (second, first)
-            case Else(tried, handler):
-                stack += (handler, tried)
-            case Case(arms, default):
-                if default is not None:
-                    stack.append(default)
-                stack.extend(body for _, body in reversed(arms))
+        t = type(g)
+        if t is Seq or t is Union:
+            stack += (g.second, g.first)
+        elif t is Else:
+            stack += (g.handler, g.tried)
+        elif t is Case:
+            if g.default is not None:
+                stack.append(g.default)
+            stack.extend(body for _, body in reversed(g.arms))
 
 
 def _fail_text(path: FailPath) -> str:
@@ -379,14 +379,14 @@ def shared_union_vars(g: Goal) -> list[tuple[Union, list[str]]]:
     found = []
     done: list[set[str]] = []  # sets of the finished subtrees; a node's first child on top
     for sub in reversed(list(iter_goals(g))):
-        match sub:
-            case Seq() | Union() | Else():
-                children = 2
-            case Case(arms, default):
-                children = len(arms) + (default is not None)
-            case _:
-                children = 0
-        if isinstance(sub, Union) and (shared := done[-1] & done[-2]):
+        t = type(sub)
+        if t is Seq or t is Union or t is Else:
+            children = 2
+        elif t is Case:
+            children = len(sub.arms) + (sub.default is not None)
+        else:
+            children = 0
+        if t is Union and (shared := done[-1] & done[-2]):
             found.append((sub, sorted(shared)))
         names = _own_vars(sub)
         for _ in range(children):

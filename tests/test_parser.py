@@ -93,6 +93,33 @@ class TestTokenize:
         eof = tokenize("t // c")[-1]
         assert (eof.kind, eof.span.line, eof.span.column) == ("eof", 1, 7)
 
+    def test_spans_on_multi_line_input(self):
+        # CRLF line ends, tabs, a whole-line comment, a `-` split off the
+        # int after a value, and eof after the final newline
+        source = 'a = 1;\r\n// whole line\r\n\tb = a -1;\r\n\t\tc = "s"\n'
+        assert [(t.kind, t.text, t.value, t.span.line, t.span.column) for t in tokenize(source)] == [
+            ("ident", "a", None, 1, 1),
+            ("=", "=", None, 1, 3),
+            ("int", "1", 1, 1, 5),
+            (";", ";", None, 1, 6),
+            ("ident", "b", None, 3, 2),
+            ("=", "=", None, 3, 4),
+            ("ident", "a", None, 3, 6),
+            ("-", "-", None, 3, 8),
+            ("int", "1", 1, 3, 9),
+            (";", ";", None, 3, 10),
+            ("ident", "c", None, 4, 3),
+            ("=", "=", None, 4, 5),
+            ("str", '"s"', "s", 4, 7),
+            ("eof", "", None, 5, 1),
+        ]
+
+    def test_lex_error_span_on_a_later_line(self):
+        with pytest.raises(LexError) as err:
+            tokenize("t;\r\n\tt;\r\n// c ?\n\t  ?")
+        assert (err.value.span.line, err.value.span.column) == (4, 4)
+        assert str(err.value) == "4:4: unrecognized character '?'"
+
 
 class TestParseGoal:
     def test_semicolon_binds_tighter_than_else(self):
@@ -240,14 +267,28 @@ class TestLinearity:
         monkeypatch.undo()
         return calls
 
-    def test_expr_calls_grow_linearly_with_nesting(self, monkeypatch):
+    def test_expr_calls_grow_linearly_with_nesting(self, monkeypatch, default_recursion_limit):
         def nested(n):
             goals = "(" * n + "t; (x) == 1" + ")" * n
             operand = "(" * n + "x" + ")" * n + " == 1"
             return f"{goals} | {operand}"
 
-        small, large = (self.expr_calls(monkeypatch, nested(n)) for n in (100, 200))
-        assert large <= 2 * small + 10
+        for n in (100, 50_000):
+            small, large = (self.expr_calls(monkeypatch, nested(m)) for m in (n, 2 * n))
+            assert large <= 2 * small + 10
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("(" * 100_000 + "t" + ")" * 100_000, TrueGoal()),
+            ("x = " + "(" * 100_000 + "1" + ")" * 100_000, Assign("x", IntLit(1))),
+            ("(" * 100_000 + "x" + ")" * 100_000 + " == 1", RelopTest(Var("x"), "==", IntLit(1))),
+        ],
+        ids=["goal", "assignment", "test-operand"],
+    )
+    def test_deep_nesting_parses_at_the_default_recursion_limit(self, source, expected,
+                                                                default_recursion_limit):
+        assert parse_goal(source) == expected
 
     def test_long_chains_parse_at_the_default_recursion_limit(self, default_recursion_limit):
         n = 20_000

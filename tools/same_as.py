@@ -4,13 +4,20 @@
 
 Both source trees run the same `tci run` calls, each tree in its own
 subprocess with PYTHONHASHSEED=0.  A call is compared on its exit code,
-stdout, stderr (the `--trace` lines) and steps used (`Budget.used`).
-The calls, each once without and once with `--trace`:
+stdout, stderr (the `--trace` lines, or `path:line:col: message` for a
+source error) and steps used (`Budget.used`).  The calls, each once
+without and once with `--trace`:
 
 - `gen_program` seeds 0-2999 at size 8 with `--max-steps 5000`, the
   initial bindings assigned at the start of main;
 - every op of the four bench workloads at seed 1;
 - the golden programs on each golden input.
+
+and, without `--trace`, a corpus of mostly malformed sources, so that a
+change in lex and parse errors shows: the program text of each of
+`gen_program` seeds 0-1499 at size 8 cut short, given one extra token at
+a space, and missing one character, each choice drawn from
+`random.Random(7)`.
 
 The program files are written once, by this checkout.  The first
 difference is printed and the exit code is 1; exit code 0 means every
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -36,6 +44,11 @@ from tci.syntax import Assign, IntLit, Program, Seq, StrLit, pretty_program  # n
 GEN_SEEDS = range(3000)
 GEN_SIZE = 8
 GEN_MAX_STEPS = 5000
+MALFORMED_SEEDS = range(1500)
+MALFORMED_RNG_SEED = 7
+# one of these is put into a program at a space
+EXTRA_TOKENS = ("(", ")", ";", "|", "else", "t", "f", "=", "==", "<", "+", "-", "*", "/", ",", "{", "}",
+                ":", "x", "1", "-1", "case", "Failtree", "_", "/F/usr/a", '"s"', "main", "read", "?")
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
 
@@ -72,7 +85,7 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
     """(label, `tci run` arguments) for every call, with the files they name written to `work`."""
     calls = []
 
-    def add(label: str, program: str, input_tokens, extra: list[str]) -> None:
+    def add(label: str, program: str, input_tokens, extra: list[str], traced: bool = True) -> None:
         path = work / f"{len(calls)}.tc"
         path.write_text(program, encoding="utf-8")
         argv = [str(path), *extra]
@@ -81,7 +94,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
             data.write_text(" ".join(map(str, input_tokens)) + "\n", encoding="utf-8")
             argv += ["--input", str(data)]
         calls.append((label, argv))
-        calls.append((label + " --trace", argv + ["--trace"]))
+        if traced:
+            calls.append((label + " --trace", argv + ["--trace"]))
 
     for seed in GEN_SEEDS:
         program, store, input_tokens = gen_program(seed, GEN_SIZE)
@@ -91,6 +105,11 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
             main = Seq(Assign(name, literal), main)
         text = pretty_program(Program(program.defs, main))
         add(f"gen_program seed {seed}", text, input_tokens, ["--max-steps", str(GEN_MAX_STEPS)])
+    rng = random.Random(MALFORMED_RNG_SEED)
+    for seed in MALFORMED_SEEDS:
+        text = pretty_program(gen_program(seed, GEN_SIZE)[0])
+        for how, source in malformed(text, rng):
+            add(f"gen_program seed {seed} {how}", source, None, ["--max-steps", str(GEN_MAX_STEPS)], traced=False)
     for name in workloads.WORKLOADS:
         for i, op in enumerate(workloads.generate(name, WORKLOAD_SEED, WORKLOAD_OPS)):
             add(f"{name} op {i}", op.source, op.input, [])
@@ -100,6 +119,19 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
             text = program.read_text(encoding="utf-8")
             add(f"{program.name} < {data.name}", text, data.read_text(encoding="utf-8").split(), [])
     return calls
+
+
+def malformed(text: str, rng: random.Random) -> list[tuple[str, str]]:
+    """`text` cut short, given one extra token at a space, and missing one character."""
+    cut = rng.randrange(1, len(text))
+    at = rng.choice([j for j, c in enumerate(text) if c == " "] or [0])
+    token = rng.choice(EXTRA_TOKENS)
+    gone = rng.randrange(len(text))
+    return [
+        ("cut", text[:cut]),
+        ("extra token", text[:at] + " " + token + text[at:]),
+        ("missing character", text[:gone] + text[gone + 1:]),
+    ]
 
 
 def start(tree: Path, calls_file: Path) -> subprocess.Popen:
