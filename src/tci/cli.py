@@ -226,6 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     # the evaluator nests host frames with object-language recursion; give
     # it headroom (the parser keeps its own stacks and needs none)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
+    # TC integers are unbounded: literals and printed values of any length
+    # convert (Python 3.11, and 3.10 from 3.10.7, cap the conversion at 4300 digits)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "run":
             report = cmd_run(args.file, args.input, args.trace, args.max_steps)

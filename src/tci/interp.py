@@ -1,9 +1,13 @@
 """The TC evaluator.
 
 Every goal evaluates to Success or Failure.  A failing goal leaves no
-trace in the store: each evaluation step opens a checkpoint on entry and
-rolls it back on failure, so partial updates never escape a failure at
-any nesting level.
+trace in the store that anything reads.  Only three places read the
+store after a failure, and only they open a checkpoint: each operand of
+a `|`, the tried operand of an `else`, and the root goal of a run.  Each
+commits its checkpoint on success and rolls it back on failure.  Every
+other rule lets a failure propagate with its partial edits in place,
+and the nearest enclosing catch point undoes them, so partial updates
+never escape a failure at any nesting level.
 
 One step is one call of `_eval`: it picks the goal's rule by testing
 `type(goal) is ...`, most frequent types first, and runs it in the same
@@ -117,17 +121,15 @@ _FAIL_CASE = Failure(throw(SYS_CASE))
 
 
 class Budget:
-    """Step allowance, one unit per goal evaluated; exhaustion fails with /F/sys/depth."""
+    """Step allowance, one unit per goal evaluated; exhaustion fails with /F/sys/depth.
+
+    `Evaluator._eval` spends from `remaining` inline, one test and one
+    decrement per step.
+    """
 
     def __init__(self, max_steps: int = DEFAULT_MAX_STEPS):
         self.max_steps = max_steps
         self.remaining = max_steps
-
-    def spend(self) -> bool:
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        return True
 
     @property
     def used(self) -> int:
@@ -200,19 +202,21 @@ class Evaluator:
 
     def run(self, goal: Goal) -> Outcome:
         """Evaluate one goal; on failure the store is as `run` found it."""
-        entry_marks = self.store.open_checkpoints
+        store = self.store
+        entry_marks = store.open_checkpoints
         entry_lines = len(self.trace) if self.trace is not None else 0
         # Every node this run can print is alive until it returns (the
         # program and `goal`), so no id in the memo is reused.
         self._texts = {}
+        store.checkpoint()
         try:
-            return self._eval(goal, None, {})
+            out = self._eval(goal, None, {})
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
             # every checkpoint the aborted descent left open.
-            while self.store.open_checkpoints > entry_marks:
-                self.store.rollback()
+            while store.open_checkpoints > entry_marks:
+                store.rollback()
             out = _FAIL_DEPTH
             if self.trace is not None:
                 del self.trace[entry_lines:]
@@ -221,6 +225,11 @@ class Evaluator:
             return out
         finally:
             self._texts = None
+        if out is _SUCCESS:
+            store.commit()
+        else:
+            store.rollback()
+        return out
 
     def _open_line(self) -> int:
         """Reserve the trace line of a step being entered; returns its index."""
@@ -235,19 +244,23 @@ class Evaluator:
     # -- goals -------------------------------------------------------------
 
     def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame, head: str = "") -> Outcome:
-        """One step: spend, checkpoint, the rule of `g`'s type, commit or roll back.
+        """One step: spend a unit of the budget, then run the rule of `g`'s type.
+
+        Only the `|` and `else` rules open store checkpoints, around the
+        operands whose failure they catch; every other rule leaves a
+        failure's partial edits to the nearest such catch point (or `run`).
 
         `head` prefixes the step's trace text.  The `is` chain tests the
         most frequent goal types first.
         """
         if self.trace is not None:
             at = self._open_line()
-        store = self.store
-        if not self.budget.spend():
+        budget = self.budget
+        if budget.remaining <= 0:
             rule: int | str = "fail"
             out: Outcome = _FAIL_DEPTH
         else:
-            store.checkpoint()
+            budget.remaining -= 1
             t = type(g)
             if t is Seq:
                 rule = 6
@@ -261,7 +274,7 @@ class Evaluator:
                 except _EvalFailure as fail:
                     out = fail.out
                 else:
-                    store.bind(g.var, value)
+                    self.store.bind(g.var, value)
                     out = _SUCCESS
             elif t is Call:
                 rule = 4
@@ -276,15 +289,30 @@ class Evaluator:
                 else:
                     out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
             elif t is Else:
+                store = self.store
+                store.checkpoint()
                 out = self._eval(g.tried, ambient, frame)
                 if out is _SUCCESS:
+                    store.commit()
                     rule = 10
                 else:
+                    store.rollback()
                     rule = 11
                     out = self._eval(g.handler, out.tree, frame)
             elif t is Union:
+                store = self.store
+                store.checkpoint()
                 first = self._eval(g.first, ambient, frame)
+                if first is _SUCCESS:
+                    store.commit()
+                else:
+                    store.rollback()
+                store.checkpoint()
                 out = self._eval(g.second, ambient, frame)
+                if out is _SUCCESS:
+                    store.commit()
+                else:
+                    store.rollback()
                 if first is _SUCCESS:
                     rule = 7 if out is _SUCCESS else 9
                     out = _SUCCESS
@@ -312,10 +340,6 @@ class Evaluator:
                     out = Failure(ambient) if body is None else self._eval(body, None, frame)
             else:
                 raise TypeError(f"not a goal: {g!r}")
-            if out is _SUCCESS:
-                store.commit()
-            else:
-                store.rollback()
         if self.trace is not None:
             self._close_line(at, rule, head + pretty_print(g, self._texts), out)
         return out
@@ -323,8 +347,12 @@ class Evaluator:
     def _invoke(
         self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None, frame: Frame
     ) -> Outcome:
+        # A loop, not a comprehension: before Python 3.12 a comprehension
+        # runs in a function frame of its own.
+        values = []
         try:
-            values = [self._expr(a, ambient, frame) for a in args]
+            for a in args:
+                values.append(self._expr(a, ambient, frame))
         except _EvalFailure as fail:
             return fail.out
         defn = self.program.defs.get((name, len(values)))
@@ -349,8 +377,20 @@ class Evaluator:
         if t is IntLit or t is StrLit:
             return e.value
         if t is Binary:
-            lv = self._expr(e.left, ambient, frame)
-            rv = self._expr(e.right, ambient, frame)
+            # A literal or a parameter operand is read here, without a call.
+            left, right = e.left, e.right
+            if type(left) is IntLit:
+                lv = left.value
+            elif type(left) is Var and left.name in frame:
+                lv = frame[left.name]
+            else:
+                lv = self._expr(left, ambient, frame)
+            if type(right) is IntLit:
+                rv = right.value
+            elif type(right) is Var and right.name in frame:
+                rv = frame[right.name]
+            else:
+                rv = self._expr(right, ambient, frame)
             if not (isinstance(lv, int) and isinstance(rv, int)):
                 raise _EvalFailure(_FAIL_TEST)
             op = e.op
@@ -365,7 +405,7 @@ class Evaluator:
             return _int_div(lv, rv)
         if t is CallExpr:
             # No checkpoint of its own: a failure here fails the enclosing
-            # goal, whose step rolls back everything the call did.
+            # goal, and the nearest catch point rolls back what the call did.
             if self.trace is not None:
                 at = self._open_line()
             out = self._invoke(e.name, e.args, ambient, frame)

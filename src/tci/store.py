@@ -4,8 +4,11 @@ The store holds the variable bindings, a cursor over the pre-supplied
 input stream, and the output buffer.  Every edit goes through an undo log
 so that a failing goal can restore the exact state it started from; a
 checkpoint marks a log depth, commit folds the edits above it into the
-enclosing transaction, rollback reverses them.  Failure cost is
-proportional to the edits undone, success costs one push/pop.
+enclosing transaction, rollback reverses them.  The evaluator opens a
+checkpoint only where it catches a failure (each `|` operand, an
+`else`'s tried operand, a run's root goal), not per step.  Failure cost
+is proportional to the edits undone; success costs one push/pop per
+catch point.
 """
 
 from __future__ import annotations

@@ -132,6 +132,19 @@ class TestRun:
         main(["run", path])
         assert capsys.readouterr().out == "x = 1\nline\n"
 
+    def test_integer_literal_of_5000_digits(self, tmp_path, capsys):
+        path = write(tmp_path, "p.tc", "main x = " + "9" * 5000)
+        code = main(["run", path])
+        assert code == EXIT_SUCCESS
+        assert capsys.readouterr().out == "x = " + "9" * 5000 + "\n"
+
+    def test_computed_integer_of_8193_digits(self, tmp_path, capsys):
+        # 13 squarings of 10 give 10**8192
+        path = write(tmp_path, "p.tc", "main x = 10; " + "; ".join(["x = x * x"] * 13))
+        code = main(["run", path])
+        assert code == EXIT_SUCCESS
+        assert capsys.readouterr().out == "x = 1" + "0" * 8192 + "\n"
+
     def test_report_fields(self, tmp_path):
         path = write(tmp_path, "p.tc", "main x = 1")
         report = cmd_run(path)

@@ -6,7 +6,7 @@ from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
-from tci.syntax import Else, Seq, TrueGoal, Union
+from tci.syntax import Else, Seq, TrueGoal, Union, iter_goals
 
 
 GOLDEN_ELSE = """
@@ -393,6 +393,22 @@ class TestProperties:
                 assert store.snapshot() == before
         assert checked > 100
 
+    def test_rollback_at_every_nesting_level(self):
+        # every sub-goal of main that fails, run under a catch point, leaves
+        # the store exactly as it found it
+        checked = 0
+        for program, sv, inp in self.instances(300):
+            for g in iter_goals(program.main):
+                if isinstance(eval_goal(program, Store(inp, dict(sv.bindings)), g), Success):
+                    continue
+                checked += 1
+                for caught in (Union(g, TrueGoal()), Else(g, TrueGoal())):
+                    store = Store(inp, dict(sv.bindings))
+                    before = store.snapshot()
+                    assert isinstance(eval_goal(program, store, caught), Success)
+                    assert store.snapshot() == before, caught
+        assert checked > 300
+
     def test_union_truth_table(self):
         for seed in range(150):
             p1, sv, inp = gen_program(2 * seed, 5)
@@ -521,6 +537,40 @@ class TestStackExhaustion:
         assert failure_paths(out) == {str(SYS_DEPTH)}
         assert store.open_checkpoints == 1
         assert store.snapshot() == ({"x": 1}, 0, ())
+
+
+class CountingStore(Store):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checkpoints = 0
+
+    def checkpoint(self) -> None:
+        self.checkpoints += 1
+        super().checkpoint()
+
+
+class TestCatchPoints:
+    # checkpoints open only at the root goal, each `|` operand and each
+    # `else`'s tried operand
+    @staticmethod
+    def checkpoints(source):
+        program = parse_program(source)
+        store = CountingStore()
+        ev = Evaluator(program, store, trace=True)
+        out = ev.run(program.main)
+        assert isinstance(out, Success)
+        return store.checkpoints, ev.trace
+
+    def test_seq_chain_opens_only_the_root(self):
+        assert self.checkpoints("main x = 1; y = 2; z = 3")[0] == 1
+
+    def test_union_operands_and_tried_operand(self):
+        assert self.checkpoints("main (x = 1 | y = 2) else t")[0] == 4
+
+    def test_calls_open_one_per_else_step(self):
+        opened, trace = self.checkpoints(SUM.replace("3000", "50"))
+        else_steps = sum("[rule 10]" in line or "[rule 11]" in line for line in trace)
+        assert else_steps == 51 and opened == 1 + else_steps
 
 
 class TestHostFrames:
