@@ -18,7 +18,7 @@ from .interp import (
     eval_goal,
     run_main,
 )
-from .oracle import SearchConfig, StoreVal, derive_bounded, gen_program
+from .oracle import StoreVal, derive_bounded, gen_program
 from .parser import (
     DuplicateDefinition,
     LexError,

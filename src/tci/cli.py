@@ -26,13 +26,12 @@ from .oracle import (
     Derivable,
     DepthExhausted,
     NotDerivable,
-    SearchConfig,
     derive_bounded,
     gen_program,
 )
 from .parser import SourceError, parse_program
 from .store import CheckpointUnderflow, Store, Value
-from .syntax import pretty_program, pretty_print, shared_union_vars
+from .syntax import Program, pretty_program, pretty_print, shared_union_vars
 
 EXIT_SUCCESS = 0
 EXIT_FAILURE = 1
@@ -67,16 +66,23 @@ def _read_input_file(path: str) -> list[int]:
     return [int(tok) for tok in text.split()]
 
 
-def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
-            max_steps: int = DEFAULT_MAX_STEPS) -> RunReport:
+def _load(path: str) -> Program | str:
+    """The program in the file at `path`, or why it cannot be read or parsed."""
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        return RunReport(status="parse-error", message=f"cannot read {path}: {err}")
+    except (OSError, UnicodeDecodeError) as err:
+        return f"cannot read {path}: {err}"
     try:
-        program = parse_program(source)
+        return parse_program(source)
     except SourceError as err:
-        return RunReport(status="parse-error", message=f"{path}:{err}")
+        return f"{path}:{err}"
+
+
+def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
+            max_steps: int = DEFAULT_MAX_STEPS) -> RunReport:
+    program = _load(path)
+    if isinstance(program, str):
+        return RunReport(status="parse-error", message=program)
     input_tokens: list[int] = []
     if input_path is not None:
         try:
@@ -112,14 +118,9 @@ def _print_report(report: RunReport) -> None:
 
 def cmd_check(path: str) -> tuple[int, list[str]]:
     """Parse and lint; returns (exit code, diagnostic lines)."""
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        return EXIT_PARSE_ERROR, [f"error: cannot read {path}: {err}"]
-    try:
-        program = parse_program(source)
-    except SourceError as err:
-        return EXIT_PARSE_ERROR, [f"error: {path}:{err}"]
+    program = _load(path)
+    if isinstance(program, str):
+        return EXIT_PARSE_ERROR, [f"error: {program}"]
     diagnostics = []
     goals = [d.body for _, d in sorted(program.defs.items())] + [program.main]
     for goal in goals:
@@ -145,14 +146,12 @@ class SelfcheckReport:
         return EXIT_SUCCESS if self.counterexample is None else EXIT_FAILURE
 
 
-def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8,
-                  size_bound: int = 6) -> SelfcheckReport:
+def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8) -> SelfcheckReport:
     """Check the evaluator against the reference semantics on generated programs."""
     report = SelfcheckReport(cases=cases)
-    config = SearchConfig(max_depth=max_depth)
     for i in range(cases):
-        program, store_val, input_tokens = gen_program(seed + i, size_bound)
-        reference = derive_bounded(program, store_val, program.main, config)
+        program, store_val, input_tokens = gen_program(seed + i)
+        reference = derive_bounded(program, store_val, program.main, max_depth)
         if isinstance(reference, DepthExhausted):
             report.exhausted += 1
             continue
@@ -253,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointUnderflow as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SourceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     except Exception as err:  # noqa: BLE001 - last-resort boundary for exit code 3
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

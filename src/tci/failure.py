@@ -44,7 +44,6 @@ class FailPath:
 
 
 ROOT = FailPath(("F",))
-USER = FailPath(("F", "usr"))
 
 # Failures raised by the machine itself, rather than by an f(...) statement.
 SYS_TEST = FailPath(("F", "sys", "test"))

@@ -61,12 +61,6 @@ _PRINT = "print"
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    max_depth: int = 8
-    max_store_entries: int = 3
-
-
-@dataclass(frozen=True)
 class StoreVal:
     """An immutable store value; updates build new instances."""
 
@@ -97,14 +91,8 @@ class DepthExhausted:
 Status = Derivable | NotDerivable | DepthExhausted
 
 
-def derive_bounded(
-    program: Program,
-    store: StoreVal,
-    goal: Goal,
-    config: SearchConfig | None = None,
-) -> Status:
-    cfg = config or SearchConfig()
-    return _derive(program, store, goal, None, cfg.max_depth)
+def derive_bounded(program: Program, store: StoreVal, goal: Goal, max_depth: int = 8) -> Status:
+    return _derive(program, store, goal, None, max_depth)
 
 
 def _derive(p: Program, sv: StoreVal, g: Goal, ambient: ExceptionTree | None, depth: int) -> Status:

@@ -54,7 +54,6 @@ from typing import NamedTuple
 
 from .failure import FailPath, user_path
 from .syntax import (
-    ARITH_OPS,
     Assign,
     Binary,
     Call,
@@ -66,6 +65,7 @@ from .syntax import (
     Fail,
     Goal,
     IntLit,
+    PRECEDENCE,
     Program,
     Read,
     RELOPS,
@@ -144,11 +144,7 @@ class LexError(SourceError):
 
 
 class ParseError(SourceError):
-    def __init__(self, span: SourceSpan, message: str, expected: tuple[str, ...] = ()):
-        if expected and not message:
-            message = "expected " + " or ".join(expected)
-        super().__init__(span, message)
-        self.expected = expected
+    pass
 
 
 class DuplicateDefinition(ParseError):
@@ -230,7 +226,7 @@ def tokenize(source: str) -> Tokens:
 _ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "("})
 
 # tokens that make a parenthesised operand out of the `(...)` before them
-_OPERATORS = frozenset(RELOPS + ARITH_OPS)
+_OPERATORS = frozenset((*RELOPS, *PRECEDENCE))
 
 _RELOPS = frozenset(RELOPS)
 
@@ -241,7 +237,7 @@ _GOAL_END = (0, None)
 
 # arithmetic operators, all left-associative, as entries of `expr`'s operator
 # stack: (precedence, tightest highest; operator; no call arguments)
-_BINARY = {"+": (1, "+", None), "-": (1, "-", None), "*": (2, "*", None), "/": (2, "/", None)}
+_BINARY = {op: (prec, op, None) for op, prec in PRECEDENCE.items()}
 
 
 class _Parser:
@@ -262,7 +258,7 @@ class _Parser:
 
     def error(self, i: int, what: str) -> ParseError:
         """`expected <what>` at token `i`."""
-        return ParseError(self.span(i), "", expected=(what,))
+        return ParseError(self.span(i), f"expected {what}")
 
     def span(self, i: int) -> SourceSpan:
         return _span(self.source, self.starts[i], len(self.texts[i]))

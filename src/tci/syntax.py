@@ -4,6 +4,12 @@ A goal is a statement that either succeeds or fails; an expression denotes
 an integer or string value.  Procedure definitions bind a parameter list
 over a body goal; a program is a set of definitions keyed by name and
 arity plus a main goal.  All nodes are immutable and compare structurally.
+
+`_children` is the one list of each node type's sub-nodes.  The walks
+(`iter_goals`, the variable sets, the `|` lint) and the printer read the
+tree only through it, each on its own stack.  `PRECEDENCE` is the
+arithmetic operators' binding strength, which the printer uses to drop
+parentheses and the parser to reduce expressions.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from typing import Iterator
 from .failure import FailPath, ROOT
 
 RELOPS = ("==", "!=", "<", "<=", ">", ">=")
-ARITH_OPS = ("+", "-", "*", "/")
+# arithmetic operators, all left-associative, by precedence (tightest highest)
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class Expr:
@@ -160,80 +167,11 @@ class Program:
     main: Goal
 
 
-def expr_vars(e: Expr) -> set[str]:
-    """Variable names an expression reads, walked with its own stack."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is Var:
-            out.add(e.name)
-        elif type(e) is Binary:
-            stack += (e.left, e.right)
-        elif type(e) is CallExpr:
-            stack += e.args
-    return out
-
-
-def _own_vars(g: Goal) -> set[str]:
-    """Variable names in a goal's own target and expressions, not in its sub-goals."""
-    t = type(g)
-    if t is Assign:
-        return {g.var} | expr_vars(g.expr)
-    if t is Test:
-        return expr_vars(g.left) | expr_vars(g.right)
-    if t is Call:
-        return set().union(*map(expr_vars, g.args))
-    if t is TrueGoal or t is Fail or t is Seq or t is Union or t is Else or t is Case:
-        return set()
-    raise TypeError(f"not a goal: {g!r}")
-
-
-def free_vars(g: Goal) -> set[str]:
-    """All variable names a goal reads or assigns (procedure names excluded)."""
-    out: set[str] = set()
-    for sub in iter_goals(g):
-        out |= _own_vars(sub)
-    return out
-
-
-def assigned_vars(g: Goal) -> set[str]:
-    """Names appearing as assignment targets anywhere in the goal."""
-    return {sub.var for sub in iter_goals(g) if isinstance(sub, Assign)}
-
-
-def iter_goals(g: Goal) -> Iterator[Goal]:
-    """The goal and every sub-goal, pre-order.
-
-    The walk keeps its own stack, so a goal of any depth is walked in
-    linear time without host recursion.
-    """
-    stack = [g]
-    while stack:
-        g = stack.pop()
-        yield g
-        t = type(g)
-        if t is Seq or t is Union:
-            stack += (g.second, g.first)
-        elif t is Else:
-            stack += (g.handler, g.tried)
-        elif t is Case:
-            if g.default is not None:
-                stack.append(g.default)
-            stack.extend(body for _, body in reversed(g.arms))
-
-
-def _fail_text(path: FailPath) -> str:
-    segs = path.segments
-    if segs == ("F",):
-        return "f"
-    if len(segs) > 2 and segs[:2] == ("F", "usr"):
-        return "f(" + "/".join(segs[2:]) + ")"
-    return f"f({path})"
-
-
 def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
-    """The goals and expressions a node's text is built from, left to right."""
+    """The goals and expressions a node holds, in field order.
+
+    For `Case` that is the arm bodies, then the default.
+    """
     t = type(node)
     if t is Seq or t is Union:
         return (node.first, node.second)
@@ -251,7 +189,59 @@ def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
     return ()
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+def _walk(root: Goal | Expr, goals_only: bool = False) -> Iterator[Goal | Expr]:
+    """`root` and every node below it, pre-order; with `goals_only`, only the goals.
+
+    No node holds both goals and expressions, so the goals are walked by
+    entering no node whose children are expressions.  The walk keeps its
+    own stack, so a tree of any depth is walked in linear time without
+    host recursion.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _children(node)
+        if children and not (goals_only and isinstance(children[0], Expr)):
+            stack += children[::-1]
+
+
+def iter_goals(g: Goal) -> Iterator[Goal]:
+    """The goal and every sub-goal, pre-order, without host recursion."""
+    return _walk(g, goals_only=True)
+
+
+def _own_vars(node: Goal | Expr) -> set[str]:
+    """The variable name a node itself reads (`Var`) or assigns (`Assign`), not those below it."""
+    t = type(node)
+    return {node.name} if t is Var else {node.var} if t is Assign else set()
+
+
+def expr_vars(e: Expr) -> set[str]:
+    """Variable names an expression reads."""
+    return {node.name for node in _walk(e) if type(node) is Var}
+
+
+def free_vars(g: Goal) -> set[str]:
+    """All variable names a goal reads or assigns (procedure names excluded)."""
+    out: set[str] = set()
+    for node in _walk(g):
+        out |= _own_vars(node)
+    return out
+
+
+def assigned_vars(g: Goal) -> set[str]:
+    """Names appearing as assignment targets anywhere in the goal."""
+    return {sub.var for sub in iter_goals(g) if isinstance(sub, Assign)}
+
+
+def _fail_text(path: FailPath) -> str:
+    segs = path.segments
+    if segs == ("F",):
+        return "f"
+    if len(segs) > 2 and segs[:2] == ("F", "usr"):
+        return "f(" + "/".join(segs[2:]) + ")"
+    return f"f({path})"
 
 
 def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
@@ -278,7 +268,7 @@ def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
         return node.name
     if t is Binary:
         left = node.left
-        bare = type(left) is Binary and _PRECEDENCE[left.op] >= _PRECEDENCE[node.op]
+        bare = type(left) is Binary and PRECEDENCE[left.op] >= PRECEDENCE[node.op]
         left_text = texts[id(left)] if bare else _atom(left, texts)
         return f"{left_text} {node.op} {_atom(node.right, texts)}"
     if t is Test:
@@ -378,18 +368,11 @@ def shared_union_vars(g: Goal) -> list[tuple[Union, list[str]]]:
     """
     found = []
     done: list[set[str]] = []  # sets of the finished subtrees; a node's first child on top
-    for sub in reversed(list(iter_goals(g))):
-        t = type(sub)
-        if t is Seq or t is Union or t is Else:
-            children = 2
-        elif t is Case:
-            children = len(sub.arms) + (sub.default is not None)
-        else:
-            children = 0
-        if t is Union and (shared := done[-1] & done[-2]):
-            found.append((sub, sorted(shared)))
-        names = _own_vars(sub)
-        for _ in range(children):
+    for node in reversed(list(_walk(g))):
+        if type(node) is Union and (shared := done[-1] & done[-2]):
+            found.append((node, sorted(shared)))
+        names = _own_vars(node)
+        for _ in _children(node):
             child = done.pop()
             if len(child) > len(names):
                 names, child = child, names

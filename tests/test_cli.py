@@ -223,6 +223,13 @@ class TestExitCodes:
             path = write(tmp_path, "p.tc", source)
             assert main(["run", path]) == expected
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_program_file_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "p.tc"
+        path.write_bytes("main x = 1 // caf\xe9\n".encode("latin-1"))
+        assert main([command, str(path)]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
     def test_output_is_reproducible(self, tmp_path, capsys):
         path = write(tmp_path, "p.tc", 'main (x = read(); f) else print("caught"); y = 1')
         data = write(tmp_path, "d.txt", "4\n")

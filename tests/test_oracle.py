@@ -6,7 +6,6 @@ from tci.oracle import (
     Derivable,
     DepthExhausted,
     NotDerivable,
-    SearchConfig,
     StoreVal,
     derive_bounded,
     gen_program,
@@ -38,7 +37,7 @@ class TestDeriveBounded:
 
     def test_depth_bound_reported(self):
         program = parse_program("loop() = loop()\nmain loop()")
-        result = derive_bounded(program, StoreVal(), program.main, SearchConfig(max_depth=6))
+        result = derive_bounded(program, StoreVal(), program.main, max_depth=6)
         assert isinstance(result, DepthExhausted)
 
     def test_read_consumes_input(self):

@@ -1,3 +1,8 @@
+import itertools
+import types
+import typing
+from dataclasses import fields
+
 import pytest
 from conftest import recursive_pretty
 
@@ -28,6 +33,7 @@ from tci.syntax import (
     pretty_print,
     pretty_program,
     shared_union_vars,
+    _children,
 )
 
 # the body of the golden factorial definition
@@ -193,6 +199,48 @@ class TestFreeVars:
 
     def test_expr_vars(self):
         assert expr_vars(Binary("+", Var("x"), CallExpr("f", (Var("y"),)))) == {"x", "y"}
+
+
+def sample(hint, fresh: itertools.count):
+    """A value of the field type `hint`, each node in it a new one."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return sample(typing.get_args(hint)[0], fresh)
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if args[-1] is Ellipsis:
+            return (sample(args[0], fresh), sample(args[0], fresh))
+        return tuple(sample(arg, fresh) for arg in args)
+    n = next(fresh)
+    if hint is Expr:
+        return Var(f"v{n}")
+    if hint is Goal:
+        return Call(f"g{n}")
+    return {str: "+", int: n, FailPath: ROOT}[hint]
+
+
+def held_nodes(value) -> list:
+    """The goals and expressions in a field's value, in order, not looking inside them."""
+    if isinstance(value, (Goal, Expr)):
+        return [value]
+    if isinstance(value, tuple):
+        return [node for item in value for node in held_nodes(item)]
+    return []
+
+
+NODE_CLASSES = Goal.__subclasses__() + Expr.__subclasses__()
+
+
+class TestChildren:
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_children_are_the_nodes_in_the_fields(self, cls):
+        # a node class that `_children` does not know would drop out of
+        # the printer, the walks and the lint
+        fresh = itertools.count()
+        hints = typing.get_type_hints(cls)
+        node = cls(**{f.name: sample(hints[f.name], fresh) for f in fields(cls)})
+        held = [n for f in fields(cls) for n in held_nodes(getattr(node, f.name))]
+        assert [id(child) for child in _children(node)] == [id(n) for n in held]
 
 
 class TestRoundTrip:

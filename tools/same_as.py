@@ -1,27 +1,28 @@
-"""Check that `tci run` behaves the same in this checkout and in another one.
+"""Check that `tci run` and `tci check` behave the same in this checkout and in another one.
 
     python3 tools/same_as.py OTHER_CHECKOUT
 
-Both source trees run the same `tci run` calls, each tree in its own
-subprocess with PYTHONHASHSEED=0.  A call is compared on its exit code,
-stdout, stderr (the `--trace` lines, or `path:line:col: message` for a
-source error) and steps used (`Budget.used`).  The calls, each once
-without and once with `--trace`:
+Both source trees make the same calls, each tree in its own subprocess
+with PYTHONHASHSEED=0.  A call is compared on its exit code, stdout,
+stderr (the `--trace` lines, the lint's warnings, or `path:line:col:
+message` for a source error) and, for `tci run`, steps used
+(`Budget.used`).  The programs, each run once without and once with
+`--trace`, and each checked once:
 
 - `gen_program` seeds 0-2999 at size 8 with `--max-steps 5000`, the
   initial bindings assigned at the start of main;
 - every op of the four bench workloads at seed 1;
 - the golden programs on each golden input.
 
-and, without `--trace`, a corpus of mostly malformed sources, so that a
-change in lex and parse errors shows: the program text of each of
-`gen_program` seeds 0-1499 at size 8 cut short, given one extra token at
-a space, and missing one character, each choice drawn from
-`random.Random(7)`.
+and, run without `--trace` and checked, a corpus of mostly malformed
+sources, so that a change in lex and parse errors shows: the program
+text of each of `gen_program` seeds 0-1499 at size 8 cut short, given
+one extra token at a space, and missing one character, each choice drawn
+from `random.Random(7)`.
 
-The program files are written once, by this checkout.  The first
-difference is printed and the exit code is 1; exit code 0 means every
-call agreed.
+That is 18,780 calls.  The program files are written once, by this
+checkout.  The first difference is printed and the exit code is 1; exit
+code 0 means every call agreed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ EXTRA_TOKENS = ("(", ")", ";", "|", "else", "t", "f", "=", "==", "<", "+", "-", 
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
 
-# Runs in a subprocess on one tree: reads a JSON list of `tci run` argument
-# lists and prints one JSON line [exit code, stdout, stderr, steps] per call.
+# Runs in a subprocess on one tree: reads a JSON list of `tci` argument lists
+# and prints one JSON line [exit code, stdout, stderr, steps] per call.
 _DRIVER = r"""
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -74,7 +75,7 @@ for argv in calls:
     out, err = io.StringIO(), io.StringIO()
     steps.clear()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["run", *argv])
+        code = cli.main(argv)
     print(json.dumps([code, out.getvalue(), err.getvalue(), steps[:1]]), flush=True)
 """
 
@@ -82,13 +83,13 @@ FIELDS = ("exit code", "stdout", "stderr", "steps")
 
 
 def write_calls(work: Path) -> list[tuple[str, list[str]]]:
-    """(label, `tci run` arguments) for every call, with the files they name written to `work`."""
+    """(label, `tci` arguments) for every call, with the files they name written to `work`."""
     calls = []
 
     def add(label: str, program: str, input_tokens, extra: list[str], traced: bool = True) -> None:
         path = work / f"{len(calls)}.tc"
         path.write_text(program, encoding="utf-8")
-        argv = [str(path), *extra]
+        argv = ["run", str(path), *extra]
         if input_tokens is not None:
             data = work / f"{len(calls)}.in"
             data.write_text(" ".join(map(str, input_tokens)) + "\n", encoding="utf-8")
@@ -96,6 +97,7 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         calls.append((label, argv))
         if traced:
             calls.append((label + " --trace", argv + ["--trace"]))
+        calls.append((label + " check", ["check", str(path)]))
 
     for seed in GEN_SEEDS:
         program, store, input_tokens = gen_program(seed, GEN_SIZE)
