@@ -18,7 +18,6 @@ from .interp import (
     eval_goal,
     run_main,
 )
-from .oracle import StoreVal, derive_bounded, gen_program
 from .parser import (
     DuplicateDefinition,
     LexError,
@@ -58,3 +57,14 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The reference semantics is imported on first use, so that `tci run` does not load it.
+_ORACLE_NAMES = frozenset({"StoreVal", "derive_bounded", "gen_program"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,9 +8,8 @@ and error messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .failure import ExceptionTree, render
 from .interp import (
@@ -21,13 +20,6 @@ from .interp import (
     eval_goal,
     format_binding,
     run_main,
-)
-from .oracle import (
-    Derivable,
-    DepthExhausted,
-    NotDerivable,
-    derive_bounded,
-    gen_program,
 )
 from .parser import SourceError, parse_program
 from .store import CheckpointUnderflow, Store, Value
@@ -46,15 +38,17 @@ _STATUS_CODES = {
 }
 
 
-@dataclass
 class RunReport:
-    status: str
-    failtree: ExceptionTree | None = None
-    bindings: dict[str, Value] | None = None
-    output: list[str] = field(default_factory=list)
-    steps_used: int = 0
-    message: str = ""
-    trace: list[str] | None = None
+    def __init__(self, status: str, failtree: ExceptionTree | None = None,
+                 bindings: dict[str, Value] | None = None, output: list[str] | None = None,
+                 steps_used: int = 0, message: str = "", trace: list[str] | None = None):
+        self.status = status
+        self.failtree = failtree
+        self.bindings = bindings
+        self.output = [] if output is None else output
+        self.steps_used = steps_used
+        self.message = message
+        self.trace = trace
 
     @property
     def exit_code(self) -> int:
@@ -62,14 +56,16 @@ class RunReport:
 
 
 def _read_input_file(path: str) -> list[int]:
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     return [int(tok) for tok in text.split()]
 
 
 def _load(path: str) -> Program | str:
     """The program in the file at `path`, or why it cannot be read or parsed."""
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            source = f.read()
     except (OSError, UnicodeDecodeError) as err:
         return f"cannot read {path}: {err}"
     try:
@@ -134,12 +130,12 @@ def cmd_check(path: str) -> tuple[int, list[str]]:
     return EXIT_SUCCESS, diagnostics
 
 
-@dataclass
 class SelfcheckReport:
-    cases: int
-    agreed: int = 0
-    exhausted: int = 0
-    counterexample: str | None = None
+    def __init__(self, cases: int):
+        self.cases = cases
+        self.agreed = 0
+        self.exhausted = 0
+        self.counterexample: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -148,6 +144,9 @@ class SelfcheckReport:
 
 def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8) -> SelfcheckReport:
     """Check the evaluator against the reference semantics on generated programs."""
+    # the reference semantics is loaded only here, so that `tci run` does not pay for it
+    from .oracle import Derivable, DepthExhausted, NotDerivable, derive_bounded, gen_program
+
     report = SelfcheckReport(cases=cases)
     for i in range(cases):
         program, store_val, input_tokens = gen_program(seed + i)
@@ -194,7 +193,9 @@ def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8) -> Selfc
     return report
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The `tci` argument parser, built once per process (`main` may be called many times)."""
     ap = argparse.ArgumentParser(
         prog="tci",
         description="Interpreter for TC (.tc files): statements succeed or fail, "

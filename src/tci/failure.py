@@ -11,24 +11,25 @@ fail for different reasons at once).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .record import Record, set_field
 
 _SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class FailPath:
+class FailPath(Record):
     """One failure kind, written /F/seg/.../seg.  The first segment is always F."""
 
-    segments: tuple[str, ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments or self.segments[0] != "F":
-            raise ValueError(f"failure path must be rooted at /F: {self.segments!r}")
-        for seg in self.segments:
+    def __init__(self, segments: tuple[str, ...]):
+        segments = tuple(segments)
+        if not segments or segments[0] != "F":
+            raise ValueError(f"failure path must be rooted at /F: {segments!r}")
+        for seg in segments:
             if not _SEGMENT_RE.match(seg):
                 raise ValueError(f"bad failure path segment: {seg!r}")
+        set_field(self, "segments", segments)
 
     @classmethod
     def parse(cls, text: str) -> FailPath:
@@ -59,16 +60,16 @@ def user_path(segments: tuple[str, ...] | list[str]) -> FailPath:
     return FailPath(("F", "usr", *segments))
 
 
-@dataclass(frozen=True)
-class ExceptionTree:
+class ExceptionTree(Record):
     """The failure kinds carried by one failing outcome (a nonempty path set)."""
 
-    paths: frozenset[FailPath]
+    __slots__ = ("paths",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", frozenset(self.paths))
-        if not self.paths:
+    def __init__(self, paths: frozenset[FailPath]):
+        paths = frozenset(paths)
+        if not paths:
             raise ValueError("an exception tree is never empty")
+        set_field(self, "paths", paths)
 
     def sorted_paths(self) -> list[str]:
         return sorted(str(p) for p in self.paths)

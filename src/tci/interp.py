@@ -47,7 +47,6 @@ prefixed once with the callee's frame, e.g.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .failure import (
     ExceptionTree,
@@ -61,6 +60,7 @@ from .failure import (
     merge,
     throw,
 )
+from .record import Record, set_field
 from .store import Store, UnboundVariable, Value
 from .syntax import (
     Assign,
@@ -97,14 +97,17 @@ PRINT_BUILTIN = "print"
 Frame = dict[str, Value]
 
 
-@dataclass(frozen=True)
-class Success:
+class Success(Record):
     """The goal succeeded; its effects are in the evaluator's store."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Failure:
-    tree: ExceptionTree
+
+class Failure(Record):
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: ExceptionTree):
+        set_field(self, "tree", tree)
 
 
 Outcome = Success | Failure

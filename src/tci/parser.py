@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .failure import FailPath, user_path
+from .record import Record, set_field
 from .syntax import (
     Assign,
     Binary,
@@ -80,11 +80,13 @@ from .syntax import (
 KEYWORDS = frozenset({"t", "f", "else", "case", "of", "main", "Failtree"})
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-    length: int
+class SourceSpan(Record):
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int):
+        set_field(self, "line", line)
+        set_field(self, "column", column)
+        set_field(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -96,12 +98,10 @@ def _span(source: str, offset: int, length: int) -> SourceSpan:
     return SourceSpan(source.count("\n", 0, line_start) + 1, offset - line_start + 1, length)
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "str", "path", "eof", or the keyword/operator text
-    text: str
-    line: int
-    column: int
-    value: object = None
+class Token(namedtuple("Token", ("kind", "text", "line", "column", "value"), defaults=(None,))):
+    """One token: `kind` is "ident", "int", "str", "path", "eof", or the keyword/operator text."""
+
+    __slots__ = ()
 
     @property
     def span(self) -> SourceSpan:

@@ -13,7 +13,7 @@ catch point.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 Value = int | str
 

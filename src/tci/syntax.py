@@ -5,6 +5,13 @@ an integer or string value.  Procedure definitions bind a parameter list
 over a body goal; a program is a set of definitions keyed by name and
 arity plus a main goal.  All nodes are immutable and compare structurally.
 
+Every node class is a `record.Record`: its fields are its `__slots__`,
+its `__init__` sets each one once (after the checks `Case` and `Def`
+make), and from then on setting or deleting an attribute raises
+`AttributeError`.  Nodes compare and hash by type and fields, and their
+`repr` is the `Binary(op='+', left=IntLit(value=1), right=Var(name='x'))`
+form of a dataclass.
+
 `_children` is the one list of each node type's sub-nodes.  The walks
 (`iter_goals`, the variable sets, the `|` lint) and the printer read the
 tree only through it, each on its own stack.  `PRECEDENCE` is the
@@ -14,157 +21,179 @@ parentheses and the parser to reduce expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .failure import FailPath, ROOT
+from .record import Record, set_field
 
 RELOPS = ("==", "!=", "<", "<=", ">", ">=")
 # arithmetic operators, all left-associative, by precedence (tightest highest)
 PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-class Expr:
-    pass
+class Expr(Record):
+    __slots__ = ()
 
 
-class Goal:
-    pass
+class Goal(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class StrLit(Expr):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class CallExpr(Expr):
-    name: str
-    args: tuple[Expr, ...] = ()
+    __slots__ = ("name", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, args: tuple[Expr, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "args", tuple(args))
 
 
-@dataclass(frozen=True)
 class Read(Expr):
     """The read() builtin: next integer from the input stream, -1 at end."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TrueGoal(Goal):
     """The statement `t`; always succeeds."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Fail(Goal):
     """The statement `f` / `f(path)`; always fails with the given path."""
 
-    path: FailPath = ROOT
+    __slots__ = ("path",)
+
+    def __init__(self, path: FailPath = ROOT):
+        set_field(self, "path", path)
 
 
-@dataclass(frozen=True)
 class Assign(Goal):
-    var: str
-    expr: Expr
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        set_field(self, "var", var)
+        set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
 class Test(Goal):
-    left: Expr
-    relop: str
-    right: Expr
+    __slots__ = ("left", "relop", "right")
+
+    def __init__(self, left: Expr, relop: str, right: Expr):
+        set_field(self, "left", left)
+        set_field(self, "relop", relop)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Seq(Goal):
-    first: Goal
-    second: Goal
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Goal, second: Goal):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
-@dataclass(frozen=True)
 class Union(Goal):
     """`G1 | G2`: run both in order, succeed if at least one does."""
 
-    first: Goal
-    second: Goal
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Goal, second: Goal):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
-@dataclass(frozen=True)
 class Else(Goal):
     """`G1 else G2`: run G1; on failure roll back and run the handler G2."""
 
-    tried: Goal
-    handler: Goal
+    __slots__ = ("tried", "handler")
+
+    def __init__(self, tried: Goal, handler: Goal):
+        set_field(self, "tried", tried)
+        set_field(self, "handler", handler)
 
 
-@dataclass(frozen=True)
 class Case(Goal):
     """`case Failtree of { path: G; ...; _: G }` over the ambient failure tree."""
 
-    arms: tuple[tuple[FailPath, Goal], ...]
-    default: Goal | None = None
+    __slots__ = ("arms", "default")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arms", tuple((p, g) for p, g in self.arms))
-        if not self.arms:
+    def __init__(self, arms: tuple[tuple[FailPath, Goal], ...], default: Goal | None = None):
+        arms = tuple((p, g) for p, g in arms)
+        if not arms:
             raise ValueError("a case goal needs at least one arm")
+        set_field(self, "arms", arms)
+        set_field(self, "default", default)
 
 
-@dataclass(frozen=True)
 class Call(Goal):
-    name: str
-    args: tuple[Expr, ...] = ()
+    __slots__ = ("name", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, args: tuple[Expr, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "args", tuple(args))
 
 
 TRUE = TrueGoal()
 
 
-@dataclass(frozen=True)
-class Def:
+class Def(Record):
     """A procedure definition name(p1, ..., pn) = body.
 
     Parameters are distinct and read-only: the body may not assign to one.
     """
 
-    name: str
-    params: tuple[str, ...]
-    body: Goal
+    __slots__ = ("name", "params", "body")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"duplicate parameter in definition of {self.name}")
-        clobbered = assigned_vars(self.body) & set(self.params)
+    def __init__(self, name: str, params: tuple[str, ...], body: Goal):
+        params = tuple(params)
+        if len(set(params)) != len(params):
+            raise ValueError(f"duplicate parameter in definition of {name}")
+        clobbered = assigned_vars(body) & set(params)
         if clobbered:
             names = ", ".join(sorted(clobbered))
-            raise ValueError(f"definition of {self.name} assigns to its own parameter(s): {names}")
+            raise ValueError(f"definition of {name} assigns to its own parameter(s): {names}")
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Program:
-    defs: dict[tuple[str, int], Def]
-    main: Goal
+class Program(Record):
+    __slots__ = ("defs", "main")
+
+    def __init__(self, defs: dict[tuple[str, int], Def], main: Goal):
+        set_field(self, "defs", defs)
+        set_field(self, "main", main)
 
 
 def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:

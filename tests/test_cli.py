@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tci
 from tci.cli import (
     EXIT_FAILURE,
     EXIT_PARSE_ERROR,
@@ -239,3 +244,26 @@ class TestExitCodes:
             captured = capsys.readouterr()
             runs.append((captured.out, captured.err))
         assert runs[0] == runs[1]
+
+
+class TestImports:
+    """`tci run` loads neither the reference semantics nor the heavy standard modules."""
+
+    SRC = os.path.dirname(os.path.dirname(tci.__file__))
+
+    def python(self, *args: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_cli_imports_no_heavy_modules(self):
+        # -S: no site hooks, which may import some of these themselves
+        done = self.python("-S", "-c", "import sys, tci.cli; print('\\n'.join(sorted(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "tci.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "pathlib", "tci.oracle"})
+
+    def test_selfcheck_imports_the_oracle_itself(self):
+        done = self.python("-m", "tci", "selfcheck", "--cases", "50")
+        assert done.returncode == EXIT_SUCCESS, done.stdout + done.stderr
+        assert done.stdout.startswith("selfcheck: cases=50 agreed=")

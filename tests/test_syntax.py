@@ -1,12 +1,13 @@
+import copy
 import itertools
+import pickle
 import types
 import typing
-from dataclasses import fields
 
 import pytest
 from conftest import recursive_pretty
 
-from tci.failure import FailPath, ROOT
+from tci.failure import ExceptionTree, FailPath, ROOT
 from tci.oracle import gen_program, substitute
 from tci.parser import parse_goal, parse_program
 from tci.syntax import (
@@ -21,6 +22,7 @@ from tci.syntax import (
     Fail,
     Goal,
     IntLit,
+    Program,
     Seq,
     Test as RelopTest,
     TrueGoal,
@@ -237,10 +239,66 @@ class TestChildren:
         # a node class that `_children` does not know would drop out of
         # the printer, the walks and the lint
         fresh = itertools.count()
-        hints = typing.get_type_hints(cls)
-        node = cls(**{f.name: sample(hints[f.name], fresh) for f in fields(cls)})
-        held = [n for f in fields(cls) for n in held_nodes(getattr(node, f.name))]
+        hints = typing.get_type_hints(cls.__init__)
+        node = cls(**{name: sample(hints[name], fresh) for name in cls.__match_args__})
+        held = [n for name in cls.__match_args__ for n in held_nodes(getattr(node, name))]
         assert [id(child) for child in _children(node)] == [id(n) for n in held]
+
+
+class TestRecord:
+    """Nodes keep the value semantics of the frozen dataclasses they replaced."""
+
+    def test_equality_needs_the_same_type(self):
+        a, b = Assign("x", IntLit(1)), TrueGoal()
+        assert Seq(a, b) == Seq(Assign("x", IntLit(1)), TrueGoal())
+        assert Seq(a, b) != Union(a, b)
+        assert Seq(a, b) != Seq(b, a)
+        assert IntLit(1) != 1
+
+    def test_equal_nodes_hash_equal(self):
+        assert hash(FACTORIAL_BODY) == hash(parse_goal(pretty_print(FACTORIAL_BODY)))
+        assert len({Var("x"), Var("x"), Var("y")}) == 2
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        node = Binary("+", IntLit(1), Var("x"))
+        with pytest.raises(AttributeError):
+            node.op = "-"
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            del node.left
+        with pytest.raises(AttributeError):
+            ROOT.segments = ("F", "usr")
+        assert node == Binary("+", IntLit(1), Var("x"))
+
+    def test_copy_and_pickle_round_trip(self):
+        program = parse_program("p(n) = n == 0 else f(a/b)\nmain case Failtree of { /F/usr: p(1); _: t }")
+        for value in (program, FACTORIAL_BODY, ExceptionTree(frozenset((ROOT,)))):
+            copied = copy.deepcopy(value)
+            assert copied == value and copied is not value
+            assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_positional_match(self):
+        match Fail(ROOT):
+            case Fail(path):
+                assert path is ROOT
+            case _:
+                pytest.fail("no positional match on Fail")
+        match Case(((ROOT, TrueGoal()),), Fail()):
+            case Case(arms, default):
+                assert arms == ((ROOT, TrueGoal()),) and default == Fail()
+            case _:
+                pytest.fail("no positional match on Case")
+        assert Binary.__match_args__ == ("op", "left", "right")
+
+    def test_repr_is_the_dataclass_format(self):
+        assert repr(Binary("+", IntLit(1), Var("x"))) == "Binary(op='+', left=IntLit(value=1), right=Var(name='x'))"
+        assert repr(TrueGoal()) == "TrueGoal()"
+        assert repr(Fail()) == "Fail(path=FailPath(segments=('F',)))"
+        assert repr(Case(((ROOT, TrueGoal()),))) == (
+            "Case(arms=((FailPath(segments=('F',)), TrueGoal()),), default=None)"
+        )
+        assert repr(Program({}, TrueGoal())) == "Program(defs={}, main=TrueGoal())"
 
 
 class TestRoundTrip:

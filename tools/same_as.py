@@ -1,4 +1,4 @@
-"""Check that `tci run` and `tci check` behave the same in this checkout and in another one.
+"""Check that `tci run`, `tci check` and `tci selfcheck` behave the same here and in another checkout.
 
     python3 tools/same_as.py OTHER_CHECKOUT
 
@@ -18,9 +18,11 @@ and, run without `--trace` and checked, a corpus of mostly malformed
 sources, so that a change in lex and parse errors shows: the program
 text of each of `gen_program` seeds 0-1499 at size 8 cut short, given
 one extra token at a space, and missing one character, each choice drawn
-from `random.Random(7)`.
+from `random.Random(7)`; and `tci selfcheck --cases 2000` at seeds 0
+and 2000, compared on exit code and stdout (its report and any
+counterexample).
 
-That is 18,780 calls.  The program files are written once, by this
+That is 18,782 calls.  The program files are written once, by this
 checkout.  The first difference is printed and the exit code is 1; exit
 code 0 means every call agreed.
 """
@@ -52,6 +54,8 @@ EXTRA_TOKENS = ("(", ")", ";", "|", "else", "t", "f", "=", "==", "<", "+", "-", 
                 ":", "x", "1", "-1", "case", "Failtree", "_", "/F/usr/a", '"s"', "main", "read", "?")
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
+SELFCHECK_SEEDS = (0, 2000)
+SELFCHECK_CASES = 2000
 
 # Runs in a subprocess on one tree: reads a JSON list of `tci` argument lists
 # and prints one JSON line [exit code, stdout, stderr, steps] per call.
@@ -120,6 +124,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         for data in sorted(golden.glob("*.in")):
             text = program.read_text(encoding="utf-8")
             add(f"{program.name} < {data.name}", text, data.read_text(encoding="utf-8").split(), [])
+    for seed in SELFCHECK_SEEDS:
+        calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
     return calls
 
 
