@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .failure import ExceptionTree, render
@@ -21,7 +22,7 @@ from .interp import (
     format_binding,
     run_main,
 )
-from .parser import SourceError, parse_program
+from .parser import SourceError, decimal_int, parse_program
 from .store import CheckpointUnderflow, Store, Value
 from .syntax import Program, pretty_program, pretty_print, shared_union_vars
 
@@ -55,10 +56,19 @@ class RunReport:
         return _STATUS_CODES[self.status]
 
 
+# `--input` holds ASCII decimals separated by space, tab, CR and LF
+_INPUT_TOKEN = re.compile(r"[^ \t\r\n]+")
+_INPUT_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _read_input_file(path: str) -> list[int]:
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    return [int(tok) for tok in text.split()]
+    tokens = _INPUT_TOKEN.findall(text)
+    for token in tokens:
+        if not _INPUT_INTEGER.fullmatch(token):
+            raise ValueError(f"not an ASCII decimal integer: {token!r}")
+    return [decimal_int(token) for token in tokens]
 
 
 def _load(path: str) -> Program | str:

@@ -33,23 +33,26 @@ otherwise it is a parenthesised goal.  No goal can be followed by an
 operator, so this one-token decision never rejects a valid program and
 the parser never backtracks.
 
-`tokenize` makes one regex pass and keeps the tokens in three parallel
-arrays (kind, text, start offset), with no object per token and no line
-count.  A literal's value is converted where the parser builds it, and a
-`line:col` span is worked out from the offset only when an error or a
-`Token` view needs one.  The parser keeps its own stacks: goals are
-reduced by operator precedence over a stack of open `(` and `case`
-contexts, and expressions by shunting-yard (Dijkstra 1961).  So nesting
-of any depth parses without host recursion, at any recursion limit, in
-time linear in the tokens.
+`tokenize` keeps the tokens as two parallel lists, texts and kinds, with
+no object per token.  One `findall` gives the texts and a table lookup
+per text gives the kinds, so no Python code runs per token.  Start
+offsets are found only when an error or a `Token` view needs a
+`line:col` span, by matching the source again; the line is then found by
+bisection over the line starts.  A literal's value is converted where the
+parser builds it, in time subquadratic in its digits.  The parser keeps
+its own stacks: goals are reduced by operator precedence over a stack of
+open `(` and `case` contexts, and expressions by shunting-yard (Dijkstra
+1961).  So nesting of any depth parses without host recursion, at any
+recursion limit, in time linear in the tokens.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import cached_property
 
 from .failure import FailPath, user_path
 from .record import Record, set_field
@@ -92,12 +95,6 @@ class SourceSpan(Record):
         return f"{self.line}:{self.column}"
 
 
-def _span(source: str, offset: int, length: int) -> SourceSpan:
-    """The span at `offset`, its 1-based line and column found by counting the newlines before it."""
-    line_start = source.rfind("\n", 0, offset) + 1
-    return SourceSpan(source.count("\n", 0, line_start) + 1, offset - line_start + 1, length)
-
-
 class Token(namedtuple("Token", ("kind", "text", "line", "column", "value"), defaults=(None,))):
     """One token: `kind` is "ident", "int", "str", "path", "eof", or the keyword/operator text."""
 
@@ -109,13 +106,16 @@ class Token(namedtuple("Token", ("kind", "text", "line", "column", "value"), def
 
 
 class Tokens(Sequence):
-    """The tokens of one source as parallel arrays; indexing builds `Token` views."""
+    """The tokens of one source as parallel lists of kinds and texts; indexing builds `Token` views.
 
-    def __init__(self, source: str, kinds: list[str], texts: list[str], starts: array):
+    Start offsets and line starts are built on first use, for an error's
+    span or a view: the parser itself reads only kinds and texts.
+    """
+
+    def __init__(self, source: str, kinds: list[str], texts: list[str]):
         self.source = source
         self.kinds = kinds
         self.texts = texts
-        self.starts = starts
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -127,9 +127,35 @@ class Tokens(Sequence):
 
     def _view(self, i: int) -> Token:
         kind, text = self.kinds[i], self.texts[i]
-        span = _span(self.source, self.starts[i], len(text))
-        value = int(text) if kind == "int" else text[1:-1] if kind == "str" else None
+        span = self.span(i)
+        value = decimal_int(text) if kind == "int" else text[1:-1] if kind == "str" else None
         return Token(kind, text, span.line, span.column, value)
+
+    @cached_property
+    def starts(self) -> list[int]:
+        """The start offset of each token, from a second pass of the regex that found the texts."""
+        texts = self.texts
+        matches = _TOKEN.finditer(self.source)
+        starts: list[int] = []
+        while len(starts) < len(texts):
+            m = next(matches)
+            start = m.start(1)
+            if m[1] != texts[len(starts)]:  # a `-N` split into `-` and `N`
+                starts.append(start)
+                start += 1
+            starts.append(start)
+        return starts
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """The offset of each line's first character."""
+        return [0, *(m.end() for m in _NEWLINE.finditer(self.source))]
+
+    def span(self, i: int) -> SourceSpan:
+        offset = self.starts[i]
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, offset)
+        return SourceSpan(line, offset - line_starts[line - 1] + 1, len(self.texts[i]))
 
 
 class SourceError(Exception):
@@ -159,21 +185,39 @@ class MissingMain(ParseError):
         super().__init__(span, "program has no main goal")
 
 
+_PUNCTUATION = ("==", "!=", "<=", ">=", *"=<>+-*/;|:,(){}")
+
 # One match per token: a skipped prefix of whitespace and `//` comments,
-# then exactly one named group.  A string may lack its closing quote so
-# that the tokenizer can report it; `bad` takes any other character.
+# then the token's text as group 1.  `\Z` gives the empty text of eof, and
+# `.` takes a bad character, or the `"` of a string with no closing quote.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*)*"
-    r"(?:(?P<path>(?:/[A-Za-z_][A-Za-z0-9_]*)+)"
-    r"|(?P<int>-?[0-9]+)"
-    r'|(?P<str>"[^"\n]*"?)'
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>==|!=|<=|>=|[=<>+\-*/;|:,(){}])"
-    r"|(?P<eof>\Z)"
-    r"|(?P<bad>.))"
+    r"((?:/[A-Za-z_][A-Za-z0-9_]*)+"
+    r"|-?[0-9]+"
+    r'|"[^"\n]*"'
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|" + "|".join(map(re.escape, _PUNCTUATION)) +
+    r"|\Z"
+    r"|.)"
 )
 
-_WORD_KINDS = {**{k: k for k in KEYWORDS}, "_": "_"}
+_NEWLINE = re.compile("\n")
+
+# the kind of an int with a leading minus, until `_split_minus` decides
+# whether the minus is binary
+_NEGATIVE = "-int"
+
+# A token's kind is its text's entry here, if it has one, or else its first
+# character's entry; any other character is a lexical error.
+_KINDS_BY_TEXT = {**{text: text for text in (*KEYWORDS, "_", *_PUNCTUATION)}, '"': "bad"}
+_KINDS_BY_FIRST_CHAR = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("0123456789", "int"),
+    "-": _NEGATIVE,
+    "/": "path",
+    '"': "str",
+    "": "eof",
+}
 
 # token kinds that can end an expression: a `-` after one is binary minus
 _VALUE_ENDS = frozenset({"int", "ident", "str", ")"})
@@ -181,44 +225,74 @@ _VALUE_ENDS = frozenset({"int", "ident", "str", ")"})
 
 def tokenize(source: str) -> Tokens:
     """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts = array("l")
-    kind = ""
-    for m in _TOKEN.finditer(source):
-        group = m.lastgroup
-        text = m[group]
-        start = m.start(group)
-        if group == "op":
-            kind = text
-        elif group == "word":
-            kind = _WORD_KINDS.get(text, "ident")
-        elif group == "int":
-            if text[0] == "-" and kind in _VALUE_ENDS:
-                # a leading minus folds into the literal unless the previous
-                # token could end an expression (then it is binary minus)
-                kinds.append("-")
-                texts.append("-")
-                starts.append(start)
-                text, start = text[1:], start + 1
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        # eof matched after skipped whitespace or a comment, and then again,
+        # empty, at the very end
+        del texts[-1]
+    by_text, by_first_char = _KINDS_BY_TEXT.get, _KINDS_BY_FIRST_CHAR.get
+    kinds = [by_text(text) or by_first_char(text[:1], "bad") for text in texts]
+    if "bad" in kinds:
+        tokens = Tokens(source, kinds, texts)
+        i = kinds.index("bad")
+        if texts[i] != '"':
+            raise LexError(tokens.span(i), f"unrecognized character {texts[i]!r}")
+        # the string runs to the end of its line
+        start, span = tokens.starts[i], tokens.span(i)
+        end = source.find("\n", start)
+        length = (len(source) if end < 0 else end) - start
+        raise LexError(SourceSpan(span.line, span.column, length), "unterminated string literal")
+    if _NEGATIVE in kinds:
+        kinds, texts = _split_minus(kinds, texts)
+    return Tokens(source, kinds, texts)
+
+
+def _split_minus(kinds: list[str], texts: list[str]) -> tuple[list[str], list[str]]:
+    """`kinds` and `texts` with each negative int after a token that can end an
+    expression split into binary `-` and an int, and every other one an int."""
+    new_kinds: list[str] = []
+    new_texts: list[str] = []
+    before = ""
+    for kind, text in zip(kinds, texts):
+        if kind == _NEGATIVE:
+            if before in _VALUE_ENDS:
+                new_kinds.append("-")
+                new_texts.append("-")
+                text = text[1:]
             kind = "int"
-        elif group == "str":
-            if len(text) < 2 or text[-1] != '"':
-                raise LexError(_span(source, start, len(text)), "unterminated string literal")
-            kind = "str"
-        elif group == "path":
-            kind = "path"
-        elif group == "eof":
-            break
-        else:
-            raise LexError(_span(source, start, 1), f"unrecognized character {text!r}")
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-    kinds.append("eof")
-    texts.append("")
-    starts.append(start)
-    return Tokens(source, kinds, texts, starts)
+        new_kinds.append(kind)
+        new_texts.append(text)
+        before = kind
+    return new_kinds, new_texts
+
+
+# Up to this many digits `int()` is the fastest conversion; its time grows
+# with the square of the digits (before Python 3.12).
+_PLAIN_DIGITS = 3000
+
+
+def decimal_int(text: str) -> int:
+    """The value of `text`, ASCII digits after an optional `-`, in time subquadratic in its length.
+
+    A long digit string is split in half and recombined as `hi * 10**len(lo) + lo`;
+    each power of ten is computed once.
+    """
+    if len(text) <= _PLAIN_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -decimal_int(text[1:])
+    powers: dict[int, int] = {}
+
+    def convert(digits: str) -> int:
+        if len(digits) <= _PLAIN_DIGITS:
+            return int(digits)
+        n = len(digits) // 2
+        power = powers.get(n)
+        if power is None:
+            power = powers[n] = 10**n
+        return convert(digits[:-n]) * power + convert(digits[-n:])
+
+    return convert(text)
 
 
 # tokens that can begin an atomic goal; a `;` not followed by one of these
@@ -242,10 +316,9 @@ _BINARY = {op: (prec, op, None) for op, prec in PRECEDENCE.items()}
 
 class _Parser:
     def __init__(self, tokens: Tokens):
-        self.source = tokens.source
+        self.tokens = tokens
         self.kinds = tokens.kinds
         self.texts = tokens.texts
-        self.starts = tokens.starts
         self.i = 0
         # index of the matching ")" of every "(" that has one
         self.closing: dict[int, int] = {}
@@ -261,7 +334,7 @@ class _Parser:
         return ParseError(self.span(i), f"expected {what}")
 
     def span(self, i: int) -> SourceSpan:
-        return _span(self.source, self.starts[i], len(self.texts[i]))
+        return self.tokens.span(i)
 
     def expect(self, kind: str, what: str | None = None) -> str:
         """The current token's text, stepping past it, if it is of `kind`."""
@@ -456,7 +529,7 @@ class _Parser:
             # an operand
             kind = kinds[i]
             if kind == "int":
-                operands.append(IntLit(int(texts[i])))
+                operands.append(IntLit(decimal_int(texts[i])))
                 i += 1
             elif kind == "ident":
                 name = texts[i]
@@ -478,7 +551,7 @@ class _Parser:
                 operands.append(StrLit(texts[i][1:-1]))
                 i += 1
             elif kind == "-" and kinds[i + 1] == "int":
-                operands.append(IntLit(-int(texts[i + 1])))
+                operands.append(IntLit(-decimal_int(texts[i + 1])))
                 i += 2
             else:
                 raise self.error(i, "an expression")

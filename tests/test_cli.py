@@ -109,6 +109,22 @@ class TestRun:
         data = write(tmp_path, "data.txt", "7 oops")
         assert main(["run", prog, "--input", data]) == EXIT_PARSE_ERROR
 
+    def test_input_file_takes_ascii_whitespace_and_signs(self, tmp_path, capsys):
+        prog = write(tmp_path, "p.tc", "main x = read(); y = read()")
+        data = write(tmp_path, "data.txt", "\t-4\r\n5\r\n")
+        assert main(["run", prog, "--input", data]) == EXIT_SUCCESS
+        assert capsys.readouterr().out == "x = -4\ny = 5\n"
+
+    @pytest.mark.parametrize(
+        "text", ["٣", "1_000", "+5", "7\u00a09", "7\x0b9"],
+        ids=["arabic-indic-digit", "underscore", "plus-sign", "no-break-space", "vertical-tab"],
+    )
+    def test_input_file_rejects_what_int_would_read(self, tmp_path, capsys, text):
+        prog = write(tmp_path, "p.tc", "main x = read()")
+        data = write(tmp_path, "data.txt", f"1 {text}\n")
+        assert main(["run", prog, "--input", data]) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err.startswith(f"error: bad input file {data}: ")
+
     def test_missing_program_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.tc")]) == EXIT_PARSE_ERROR
 

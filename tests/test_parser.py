@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tci.failure import FailPath, ROOT
 from tci.oracle import gen_program
@@ -119,6 +120,58 @@ class TestTokenize:
             tokenize("t;\r\n\tt;\r\n// c ?\n\t  ?")
         assert (err.value.span.line, err.value.span.column) == (4, 4)
         assert str(err.value) == "4:4: unrecognized character '?'"
+
+    def test_unterminated_string_span_runs_to_the_end_of_its_line(self):
+        with pytest.raises(LexError) as err:
+            tokenize('t;\n  x = "ab\t;\r\nt')
+        span = err.value.span
+        assert (span.line, span.column, span.length) == (2, 7, 6)
+        assert err.value.message == "unterminated string literal"
+
+    def test_long_integer_literals_are_exact(self):
+        # 100,000 digits, past `int()`'s default limit of 4300, with a value
+        # known in closed form: 123456789 repeated n times
+        n = 100_000 // 9
+        value = 123456789 * (10 ** (9 * n) - 1) // (10**9 - 1)
+        assert parse_goal("x = " + "123456789" * n) == Assign("x", IntLit(value))
+        assert parse_goal("x = -" + "123456789" * n) == Assign("x", IntLit(-value))
+        assert tokenize("1 -" + "123456789" * n)[2].value == value
+
+
+# pieces of source, lexically valid and not: `-N` after a value is split,
+# after an operator it is one int; `"` alone opens an unterminated string
+_PIECES = ("x", "y1", "_", "t", "else", "7", "42", "-3", "-", "(", ")", "=", "==", "<=", "+", "/",
+           "/F/usr/a", ";", ":", '"s"', '"', " ", "\t", "\n", "\r\n", "// c\n", "é", "?")
+
+
+def _offset(source, span):
+    """The offset of a 1-based `line:col` in `source`, checked to lie on that line."""
+    lines = source.split("\n")
+    assert 1 <= span.column <= len(lines[span.line - 1]) + 1
+    return sum(len(line) + 1 for line in lines[:span.line - 1]) + span.column - 1
+
+
+class TestTokenizeProperty:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+    def test_spans_point_at_each_token_or_the_first_bad_character(self, source):
+        try:
+            tokens = tokenize(source)
+        except LexError as err:
+            at = _offset(source, err.span)
+            if err.message == "unterminated string literal":
+                assert source[at] == '"'
+            else:
+                assert err.message == f"unrecognized character {source[at]!r}"
+            tokenize(source[:at])  # no earlier error
+            return
+        assert [t.kind == "eof" for t in tokens] == [False] * (len(tokens) - 1) + [True]
+        assert _offset(source, tokens[-1].span) == len(source)
+        end = 0
+        for token in tokens[:-1]:
+            at = _offset(source, token.span)
+            assert at >= end and source[at:at + len(token.text)] == token.text
+            end = at + len(token.text)
 
 
 class TestParseGoal:

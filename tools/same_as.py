@@ -18,11 +18,14 @@ and, run without `--trace` and checked, a corpus of mostly malformed
 sources, so that a change in lex and parse errors shows: the program
 text of each of `gen_program` seeds 0-1499 at size 8 cut short, given
 one extra token at a space, and missing one character, each choice drawn
-from `random.Random(7)`; and `tci selfcheck --cases 2000` at seeds 0
-and 2000, compared on exit code and stdout (its report and any
+from `random.Random(7)`; and `LEXICAL_EDGE_CASES`, a fixed handful of
+sources with CRLF line ends, tabs, comments, `-N` after a value and
+after an operator, strings closed and not, paths and non-ASCII
+characters, each on a later line.  Last, `tci selfcheck --cases 2000` at
+seeds 0 and 2000, compared on exit code and stdout (its report and any
 counterexample).
 
-That is 18,782 calls.  The program files are written once, by this
+That is 18,798 calls.  The program files are written once, by this
 checkout.  The first difference is printed and the exit code is 1; exit
 code 0 means every call agreed.
 """
@@ -52,6 +55,17 @@ MALFORMED_RNG_SEED = 7
 # one of these is put into a program at a space
 EXTRA_TOKENS = ("(", ")", ";", "|", "else", "t", "f", "=", "==", "<", "+", "-", "*", "/", ",", "{", "}",
                 ":", "x", "1", "-1", "case", "Failtree", "_", "/F/usr/a", '"s"', "main", "read", "?")
+# what pretty-printed programs never hold, each past the first line
+LEXICAL_EDGE_CASES = (
+    "main x = 1;\r\n\ty = x -1;\r\n\tz = -2 * (y) -3 // comment\r\n",
+    'main x = "a\tb";\n\n  y = "s" ;\n  z = "oops\n',
+    'main x = 1;\n\ty = 2 // "not a string\n\tx = "',
+    "main x = 1;\n// é in a comment\n\ty = é\n",
+    "main x = 1;\r\n  y = 2 ? 3\r\n",
+    "p() = f(a/b)\r\nmain p() else\r\n\tcase Failtree of { /F/usr/a/b: x = 2 -3; _: t }",
+    "main t\n// only a comment at the end",
+    "main x = 1;\n\t(x) -1 == 0 | x == -1\n",
+)
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
 SELFCHECK_SEEDS = (0, 2000)
@@ -116,6 +130,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         text = pretty_program(gen_program(seed, GEN_SIZE)[0])
         for how, source in malformed(text, rng):
             add(f"gen_program seed {seed} {how}", source, None, ["--max-steps", str(GEN_MAX_STEPS)], traced=False)
+    for i, source in enumerate(LEXICAL_EDGE_CASES):
+        add(f"lexical edge case {i}", source, None, [], traced=False)
     for name in workloads.WORKLOADS:
         for i, op in enumerate(workloads.generate(name, WORKLOAD_SEED, WORKLOAD_OPS)):
             add(f"{name} op {i}", op.source, op.input, [])
