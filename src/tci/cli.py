@@ -24,7 +24,7 @@ from .interp import (
 )
 from .parser import SourceError, decimal_int, parse_program
 from .store import CheckpointUnderflow, Store, Value
-from .syntax import Program, pretty_program, pretty_print, shared_union_vars
+from .syntax import Program, Span, pretty_program, pretty_print, shared_union_vars
 
 EXIT_SUCCESS = 0
 EXIT_FAILURE = 1
@@ -131,12 +131,16 @@ def cmd_check(path: str) -> tuple[int, list[str]]:
     goals = [d.body for _, d in sorted(program.defs.items())] + [program.main]
     for goal in goals:
         found = shared_union_vars(goal)
-        # Flagged `|`s nest: printing the innermost first lets each text be
-        # built from the texts of the flagged `|`s inside it.
-        texts: dict[int, str] = {}
-        shown = [pretty_print(node, texts) for node, _ in reversed(found)]
-        for (_, names), text in zip(found, reversed(shown)):
-            diagnostics.append(f"warning: '|' branches share variables: {', '.join(names)} (in: {text})")
+        if not found:
+            continue
+        # Flagged `|`s nest: the body is printed once, and each one's text is a slice of it.
+        spans: dict[int, Span] = {}
+        pretty_print(goal, spans)
+        for node, names in found:
+            start, end, printed = spans[id(node)]
+            diagnostics.append(
+                f"warning: '|' branches share variables: {', '.join(names)} (in: {printed[0][start:end]})"
+            )
     return EXIT_SUCCESS, diagnostics
 
 

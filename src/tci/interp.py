@@ -29,11 +29,13 @@ available to `case Failtree of` goals for the handler's dynamic extent.
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
 enclosing step: `[rule R] text => result`.  A step reserves its line on
-entry and fills it in on exit, when its rule and result are known.  The
-texts go through one memo per run (`pretty_print` keyed by node
-identity): a step's text is built once, from the texts its sub-steps
-built just before it, so a `;` chain's statements are not printed again
-for every enclosing step.  Rule
+entry and fills it in on exit, when its rule and result are known.  A
+traced run prints each root once, recording where the text of each
+goal and call below it lies (its span): the run's goal on entry, and a
+procedure body on its first call.  A line's text is its step's span cut
+to `TRACE_WIDTH` characters (the last three `...` when the span is
+longer), and only the characters kept are copied, so a `;` chain is not
+printed again for every enclosing step.  Rule
 ids: 1 success of `t`, 4 a procedure call, 5 an assignment, 6
 sequencing, 7/8/9 the three ways a `|` can succeed (both operands, only
 the second, only the first), 10/11 an `else` whose first operand
@@ -76,12 +78,13 @@ from .syntax import (
     Program,
     Read,
     Seq,
+    Span,
     StrLit,
     Test,
     TrueGoal,
     Union,
     Var,
-    pretty_expr,
+    int_text,
     pretty_print,
 )
 
@@ -92,6 +95,9 @@ DEFAULT_MAX_STEPS = 1_000_000
 RET_VAR = "ret"
 
 PRINT_BUILTIN = "print"
+
+# A trace line shows at most this many characters of its goal's text.
+TRACE_WIDTH = 160
 
 # A call's parameter bindings, read before the store.
 Frame = dict[str, Value]
@@ -173,12 +179,12 @@ def _test_holds(left: Value, op: str, right: Value) -> bool:
 
 def format_value(v: Value) -> str:
     """How print() renders a value on the output stream."""
-    return v if isinstance(v, str) else str(v)
+    return v if isinstance(v, str) else int_text(v)
 
 
 def format_binding(name: str, v: Value) -> str:
     """A binding as run output and trace frames show it: `n = 1`, `s = "a"`."""
-    return f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {v}"
+    return f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {int_text(v)}"
 
 
 def _frame_text(frame: Frame) -> str:
@@ -201,16 +207,18 @@ class Evaluator:
         self.budget = budget if budget is not None else Budget()
         self.trace: list[str] | None = [] if trace else None
         self._depth = 0  # traced steps now open: the indent of the next trace line
-        self._texts: dict[int, str] | None = None  # id(node) -> trace text, while `run` runs
+        self._spans: dict[int, Span] | None = None  # id(node) -> span of its text, while a traced `run` runs
 
     def run(self, goal: Goal) -> Outcome:
         """Evaluate one goal; on failure the store is as `run` found it."""
         store = self.store
         entry_marks = store.open_checkpoints
         entry_lines = len(self.trace) if self.trace is not None else 0
-        # Every node this run can print is alive until it returns (the
-        # program and `goal`), so no id in the memo is reused.
-        self._texts = {}
+        if self.trace is not None:
+            # Every node this run prints is alive until it returns (the
+            # program and `goal`), so no id in the table is reused.
+            self._spans = {}
+            pretty_print(goal, self._spans)
         store.checkpoint()
         try:
             out = self._eval(goal, None, {})
@@ -224,10 +232,10 @@ class Evaluator:
             if self.trace is not None:
                 del self.trace[entry_lines:]
                 self._depth = 0
-                self.trace.append(f"[rule fail] {pretty_print(goal, self._texts)} => {_result_text(out)}")
+                self._close_line(self._open_line(), "fail", "", goal, out)
             return out
         finally:
-            self._texts = None
+            self._spans = None
         if out is _SUCCESS:
             store.commit()
         else:
@@ -240,9 +248,15 @@ class Evaluator:
         self._depth += 1
         return len(self.trace) - 1
 
-    def _close_line(self, at: int, rule: int | str, text: str, out: Outcome) -> None:
+    def _close_line(self, at: int, rule: int | str, head: str, node: Goal | Expr, out: Outcome) -> None:
+        """Fill in a step's line: `head`, then its node's text cut to `TRACE_WIDTH`."""
         self._depth -= 1
-        self.trace[at] = f"{'  ' * self._depth}[rule {rule}] {text} => {_result_text(out)}"
+        start, end, printed = self._spans[id(node)]
+        if end - start <= TRACE_WIDTH:
+            text = printed[0][start:end]
+        else:
+            text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
+        self.trace[at] = f"{'  ' * self._depth}[rule {rule}] {head}{text} => {_result_text(out)}"
 
     # -- goals -------------------------------------------------------------
 
@@ -344,7 +358,7 @@ class Evaluator:
             else:
                 raise TypeError(f"not a goal: {g!r}")
         if self.trace is not None:
-            self._close_line(at, rule, head + pretty_print(g, self._texts), out)
+            self._close_line(at, rule, head, g, out)
         return out
 
     def _invoke(
@@ -365,8 +379,11 @@ class Evaluator:
                 return _SUCCESS
             return _FAIL_UNDEF
         callee_frame = dict(zip(defn.params, values))
-        head = _frame_text(callee_frame) + " " if self.trace is not None else ""
-        return self._eval(defn.body, ambient, callee_frame, head)
+        if self.trace is None:
+            return self._eval(defn.body, ambient, callee_frame)
+        if id(defn.body) not in self._spans:
+            pretty_print(defn.body, self._spans)
+        return self._eval(defn.body, ambient, callee_frame, _frame_text(callee_frame) + " ")
 
     # -- expressions -------------------------------------------------------
 
@@ -413,7 +430,7 @@ class Evaluator:
                 at = self._open_line()
             out = self._invoke(e.name, e.args, ambient, frame)
             if self.trace is not None:
-                self._close_line(at, "call-expr", pretty_expr(e, self._texts), out)
+                self._close_line(at, "call-expr", "", e, out)
             if out is not _SUCCESS:
                 raise _EvalFailure(out)
             return self._lookup(RET_VAR)

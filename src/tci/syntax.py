@@ -13,10 +13,13 @@ make), and from then on setting or deleting an attribute raises
 form of a dataclass.
 
 `_children` is the one list of each node type's sub-nodes.  The walks
-(`iter_goals`, the variable sets, the `|` lint) and the printer read the
-tree only through it, each on its own stack.  `PRECEDENCE` is the
-arithmetic operators' binding strength, which the printer uses to drop
-parentheses and the parser to reduce expressions.
+(`iter_goals`, the variable sets, the `|` lint) read the tree only
+through it, each on its own stack.  The printer lays each node out as
+literal pieces and sub-nodes (`_parts`) and emits them from a stack of
+its own, recording where each goal's and call's text lies in the
+printed text (its span).  `PRECEDENCE` is the arithmetic operators'
+binding strength, which the printer uses to drop parentheses and the
+parser to reduce expressions.
 """
 
 from __future__ import annotations
@@ -264,6 +267,51 @@ def assigned_vars(g: Goal) -> set[str]:
     return {sub.var for sub in iter_goals(g) if isinstance(sub, Assign)}
 
 
+# Up to this many bits (2,467 digits) an int is converted by `str()`,
+# which is then about as fast as binary splitting and within the
+# interpreter's default limit of 4,300 digits; it is also the splitting's
+# base case.
+_PLAIN_BITS = 1 << 13
+
+
+def int_text(n: int) -> str:
+    """The decimal digits of `n`, in time subquadratic in their number.
+
+    `str()` of an int is quadratic in its digits before Python 3.12.  A
+    longer `n` is split into binary halves, recursively, which are
+    recombined as exact `decimal.Decimal`s (`hi * 2**w + lo`), whose
+    multiplication is subquadratic; after CPython 3.12's
+    `_pylong.int_to_decimal_string`.  Each power `2**w` is built once.
+    """
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    import decimal  # only here, so that starting `tci` does not load it
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            half = w >> 1
+            p = powers[w] = decimal.Decimal(2) ** w if w <= _PLAIN_BITS else power(half) * power(w - half)
+        return p
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2**w
+        if w <= _PLAIN_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(hi, w - half) * power(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
 def _fail_text(path: FailPath) -> str:
     segs = path.segments
     if segs == ("F",):
@@ -273,109 +321,134 @@ def _fail_text(path: FailPath) -> str:
     return f"f({path})"
 
 
-def _atom(node: Goal | Expr, texts: dict[int, str]) -> str:
-    """A compound operand's text in parentheses, so reading it back cannot re-associate it."""
-    text = texts[id(node)]
-    return f"({text})" if isinstance(node, (Binary, Seq, Union, Else)) else text
+# An operand of one of these types is parenthesized, unless the grammar
+# reads it the same way without.
+_COMPOUND = frozenset({Binary, Seq, Union, Else})
 
 
-def _chain(left: Goal, sep: str, right: Goal, t: type, texts: dict[int, str]) -> str:
+def _atom(node: Goal | Expr, parens: bool = True) -> tuple:
+    """An operand's parts: a compound one in parentheses (if `parens`), so reading it
+    back cannot re-associate it, and a literal or variable as its text, which
+    saves the printer a round on its stack.
+    """
+    t = type(node)
+    if t is IntLit:
+        return (int_text(node.value),)
+    if t is Var:
+        return (node.name,)
+    return ("(", node, ")") if parens and t in _COMPOUND else (node,)
+
+
+def _chain(left: Goal, sep: str, right: Goal, t: type) -> tuple:
     """`left sep right` for a right-associative `;`, `|` or `else` node of type `t`."""
-    return _atom(left, texts) + sep + (texts[id(right)] if type(right) is t else _atom(right, texts))
+    head = ("(", left, ")" + sep) if type(left) in _COMPOUND else (left, sep)
+    return head + ((right,) if type(right) is t else _atom(right))
 
 
-def _format(node: Goal | Expr, texts: dict[int, str]) -> str:
-    """One node's text, from its children's texts in `texts`; the most frequent types first."""
+def _parts(node: Goal | Expr) -> tuple:
+    """One node's text as literal pieces and sub-nodes, in order; the most frequent types first.
+
+    A literal or variable reaches it only as the root of a print: as an
+    operand, `_atom` has already turned it into its text.
+    """
     t = type(node)
     if t is Seq:
-        return _chain(node.first, "; ", node.second, Seq, texts)
+        return _chain(node.first, "; ", node.second, Seq)
     if t is Assign:
-        return f"{node.var} = {texts[id(node.expr)]}"
-    if t is IntLit:
-        return str(node.value)
-    if t is Var:
-        return node.name
+        return (node.var + " = ",) + _atom(node.expr, parens=False)
     if t is Binary:
-        left = node.left
-        bare = type(left) is Binary and PRECEDENCE[left.op] >= PRECEDENCE[node.op]
-        left_text = texts[id(left)] if bare else _atom(left, texts)
-        return f"{left_text} {node.op} {_atom(node.right, texts)}"
+        left, op = node.left, node.op
+        bare = type(left) is Binary and PRECEDENCE[left.op] >= PRECEDENCE[op]
+        return ((left,) if bare else _atom(left)) + (f" {op} ",) + _atom(node.right)
     if t is Test:
-        return f"{_atom(node.left, texts)} {node.relop} {_atom(node.right, texts)}"
+        return _atom(node.left) + (f" {node.relop} ",) + _atom(node.right)
     if t is Call or t is CallExpr:
-        return f"{node.name}({', '.join(texts[id(a)] for a in node.args)})"
+        parts = [node.name + "("]
+        for i, arg in enumerate(node.args):
+            if i:
+                parts.append(", ")
+            parts += _atom(arg, parens=False)
+        parts.append(")")
+        return tuple(parts)
     if t is Union:
-        return _chain(node.first, " | ", node.second, Union, texts)
+        return _chain(node.first, " | ", node.second, Union)
     if t is Else:
-        return _chain(node.tried, " else ", node.handler, Else, texts)
+        return _chain(node.tried, " else ", node.handler, Else)
     if t is TrueGoal:
-        return "t"
+        return ("t",)
     if t is Fail:
-        return _fail_text(node.path)
+        return (_fail_text(node.path),)
     if t is StrLit:
-        return f'"{node.value}"'
+        return (f'"{node.value}"',)
+    if t is IntLit or t is Var:
+        return _atom(node)
     if t is Read:
-        return "read()"
+        return ("read()",)
     if t is Case:
-        parts = [f"{path}: {_atom(body, texts)}" for path, body in node.arms]
+        parts = ["case Failtree of { "]
+        arms = [(str(path), body) for path, body in node.arms]
         if node.default is not None:
-            parts.append(f"_: {_atom(node.default, texts)}")
-        return "case Failtree of { " + "; ".join(parts) + " }"
+            arms.append(("_", node.default))
+        for i, (label, body) in enumerate(arms):
+            parts.append(("; " if i else "") + label + ": ")
+            parts += _atom(body)
+        parts.append(" }")
+        return tuple(parts)
     raise TypeError(f"not a goal or expression: {node!r}")
 
 
-def _text(root: Goal | Expr, texts: dict[int, str] | None) -> str:
-    if texts is None:
-        texts = {}
-    text = texts.get(id(root))
-    if text is not None:
-        return text
-    stack = [(root, None)]  # (node, its children once they are pushed)
-    while stack:
-        node, children = stack.pop()
-        if children is None:
-            if id(node) not in texts:
-                children = _children(node)
-                stack.append((node, children))
-                stack += [(child, None) for child in children]
-            continue
-        try:
-            texts[id(node)] = _format(node, texts)
-        except KeyError:
-            # a child this node shares with a sibling was dropped when the
-            # sibling was built: build it again
-            stack.append((node, None))
-            continue
-        for child in children:
-            texts.pop(id(child), None)
-    return texts[id(root)]
+# A span: where a node's text lies in the text of the root it was printed
+# under, as (start, end, printed), with `printed[0]` the root's text.
+Span = tuple[int, int, list[str]]
+
+# Expressions other than calls get no span: no trace line shows them.
+_SPANLESS = frozenset({IntLit, Var, Binary, StrLit, Read})
 
 
-def pretty_print(g: Goal, texts: dict[int, str] | None = None) -> str:
+def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
     """Concrete syntax for a goal; parses back to the same tree.
 
     A compound operand is parenthesized, except where the grammar reads
     it the same way without: the right operand of the same
     right-associative `;`, `|` or `else`, and the left operand of an
     arithmetic operator when the operand's own operator binds at least
-    as tightly (`a + b - c`, `a * b + c`; but `a - (b - c)`).
+    as tightly (`a + b - c`, `a * b + c`; but `a - (b - c)`).  A node's
+    text is therefore one contiguous piece of its parent's text.
 
-    The text of the goal and of every sub-node not in `texts` is built
-    children before parents on an explicit stack, so a goal of any depth
-    is printed without host recursion.  `texts` is a memo keyed by node
-    identity that keeps each text until its parent's text is built from
-    it.  A caller that prints the nodes of one tree children first (as
-    the evaluator closes its trace lines) thus builds each text from its
-    children's texts and holds only the texts no parent has used yet.
-    The caller keeps every node in the memo alive while it uses the memo,
-    so that no `id` is reused.
+    The text is emitted piece by piece from one explicit stack, which
+    holds literal pieces, nodes still to print and, for each node being
+    printed that gets a span, its `(id, start)`, popped where its text
+    ends.  So a goal of any depth prints in linear time without host
+    recursion.  With `spans`, the walk records `spans[id(node)] =
+    (start, end, printed)` for the goal and every goal and call below
+    it: once the call returns, `printed[0]` is the goal's text and
+    `printed[0][start:end]` the node's.  A node that occurs twice keeps
+    the span of one occurrence; both texts are the same.  The caller
+    keeps every node in `spans` alive while it reads them, so that no
+    `id` is reused.
     """
-    return _text(g, texts)
+    pieces: list[str] = []
+    printed: list[str] = []
+    pos = 0
+    stack: list = [g]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            pos += len(item)
+        elif type(item) is tuple:
+            spans[item[0]] = (item[1], pos, printed)
+        else:
+            if spans is not None and type(item) not in _SPANLESS:
+                stack.append((id(item), pos))
+            stack += reversed(_parts(item))
+    printed.append("".join(pieces))
+    return printed[0]
 
 
-def pretty_expr(e: Expr, texts: dict[int, str] | None = None) -> str:
-    """Concrete syntax for an expression, built and memoized as `pretty_print` does."""
-    return _text(e, texts)
+def pretty_expr(e: Expr) -> str:
+    """Concrete syntax for an expression, printed as `pretty_print` prints a goal."""
+    return pretty_print(e)
 
 
 def pretty_program(p: Program) -> str:

@@ -57,7 +57,7 @@ PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def recursive_pretty(node) -> str:
-    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the memoized walk.
+    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the printer.
 
     A compound operand is parenthesized, except the right operand of the
     same right-associative `;`/`|`/`else` and the left operand of an

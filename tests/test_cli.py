@@ -166,6 +166,14 @@ class TestRun:
         assert code == EXIT_SUCCESS
         assert capsys.readouterr().out == "x = 1" + "0" * 8192 + "\n"
 
+    def test_integer_of_100000_digits_and_its_negation(self, tmp_path, capsys):
+        # printed as a binding and by print(), with a long run of zeros
+        digits = "9" + "0" * 49_999 + "1234567890" * 5_000
+        path = write(tmp_path, "p.tc", f"main x = {digits}; y = 0 - x; print(y)")
+        code = main(["run", path])
+        assert code == EXIT_SUCCESS
+        assert capsys.readouterr().out == f"x = {digits}\ny = -{digits}\n-{digits}\n"
+
     def test_report_fields(self, tmp_path):
         path = write(tmp_path, "p.tc", "main x = 1")
         report = cmd_run(path)

@@ -1,12 +1,18 @@
 from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
 
 from tci import interp, syntax
+from tci.cli import main
 from tci.failure import ROOT, SYS_CASE, SYS_DEPTH, SYS_DIV0, SYS_TEST, SYS_UNBOUND, SYS_UNDEF, throw
 from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
-from tci.syntax import Else, Seq, TrueGoal, Union, iter_goals
+from tci.syntax import Else, Seq, Span, TrueGoal, Union, iter_goals, pretty_print
+
+
+def capped(text: str) -> str:
+    """`text` as a trace line shows it: its first 157 characters and `...` when it is longer than 160."""
+    return text if len(text) <= 160 else text[:157] + "..."
 
 
 GOLDEN_ELSE = """
@@ -252,26 +258,29 @@ class TestFrames:
 
 class TestTraceText:
     @staticmethod
-    def formatted_nodes(monkeypatch, n):
-        """The nodes whose text is built during a traced run of an n-statement chain."""
-        formatted = []
-        original = syntax._format
+    def laid_out_nodes(monkeypatch, n):
+        """The nodes the printer visits during a traced run of an n-statement chain
+        and of three calls of an n-statement body."""
+        visited = []
+        original = syntax._parts
 
-        def counting(node, texts):
-            formatted.append(node)
-            return original(node, texts)
+        def counting(node):
+            visited.append(node)
+            return original(node)
 
-        monkeypatch.setattr(syntax, "_format", counting)
-        program = parse_program("main " + "; ".join(f"x{i} = {i}" for i in range(n)))
+        monkeypatch.setattr(syntax, "_parts", counting)
+        chain = "; ".join(f"x{i} = {i}" for i in range(n))
+        program = parse_program(f"p() = {chain}\nmain {chain}; p(); p(); p()")
         run_main(program, trace=True)
         monkeypatch.undo()
-        return formatted
+        return visited
 
-    def test_formatting_grows_linearly_with_a_chain(self, monkeypatch):
-        small, large = (self.formatted_nodes(monkeypatch, n) for n in (200, 400))
+    def test_each_node_is_printed_once_per_root(self, monkeypatch):
+        small, large = (self.laid_out_nodes(monkeypatch, n) for n in (200, 400))
         assert len(large) <= 2 * len(small) + 10
-        # each Seq, Assign and literal once
-        assert len(large) == len({id(node) for node in large}) == 3 * 400 - 1
+        # each Seq and Assign of main and of the body once (a literal is
+        # laid out by its Assign), and main's Seq of the calls and each call
+        assert len(large) == len({id(node) for node in large}) == 2 * (2 * 400 - 1) + 3 + 3
 
     def test_body_text_under_each_frame(self):
         # one body runs under five frames; equal-but-distinct goal and
@@ -313,20 +322,55 @@ class TestTraceText:
         ]
 
     def test_trace_agrees_with_the_recursive_definition(self, monkeypatch):
-        # the same runs with every line's text printed afresh by the reference
-        reference = lambda node, texts=None: recursive_pretty(node)  # noqa: E731
+        # every line shows its step's text as the reference prints it,
+        # cut to the trace width
+        original = Evaluator._close_line
+        closed = []
+
+        def checking(self, at, rule, head, node, out):
+            original(self, at, rule, head, node, out)
+            text = capped(recursive_pretty(node))
+            result = interp._result_text(out)
+            assert self.trace[at] == f"{'  ' * self._depth}[rule {rule}] {head}{text} => {result}"
+            closed.append(at)
+
+        monkeypatch.setattr(Evaluator, "_close_line", checking)
         for seed in range(300):
             program, sv, inp = gen_program(seed, 8)
-            traces = []
-            for printer in (None, reference):
-                if printer is not None:
-                    monkeypatch.setattr(interp, "pretty_print", printer)
-                    monkeypatch.setattr(interp, "pretty_expr", printer)
-                ev = Evaluator(program, Store(inp, dict(sv.bindings)), Budget(5000), trace=True)
-                ev.run(program.main)
-                traces.append(ev.trace)
-                monkeypatch.undo()
-            assert traces[0] == traces[1]
+            ev = Evaluator(program, Store(inp, dict(sv.bindings)), Budget(5000), trace=True)
+            ev.run(program.main)
+            assert sorted(closed) == list(range(len(ev.trace)))
+            closed.clear()
+
+    def test_long_goal_texts_are_cut(self, tmp_path, capsys):
+        # a 4,000-statement chain: without the cut its trace would hold
+        # about 4,000**2 characters of goal text
+        n = 4_000
+        source = "main " + "; ".join(f"x{i} = {i}" for i in range(n))
+        (tmp_path / "chain.tc").write_text(source, encoding="utf-8")
+        assert main(["run", str(tmp_path / "chain.tc"), "--trace"]) == 0
+        err = capsys.readouterr().err
+        assert len(err) < 40_000_000
+        lines = err.splitlines()
+        chain = parse_program(source).main
+        steps = list(iter_goals(chain))  # the steps in trace order
+        assert len(lines) == len(steps) == 2 * n - 1
+        spans: dict[int, Span] = {}
+        pretty_print(chain, spans)
+        content = 0
+        for i, (line, node) in enumerate(zip(lines, steps)):
+            body = line.lstrip(" ")
+            rule = "6" if type(node) is Seq else "5"
+            assert body.startswith(f"[rule {rule}] ") and body.endswith(" => success")
+            text = body[len(f"[rule {rule}] "):-len(" => success")]
+            start, end, _ = spans[id(node)]
+            assert len(text) <= interp.TRACE_WIDTH == 160
+            assert text.endswith("...") == (end - start > 160)
+            if i % 97 == 0 or i > len(lines) - 5:
+                assert text == capped(pretty_print(node))
+            content += len(body) + 1
+        # what is left beyond the indentation is linear in the steps
+        assert content < 200 * len(lines)
 
 
 class TestRuleIds:

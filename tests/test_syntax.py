@@ -9,7 +9,7 @@ from conftest import recursive_pretty
 
 from tci.failure import ExceptionTree, FailPath, ROOT
 from tci.oracle import gen_program, substitute
-from tci.parser import parse_goal, parse_program
+from tci.parser import decimal_int, parse_goal, parse_program
 from tci.syntax import (
     Assign,
     Binary,
@@ -30,12 +30,15 @@ from tci.syntax import (
     Var,
     expr_vars,
     free_vars,
+    int_text,
     iter_goals,
     pretty_expr,
     pretty_print,
     pretty_program,
     shared_union_vars,
+    Span,
     _children,
+    _walk,
 )
 
 # the body of the golden factorial definition
@@ -102,30 +105,37 @@ class TestPrettyPrint:
         for seed in range(1000):
             program, _, _ = gen_program(seed, 8)
             for g in [program.main] + [d.body for d in program.defs.values()]:
-                # every goal and expression, alone and through one memo
-                # shared by the whole goal, children before parents
-                texts: dict[int, str] = {}
-                for sub in reversed(list(iter_goals(g))):
+                # every goal and expression alone, and every span of the goal
+                for sub in iter_goals(g):
                     for e in goal_exprs(sub):
-                        assert pretty_expr(e) == pretty_expr(e, texts) == recursive_pretty(e)
-                    assert pretty_print(sub) == pretty_print(sub, texts) == recursive_pretty(sub)
+                        assert pretty_expr(e) == recursive_pretty(e)
+                    assert pretty_print(sub) == recursive_pretty(sub)
+                assert_spans(g)
 
-    def test_memo_keeps_only_texts_no_parent_used(self):
-        g = parse_goal("x = 1; (y = 2 | z = h(3)); t")
-        texts: dict[int, str] = {}
-        assert pretty_expr(g.second.first.first.expr, texts) == "2"
-        assert pretty_print(g, texts) == "x = 1; (y = 2 | z = h(3)); t"
-        assert texts == {id(g): "x = 1; (y = 2 | z = h(3)); t"}
+    def test_spans_cover_every_goal_and_call(self):
+        g = parse_goal("x = 1; (y = 2 + a | z = h(3)); t")
+        spans: dict[int, Span] = {}
+        text = pretty_print(g, spans)
+        assert text == "x = 1; (y = 2 + a | z = h(3)); t"
+        # one printed text, and a slice of it for each goal and call
+        assert len({id(printed) for _, _, printed in spans.values()}) == 1
+        assert all(printed == [text] for _, _, printed in spans.values())
+        shown = {id(node): node for node in _walk(g) if id(node) in spans}
+        assert sorted(text[spans[i][0]:spans[i][1]] for i in shown) == sorted([
+            "x = 1; (y = 2 + a | z = h(3)); t", "x = 1", "(y = 2 + a | z = h(3)); t",
+            "y = 2 + a | z = h(3)", "y = 2 + a", "z = h(3)", "h(3)", "t",
+        ])
+        assert all(isinstance(node, Goal) or type(node) is CallExpr for node in shown.values())
 
     def test_shared_sub_nodes(self):
-        # a node built twice into one tree: its text is dropped once one
-        # parent is built and rebuilt for the other
+        # a node built twice into one tree is printed, and has the same
+        # text, at each place it occurs
         x = Binary("+", Var("x"), IntLit(1))
         a = Assign("y", x)
         g = Union(Seq(a, RelopTest(x, "<", x)), Else(a, Seq(a, a)))
         for node in (g, Seq(g, g), Seq(Seq(a, TrueGoal()), a)):
             assert pretty_print(node) == recursive_pretty(node)
-            assert pretty_print(node, {}) == pretty_print(node, {id(a): "y = x + 1"}) == recursive_pretty(node)
+            assert_spans(node)
 
     @staticmethod
     def chain(n: int) -> Goal:
@@ -155,6 +165,16 @@ class TestPrettyPrint:
         for g in (self.chain(150), Assign("y", self.total(150))):
             assert parse_goal(pretty_print(g)) == g
 
+    def test_long_integers_print_exactly(self):
+        # lengths on both sides of where binary splitting takes over from
+        # `str()` (2**13 bits, 2,467 digits), with runs of zeros and nines
+        for k in (2_466, 2_467, 2_468, 30_001):
+            for digits in ("9" * k, "1" + "0" * k, "1" + "0" * (k - 1) + "1", ("1234567890" * k)[:k]):
+                value = decimal_int(digits)
+                assert int_text(value) == digits
+                assert int_text(-value) == "-" + digits
+                assert pretty_expr(IntLit(value)) == digits
+
     def test_only_needed_parentheses(self):
         cases = {
             "a = 1; b = 2; c = 3": "a = 1; b = 2; c = 3",
@@ -170,6 +190,18 @@ class TestPrettyPrint:
             g = parse_goal(source)
             assert pretty_print(g) == text
             assert parse_goal(text) == g
+
+
+def assert_spans(g: Goal) -> None:
+    """`g` prints as the recursive definition says, and so does the span of each goal and call below it."""
+    spans: dict[int, Span] = {}
+    text = pretty_print(g, spans)
+    assert text == recursive_pretty(g)
+    for node in _walk(g):
+        if isinstance(node, Goal) or type(node) is CallExpr:
+            start, end, printed = spans[id(node)]
+            assert printed[0] is text
+            assert text[start:end] == recursive_pretty(node)
 
 
 def goal_exprs(g: Goal) -> list[Expr]:
