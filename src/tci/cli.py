@@ -237,8 +237,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    # the evaluator nests host frames with object-language recursion; give
-    # it headroom (the parser keeps its own stacks and needs none)
+    # the evaluator nests host frames with non-tail recursion and nested
+    # expressions; give it headroom (the parser keeps its own stacks and
+    # needs none)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # TC integers are unbounded: literals and printed values of any length
     # convert (Python 3.11, and 3.10 from 3.10.7, cap the conversion at 4300 digits)

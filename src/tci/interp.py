@@ -9,9 +9,18 @@ other rule lets a failure propagate with its partial edits in place,
 and the nearest enclosing catch point undoes them, so partial updates
 never escape a failure at any nesting level.
 
-One step is one call of `_eval`: it picks the goal's rule by testing
-`type(goal) is ...`, most frequent types first, and runs it in the same
-host frame; expressions are dispatched the same way by `_expr`.
+One step is one iteration of the loop in `_eval`: it spends a unit of
+the budget, picks the goal's rule by testing `type(goal) is ...`, most
+frequent types first, and runs it in the same host frame; expressions
+are dispatched the same way by `_expr`.  A step in a tail position,
+where nothing is left to do after it, replaces the step that reached it
+and the loop goes on.  The tail positions are a `;`'s second operand
+once the first has succeeded, an `else`'s handler after the rollback,
+the chosen `case` arm or default, and the body of a call in goal
+position, under the callee's frame.  So tail recursion runs in constant
+host stack.  Every other operand (a `;`'s first, an `else`'s tried
+operand, each `|` operand, arguments, calls in expression position) is
+run by a nested call of `_eval` or `_expr`, one host frame deeper.
 Outcomes are immutable, so they are shared: one Success, and one Failure
 for each fixed /F/sys path the machine throws, built at import.
 
@@ -30,19 +39,22 @@ The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
 enclosing step: `[rule R] text => result`.  A step reserves its line on
 entry and fills it in on exit, when its rule and result are known.  A
-traced run prints each root once, recording where the text of each
-goal and call below it lies (its span): the run's goal on entry, and a
-procedure body on its first call.  A line's text is its step's span cut
-to `TRACE_WIDTH` characters (the last three `...` when the span is
-longer), and only the characters kept are copied, so a `;` chain is not
-printed again for every enclosing step.  Rule
-ids: 1 success of `t`, 4 a procedure call, 5 an assignment, 6
-sequencing, 7/8/9 the three ways a `|` can succeed (both operands, only
-the second, only the first), 10/11 an `else` whose first operand
-succeeded/failed.  Tests, case dispatch, calls in expression position,
-and rule-less failures are tagged `test`, `case`, `call-expr`, and
-`fail`.  The first line under a call's line is the procedure body,
-prefixed once with the callee's frame, e.g.
+step that goes on into a tail position (rule 6, 11, `case` or 4) has
+the same result as the last step of its loop: its line is deferred,
+written up to ` => ` when the loop goes on, and its result is appended
+when that last step returns.  A traced run prints each root once,
+recording where the text of each goal and call below it lies (its
+span): the run's goal on entry, and a procedure body on its first call.
+A line's text is its step's span cut to `TRACE_WIDTH` characters (the
+last three `...` when the span is longer), and only the characters kept
+are copied, so a `;` chain is not printed again for every enclosing
+step.  Rule ids: 1 success of `t`, 4 a procedure call, 5 an
+assignment, 6 sequencing, 7/8/9 the three ways a `|` can succeed (both
+operands, only the second, only the first), 10/11 an `else` whose first
+operand succeeded/failed.  Tests, case dispatch, calls in expression
+position, and rule-less failures are tagged `test`, `case`,
+`call-expr`, and `fail`.  The first line under a call's line is the
+procedure body, prefixed once with the callee's frame, e.g.
 `[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
 """
 
@@ -232,7 +244,8 @@ class Evaluator:
             if self.trace is not None:
                 del self.trace[entry_lines:]
                 self._depth = 0
-                self._close_line(self._open_line(), "fail", "", goal, out)
+                self._close_line(self._open_line(), "fail", "", goal, _result_text(out))
+                self._depth = 0
             return out
         finally:
             self._spans = None
@@ -248,42 +261,57 @@ class Evaluator:
         self._depth += 1
         return len(self.trace) - 1
 
-    def _close_line(self, at: int, rule: int | str, head: str, node: Goal | Expr, out: Outcome) -> None:
-        """Fill in a step's line: `head`, then its node's text cut to `TRACE_WIDTH`."""
-        self._depth -= 1
+    def _close_line(self, at: int, rule: int | str, head: str, node: Goal | Expr, result: str) -> None:
+        """Write a step's line: `head`, its node's text cut to `TRACE_WIDTH`, then `result`.
+
+        The line is indented by the steps open around it, not counting its
+        own.  A deferred tail step is written with an empty `result`, and
+        its result is appended when its loop's last step returns.
+        """
         start, end, printed = self._spans[id(node)]
         if end - start <= TRACE_WIDTH:
             text = printed[0][start:end]
         else:
             text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
-        self.trace[at] = f"{'  ' * self._depth}[rule {rule}] {head}{text} => {_result_text(out)}"
+        self.trace[at] = f"{'  ' * (self._depth - 1)}[rule {rule}] {head}{text} => {result}"
 
     # -- goals -------------------------------------------------------------
 
     def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame, head: str = "") -> Outcome:
-        """One step: spend a unit of the budget, then run the rule of `g`'s type.
+        """Steps from `g` on: each spends a unit of the budget, then runs the rule of its goal's type.
 
-        Only the `|` and `else` rules open store checkpoints, around the
-        operands whose failure they catch; every other rule leaves a
-        failure's partial edits to the nearest such catch point (or `run`).
+        A step in a tail position replaces `g`, `ambient`, `frame` and
+        `head` and loops; the steps it replaces get its outcome, and their
+        trace lines stay open until it returns.  Only the `|` and `else`
+        rules open store checkpoints, around the operands whose failure
+        they catch; every other rule leaves a failure's partial edits to
+        the nearest such catch point (or `run`).
 
         `head` prefixes the step's trace text.  The `is` chain tests the
         most frequent goal types first.
         """
-        if self.trace is not None:
-            at = self._open_line()
+        trace = self.trace
+        if trace is not None:
+            deferred: list[int] = []  # the lines of the tail steps this loop went through
         budget = self.budget
-        if budget.remaining <= 0:
-            rule: int | str = "fail"
-            out: Outcome = _FAIL_DEPTH
-        else:
+        while True:
+            if trace is not None:
+                at = self._open_line()
+            if budget.remaining <= 0:
+                rule: int | str = "fail"
+                out: Outcome = _FAIL_DEPTH
+                break
             budget.remaining -= 1
             t = type(g)
             if t is Seq:
                 rule = 6
                 out = self._eval(g.first, ambient, frame)
                 if out is _SUCCESS:
-                    out = self._eval(g.second, ambient, frame)
+                    if trace is not None:
+                        self._close_line(at, rule, head, g, "")
+                        deferred.append(at)
+                    g, head = g.second, ""
+                    continue
             elif t is Assign:
                 rule = 5
                 try:
@@ -295,7 +323,13 @@ class Evaluator:
                     out = _SUCCESS
             elif t is Call:
                 rule = 4
-                out = self._invoke(g.name, g.args, ambient, frame)
+                out = self._enter(g.name, g.args, ambient, frame)
+                if type(out) is tuple:
+                    if trace is not None:
+                        self._close_line(at, rule, head, g, "")
+                        deferred.append(at)
+                    g, frame, head = out
+                    continue
             elif t is Test:
                 rule = "test"
                 try:
@@ -315,7 +349,11 @@ class Evaluator:
                 else:
                     store.rollback()
                     rule = 11
-                    out = self._eval(g.handler, out.tree, frame)
+                    if trace is not None:
+                        self._close_line(at, rule, head, g, "")
+                        deferred.append(at)
+                    g, ambient, head = g.handler, out.tree, ""
+                    continue
             elif t is Union:
                 store = self.store
                 store.checkpoint()
@@ -354,16 +392,34 @@ class Evaluator:
                             break
                     else:
                         body = g.default
-                    out = Failure(ambient) if body is None else self._eval(body, None, frame)
+                    if body is None:
+                        out = Failure(ambient)
+                    else:
+                        if trace is not None:
+                            self._close_line(at, rule, head, g, "")
+                            deferred.append(at)
+                        g, ambient, head = body, None, ""
+                        continue
             else:
                 raise TypeError(f"not a goal: {g!r}")
-        if self.trace is not None:
-            self._close_line(at, rule, head, g, out)
+            break
+        if trace is not None:
+            result = _result_text(out)
+            self._close_line(at, rule, head, g, result)
+            self._depth -= 1 + len(deferred)
+            while deferred:  # popping frees each index as its line is done
+                trace[deferred.pop()] += result
         return out
 
-    def _invoke(
+    def _enter(
         self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None, frame: Frame
-    ) -> Outcome:
+    ) -> Outcome | tuple[Goal, Frame, str]:
+        """Start a call: its outcome if it ends here, else (body, callee frame, body's trace head).
+
+        The arguments are evaluated in the caller's frame; a failing
+        argument, the `print` builtin and an undefined procedure end the
+        call here.
+        """
         # A loop, not a comprehension: before Python 3.12 a comprehension
         # runs in a function frame of its own.
         values = []
@@ -380,10 +436,10 @@ class Evaluator:
             return _FAIL_UNDEF
         callee_frame = dict(zip(defn.params, values))
         if self.trace is None:
-            return self._eval(defn.body, ambient, callee_frame)
+            return defn.body, callee_frame, ""
         if id(defn.body) not in self._spans:
             pretty_print(defn.body, self._spans)
-        return self._eval(defn.body, ambient, callee_frame, _frame_text(callee_frame) + " ")
+        return defn.body, callee_frame, _frame_text(callee_frame) + " "
 
     # -- expressions -------------------------------------------------------
 
@@ -428,9 +484,13 @@ class Evaluator:
             # goal, and the nearest catch point rolls back what the call did.
             if self.trace is not None:
                 at = self._open_line()
-            out = self._invoke(e.name, e.args, ambient, frame)
+            out = self._enter(e.name, e.args, ambient, frame)
+            if type(out) is tuple:
+                body, callee_frame, head = out
+                out = self._eval(body, ambient, callee_frame, head)
             if self.trace is not None:
-                self._close_line(at, "call-expr", "", e, out)
+                self._close_line(at, "call-expr", "", e, _result_text(out))
+                self._depth -= 1
             if out is not _SUCCESS:
                 raise _EvalFailure(out)
             return self._lookup(RET_VAR)

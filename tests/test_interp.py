@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
 
 from tci import interp, syntax
@@ -13,6 +15,23 @@ from tci.syntax import Else, Seq, Span, TrueGoal, Union, iter_goals, pretty_prin
 def capped(text: str) -> str:
     """`text` as a trace line shows it: its first 157 characters and `...` when it is longer than 160."""
     return text if len(text) <= 160 else text[:157] + "..."
+
+
+def indent(line: str) -> int:
+    """The number of steps open around a trace line's step."""
+    return (len(line) - len(line.lstrip(" "))) // 2
+
+
+def last_child(lines: list[str], at: int) -> int | None:
+    """The index of the last line directly under line `at`, or None when it has none."""
+    depth, last = indent(lines[at]), None
+    for j in range(at + 1, len(lines)):
+        d = indent(lines[j])
+        if d <= depth:
+            break
+        if d == depth + 1:
+            last = j
+    return last
 
 
 GOLDEN_ELSE = """
@@ -323,16 +342,19 @@ class TestTraceText:
 
     def test_trace_agrees_with_the_recursive_definition(self, monkeypatch):
         # every line shows its step's text as the reference prints it,
-        # cut to the trace width
+        # cut to the trace width; a deferred tail step's line is finished
+        # with the result of its last child
         original = Evaluator._close_line
         closed = []
+        deferred = {}  # line index -> the line as written, up to its result
 
-        def checking(self, at, rule, head, node, out):
-            original(self, at, rule, head, node, out)
+        def checking(self, at, rule, head, node, result):
+            original(self, at, rule, head, node, result)
             text = capped(recursive_pretty(node))
-            result = interp._result_text(out)
-            assert self.trace[at] == f"{'  ' * self._depth}[rule {rule}] {head}{text} => {result}"
+            assert self.trace[at] == f"{'  ' * (self._depth - 1)}[rule {rule}] {head}{text} => {result}"
             closed.append(at)
+            if not result:
+                deferred[at] = self.trace[at]
 
         monkeypatch.setattr(Evaluator, "_close_line", checking)
         for seed in range(300):
@@ -340,7 +362,11 @@ class TestTraceText:
             ev = Evaluator(program, Store(inp, dict(sv.bindings)), Budget(5000), trace=True)
             ev.run(program.main)
             assert sorted(closed) == list(range(len(ev.trace)))
+            for at, written in deferred.items():
+                tail = ev.trace[last_child(ev.trace, at)]
+                assert ev.trace[at] == written + tail[tail.rindex(" => ") + 4:]
             closed.clear()
+            deferred.clear()
 
     def test_long_goal_texts_are_cut(self, tmp_path, capsys):
         # a 4,000-statement chain: without the cut its trace would hold
@@ -560,21 +586,25 @@ class TestProperties:
 
 SUM = "sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum(3000, 0)"
 
+# p(n - 1) is the first operand of the handler's `;`, not in a tail
+# position, so each nested call holds a host frame until it returns
+NON_TAIL = "p(n) = (n == 0; ret = 0) else (p(n - 1); ret = ret + n)\nmain p(3000)"
+
 
 class TestStackExhaustion:
-    # at the default recursion limit, sum(3000, 0) runs out of host stack
+    # at the default recursion limit, p(3000) runs out of host stack
     # long before its step budget
     def test_run_main_reports_depth_and_an_empty_store(self, default_recursion_limit):
-        out, store, _ = run_main(parse_program(SUM))
+        out, store, _ = run_main(parse_program(NON_TAIL))
         assert failure_paths(out) == {str(SYS_DEPTH)}
         assert store.snapshot() == ({}, 0, ())
 
     def test_trace_is_one_fail_line(self, default_recursion_limit):
-        _, _, lines = run_main(parse_program(SUM), trace=True)
-        assert lines == ["[rule fail] sum(3000, 0) => failure(/F/sys/depth)"]
+        _, _, lines = run_main(parse_program(NON_TAIL), trace=True)
+        assert lines == ["[rule fail] p(3000) => failure(/F/sys/depth)"]
 
     def test_eval_goal_keeps_an_outer_checkpoint_open(self, default_recursion_limit):
-        program = parse_program(SUM)
+        program = parse_program(NON_TAIL)
         store = make_store({"x": 1})
         store.checkpoint()
         out = eval_goal(program, store, program.main)
@@ -619,7 +649,84 @@ class TestCatchPoints:
 
 class TestHostFrames:
     def test_each_step_takes_one_host_frame(self, default_recursion_limit):
-        # a step runs its rule in its own frame, so 250 nested calls fit
-        # under Python's default recursion limit
-        out, store, _ = run_main(parse_program(SUM.replace("3000", "250")))
+        # a step runs its rule in its own frame, so 250 nested non-tail
+        # calls fit under Python's default recursion limit
+        out, store, _ = run_main(parse_program(NON_TAIL.replace("3000", "250")))
         assert isinstance(out, Success) and store.bindings["ret"] == 250 * 251 // 2
+
+    def test_tail_calls_take_no_host_frame(self, default_recursion_limit):
+        # each call of sum is the handler's tail call, so 20,000 of them
+        # run at the default recursion limit, under the step budget
+        out, store, _ = run_main(parse_program(SUM.replace("3000", "20000")))
+        assert isinstance(out, Success) and store.bindings["ret"] == 20000 * 20001 // 2
+
+
+# Each tail position, reached by a step that succeeds and by one that
+# fails: a `;`'s second operand, an `else`'s handler, a `case` arm and
+# default, and a call's body, in goal and in expression position.
+TAIL_POSITIONS = """\
+loop(n) = (n == 0; f(done)) else case Failtree of { /F/usr/done: ret = n; /F/sys/test: loop(n - 1) }
+bad(n) = (n == 0; f(stop)) else case Failtree of { /F/sys/test: x = n; bad(n - 1) }
+other() = f(q) else case Failtree of { /F/usr/a: t; _: w = 1; f(last) }
+main r = loop(1) + 1; loop(2); (bad(2) | y = 1); ((f(a) else f(b)) else (z = 3; print(z))); (other() | t)
+"""
+
+
+class TestTailPositions:
+    # With no budget and with budgets that run out inside tail chains
+    # (at `ret = n` under a call in expression position, at a call's
+    # body, at an arm's `;`, at the default's `;`).
+    BUDGETS = (None, 12, 20, 45, 67)
+
+    @staticmethod
+    def traced(monkeypatch, max_steps):
+        """Run TAIL_POSITIONS traced; returns (outcome, evaluator, indices of the deferred lines)."""
+        original = Evaluator._close_line
+        deferred = []
+
+        def recording(self, at, rule, head, node, result):
+            original(self, at, rule, head, node, result)
+            if not result:
+                deferred.append(at)
+
+        monkeypatch.setattr(Evaluator, "_close_line", recording)
+        program = parse_program(TAIL_POSITIONS)
+        ev = Evaluator(program, Store(), Budget() if max_steps is None else Budget(max_steps), trace=True)
+        out = ev.run(program.main)
+        monkeypatch.undo()
+        return out, ev, deferred
+
+    def test_trace_text_is_unchanged(self, monkeypatch, golden_dir):
+        # pinned from the evaluator before tail steps looped, when every
+        # step returned to its parent's host frame
+        texts = []
+        for max_steps in self.BUDGETS:
+            out, ev, _ = self.traced(monkeypatch, max_steps)
+            result = "success" if isinstance(out, Success) else ", ".join(out.tree.sorted_paths())
+            texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
+            texts.extend(line + "\n" for line in ev.trace)
+        assert "".join(texts) == (golden_dir / "tail_positions.trace").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("max_steps", BUDGETS)
+    def test_deferred_lines(self, monkeypatch, max_steps):
+        out, ev, deferred = self.traced(monkeypatch, max_steps)
+        lines = ev.trace
+        rules = {line.split("] ", 1)[0].lstrip() for line in map(lines.__getitem__, deferred)}
+        assert rules == {"[rule 6", "[rule 11", "[rule case", "[rule 4"}
+        exhausted = False
+        for at in deferred:
+            # one step deeper than the step it is under, and the parent
+            # of the next step of its chain, whose result it ends with
+            depth = indent(lines[at])
+            above = max((j for j in range(at) if indent(lines[j]) < depth), default=None)
+            assert above is None if depth == 0 else indent(lines[above]) == depth - 1
+            chain = at
+            while chain in deferred:
+                chain = last_child(lines, chain)
+            result = lines[chain][lines[chain].rindex(" => "):]
+            assert lines[at].endswith(result)
+            exhausted |= result == " => failure(/F/sys/depth)"
+        assert exhausted == (max_steps is not None)
+        assert ev._depth == 0
+        if max_steps is None:
+            assert isinstance(out, Success) and ev.store.bindings["r"] == 1

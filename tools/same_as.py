@@ -12,7 +12,15 @@ message` for a source error) and, for `tci run`, steps used
 - `gen_program` seeds 0-2999 at size 8 with `--max-steps 5000`, the
   initial bindings assigned at the start of main;
 - every op of the four bench workloads at seed 1;
-- the golden programs on each golden input.
+- the golden programs on each golden input;
+- `RECURSIONS`: a tail-recursive sum, a non-tail recursion and a
+  2,000-statement `;` chain, with `--max-steps 2000` so that the budget
+  runs out in the middle of each.
+
+and, run without `--trace` at the default budget and checked, each of
+`RECURSIONS`, sized to finish at the CLI's recursion limit of 20,000
+also when every call and every `;` step holds host frames (a traced
+run of the sum would write 32 MB);
 
 and, run without `--trace` and checked, a corpus of mostly malformed
 sources, so that a change in lex and parse errors shows: the program
@@ -25,7 +33,7 @@ characters, each on a later line.  Last, `tci selfcheck --cases 2000` at
 seeds 0 and 2000, compared on exit code and stdout (its report and any
 counterexample).
 
-That is 18,798 calls.  The program files are written once, by this
+That is 18,813 calls.  The program files are written once, by this
 checkout.  The first difference is printed and the exit code is 1; exit
 code 0 means every call agreed.
 """
@@ -66,6 +74,12 @@ LEXICAL_EDGE_CASES = (
     "main t\n// only a comment at the end",
     "main x = 1;\n\t(x) -1 == 0 | x == -1\n",
 )
+RECURSIONS = {
+    "tail-recursive sum": "sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum(2000, 0)\n",
+    "non-tail recursion": "p(n) = (n == 0; ret = 0) else (p(n - 1); ret = ret + n)\nmain p(1000)\n",
+    "2,000-statement chain": "main " + "; ".join(f"x{i} = {i}" for i in range(2000)) + "\n",
+}
+RECURSION_MAX_STEPS = 2000
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
 SELFCHECK_SEEDS = (0, 2000)
@@ -140,6 +154,9 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         for data in sorted(golden.glob("*.in")):
             text = program.read_text(encoding="utf-8")
             add(f"{program.name} < {data.name}", text, data.read_text(encoding="utf-8").split(), [])
+    for name, source in RECURSIONS.items():
+        add(f"{name}, budget {RECURSION_MAX_STEPS}", source, None, ["--max-steps", str(RECURSION_MAX_STEPS)])
+        add(name, source, None, [], traced=False)
     for seed in SELFCHECK_SEEDS:
         calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
     return calls
