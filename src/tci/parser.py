@@ -11,18 +11,22 @@ Grammar:
                | IDENT "(" [ expr { "," expr } ] ")" | test | "(" goal ")"
     test      := expr RELOP expr          RELOP := "==" | "!=" | "<" | "<=" | ">" | ">="
     casegoal  := "case" "Failtree" "of" "{" arm { ";" arm } [ ";" "_" ":" goal ] "}"
-    arm       := PATH ":" goal
-    failarg   := IDENT { "/" IDENT } | PATH
+    arm       := "/" path ":" goal
+    failarg   := [ "/" ] path
+    path      := NAME { "/" NAME }       NAME := IDENT | keyword | "_"
     expr      := term { ("+"|"-") term }
     term      := factor { ("*"|"/") factor }
     factor    := INT | STRING | IDENT | IDENT "(" [ expr { "," expr } ] ")"
                | "read" "(" ")" | "(" expr ")" | "-" INT
 
 `else`, `|` and `;` are right-associative, loosest to tightest in that
-order.  `=` assigns; `==` compares.  A run of `/`-joined identifiers with
-a leading `/` is a failure-path token.  `//` starts a line comment.
+order.  `=` assigns; `==` compares.  A failure path with a leading `/`
+is rooted at /F; without one it goes under /F/usr.  `-` and `/` are
+one-character operator tokens wherever they appear: the parser alone
+reads `-` INT as a negative literal and `/`-joined names as a path.
+`//` starts a line comment.
 
-Lexical classes are ASCII: an INT is `[0-9]+`, an IDENT is
+Lexical classes are ASCII: an INT is `[0-9]+`, unsigned, an IDENT is
 `[A-Za-z_][A-Za-z0-9_]*`, a STRING is `"` up to the next `"` on the same
 line, and whitespace is space, tab, carriage return and newline.  Any
 other character is a lexical error.
@@ -96,7 +100,7 @@ class SourceSpan(Record):
 
 
 class Token(namedtuple("Token", ("kind", "text", "line", "column", "value"), defaults=(None,))):
-    """One token: `kind` is "ident", "int", "str", "path", "eof", or the keyword/operator text."""
+    """One token: `kind` is "ident", "int", "str", "eof", or the keyword/operator text."""
 
     __slots__ = ()
 
@@ -134,17 +138,7 @@ class Tokens(Sequence):
     @cached_property
     def starts(self) -> list[int]:
         """The start offset of each token, from a second pass of the regex that found the texts."""
-        texts = self.texts
-        matches = _TOKEN.finditer(self.source)
-        starts: list[int] = []
-        while len(starts) < len(texts):
-            m = next(matches)
-            start = m.start(1)
-            if m[1] != texts[len(starts)]:  # a `-N` split into `-` and `N`
-                starts.append(start)
-                start += 1
-            starts.append(start)
-        return starts
+        return [m.start(1) for m, _ in zip(_TOKEN.finditer(self.source), self.texts)]
 
     @cached_property
     def line_starts(self) -> list[int]:
@@ -192,8 +186,7 @@ _PUNCTUATION = ("==", "!=", "<=", ">=", *"=<>+-*/;|:,(){}")
 # `.` takes a bad character, or the `"` of a string with no closing quote.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*)*"
-    r"((?:/[A-Za-z_][A-Za-z0-9_]*)+"
-    r"|-?[0-9]+"
+    r"([0-9]+"
     r'|"[^"\n]*"'
     r"|[A-Za-z_][A-Za-z0-9_]*"
     r"|" + "|".join(map(re.escape, _PUNCTUATION)) +
@@ -203,24 +196,15 @@ _TOKEN = re.compile(
 
 _NEWLINE = re.compile("\n")
 
-# the kind of an int with a leading minus, until `_split_minus` decides
-# whether the minus is binary
-_NEGATIVE = "-int"
-
 # A token's kind is its text's entry here, if it has one, or else its first
 # character's entry; any other character is a lexical error.
 _KINDS_BY_TEXT = {**{text: text for text in (*KEYWORDS, "_", *_PUNCTUATION)}, '"': "bad"}
 _KINDS_BY_FIRST_CHAR = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
     **dict.fromkeys("0123456789", "int"),
-    "-": _NEGATIVE,
-    "/": "path",
     '"': "str",
     "": "eof",
 }
-
-# token kinds that can end an expression: a `-` after one is binary minus
-_VALUE_ENDS = frozenset({"int", "ident", "str", ")"})
 
 
 def tokenize(source: str) -> Tokens:
@@ -242,28 +226,7 @@ def tokenize(source: str) -> Tokens:
         end = source.find("\n", start)
         length = (len(source) if end < 0 else end) - start
         raise LexError(SourceSpan(span.line, span.column, length), "unterminated string literal")
-    if _NEGATIVE in kinds:
-        kinds, texts = _split_minus(kinds, texts)
     return Tokens(source, kinds, texts)
-
-
-def _split_minus(kinds: list[str], texts: list[str]) -> tuple[list[str], list[str]]:
-    """`kinds` and `texts` with each negative int after a token that can end an
-    expression split into binary `-` and an int, and every other one an int."""
-    new_kinds: list[str] = []
-    new_texts: list[str] = []
-    before = ""
-    for kind, text in zip(kinds, texts):
-        if kind == _NEGATIVE:
-            if before in _VALUE_ENDS:
-                new_kinds.append("-")
-                new_texts.append("-")
-                text = text[1:]
-            kind = "int"
-        new_kinds.append(kind)
-        new_texts.append(text)
-        before = kind
-    return new_kinds, new_texts
 
 
 # Up to this many digits `int()` is the fastest conversion; its time grows
@@ -297,7 +260,10 @@ def decimal_int(text: str) -> int:
 
 # tokens that can begin an atomic goal; a `;` not followed by one of these
 # separates case arms instead of sequencing
-_ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "("})
+_ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "(", "-"})
+
+# tokens that can be a segment of a failure path
+_NAMES = frozenset({"ident", "_", *KEYWORDS})
 
 # tokens that make a parenthesised operand out of the `(...)` before them
 _OPERATORS = frozenset((*RELOPS, *PRECEDENCE))
@@ -451,7 +417,7 @@ class _Parser:
             self.i = i + 1
             if kinds[i + 1] == "(":
                 self.i = i + 2
-                path = self.failarg()
+                path = self.fail_path("a failure name or path")
                 self.expect(")")
                 return Fail(path)
             return Fail()
@@ -480,36 +446,32 @@ class _Parser:
         raise self.error(i, "a statement")
 
     def case_arm(self) -> FailPath:
-        """An arm's path, stepping past it and its `:`."""
-        i = self.i
-        self.expect("path", "a failure path")
-        path = self.fail_path(i)
+        """An arm's path, which starts with `/`, stepping past it and its `:`."""
+        if self.kinds[self.i] != "/":
+            raise self.error(self.i, "a failure path")
+        path = self.fail_path("a failure path")
         self.expect(":")
         return path
 
-    def fail_path(self, i: int) -> FailPath:
-        try:
-            return FailPath.parse(self.texts[i])
-        except ValueError as err:
-            raise ParseError(self.span(i), str(err)) from None
-
-    def failarg(self) -> FailPath:
+    def fail_path(self, what: str) -> FailPath:
+        """`["/"] NAME {"/" NAME}`, stepping past it: rooted at /F with the `/`, else under /F/usr."""
         kinds, texts = self.kinds, self.texts
-        i = self.i
-        if kinds[i] == "path":
-            self.i = i + 1
-            return self.fail_path(i)
-        segments = [self.expect("ident", "a failure name or path")]
-        while True:
-            i = self.i
-            if kinds[i] == "path":
-                segments.extend(texts[i][1:].split("/"))
-                self.i = i + 1
-            elif kinds[i] == "/" and kinds[i + 1] == "ident":
-                segments.append(texts[i + 1])
-                self.i = i + 2
-            else:
-                return user_path(segments)
+        start = i = self.i
+        rooted = kinds[i] == "/"
+        if rooted:
+            i += 1
+        if kinds[i] not in _NAMES:
+            raise self.error(start, what)
+        segments = [texts[i]]
+        i += 1
+        while kinds[i] == "/" and kinds[i + 1] in _NAMES:
+            segments.append(texts[i + 1])
+            i += 2
+        self.i = i
+        try:
+            return FailPath(segments) if rooted else user_path(segments)
+        except ValueError as err:
+            raise ParseError(self.span(start), str(err)) from None
 
     # -- expressions -------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +53,16 @@ class TestTokenize:
         ]
 
     def test_path_and_arm_colon(self):
-        assert kinds("/F/usr/EOF: t") == [("path", "/F/usr/EOF"), (":", ":"), ("t", "t")]
+        assert kinds("/F/usr/EOF: t") == [
+            ("/", "/"),
+            ("ident", "F"),
+            ("/", "/"),
+            ("ident", "usr"),
+            ("/", "/"),
+            ("ident", "EOF"),
+            (":", ":"),
+            ("t", "t"),
+        ]
 
     def test_negative_literal_after_operator(self):
         toks = tokenize("read( ) != -1")
@@ -61,9 +71,10 @@ class TestTokenize:
             ("(", "("),
             (")", ")"),
             ("!=", "!="),
-            ("int", "-1"),
+            ("-", "-"),
+            ("int", "1"),
         ]
-        assert toks[4].value == -1
+        assert toks[5].value == 1
 
     def test_minus_after_value_is_binary(self):
         assert [k for k, _ in kinds("x -1")] == ["ident", "-", "int"]
@@ -138,8 +149,8 @@ class TestTokenize:
         assert tokenize("1 -" + "123456789" * n)[2].value == value
 
 
-# pieces of source, lexically valid and not: `-N` after a value is split,
-# after an operator it is one int; `"` alone opens an unterminated string
+# pieces of source, lexically valid and not: `-` and `/` are always
+# one-character tokens; `"` alone opens an unterminated string
 _PIECES = ("x", "y1", "_", "t", "else", "7", "42", "-3", "-", "(", ")", "=", "==", "<=", "+", "/",
            "/F/usr/a", ";", ":", '"s"', '"', " ", "\t", "\n", "\r\n", "// c\n", "é", "?")
 
@@ -235,6 +246,60 @@ class TestParseGoal:
     def test_arithmetic_precedence_in_exprs(self):
         g = parse_goal("x = 1 + 2 * 3")
         assert g == Assign("x", Binary("+", IntLit(1), Binary("*", IntLit(2), IntLit(3))))
+
+
+class TestMinusAndSlash:
+    """`-` and `/` are operators wherever they appear; only the parser builds negative literals and paths."""
+
+    @pytest.mark.parametrize(
+        "source, left, right",
+        [
+            ("x = a/b", Var("a"), Var("b")),
+            ("x = 10/n", IntLit(10), Var("n")),
+            ("ret = total/count", Var("total"), Var("count")),
+            ("x = (a)/b", Var("a"), Var("b")),
+            ("x = p(a)/q(b)", CallExpr("p", (Var("a"),)), CallExpr("q", (Var("b"),))),
+        ],
+    )
+    def test_slash_before_a_name_divides(self, source, left, right):
+        assert parse_goal(source) == Assign(source.split()[0], Binary("/", left, right))
+
+    @pytest.mark.parametrize("source", ["x = --1", "x = - -1", "x = - - 1"])
+    def test_double_minus_is_an_error(self, source):
+        with pytest.raises(ParseError) as err:
+            parse_goal(source)
+        assert str(err.value) == "1:5: expected an expression"
+
+    def test_semicolon_before_minus_sequences(self):
+        assert parse_goal("x = 1; - 1 == x") == Seq(
+            Assign("x", IntLit(1)), RelopTest(IntLit(-1), "==", Var("x"))
+        )
+
+    @pytest.mark.parametrize(
+        "source", ["f(/F/usr/t)", "f(/F/usr/_)", "f(/F/sys/case)", "case Failtree of { /F/sys/case: t }"]
+    )
+    def test_any_name_is_a_path_segment(self, source):
+        g = parse_goal(source)
+        assert parse_goal(pretty_print(g)) == g
+
+    def test_spaces_around_a_path_slash_are_optional(self):
+        assert parse_goal("f(a / t)") == parse_goal("f(a/t)") == Fail(FailPath.parse("/F/usr/a/t"))
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("f()", "1:3: expected a failure name or path"),
+            ("f(/)", "1:3: expected a failure name or path"),
+            ("f(a/)", "1:4: expected ')'"),
+            ("case Failtree of { /: t }", "1:20: expected a failure path"),
+            ("case Failtree of { /F/: t }", "1:22: expected ':'"),
+            ("case Failtree of { /G/x: t }", "1:20: failure path must be rooted at /F: ('G', 'x')"),
+        ],
+    )
+    def test_malformed_path_errors(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_goal(source)
+        assert str(err.value) == message
 
 
 class TestParseProgram:
@@ -400,3 +465,11 @@ class TestPrecedenceProperty:
         for seed in range(300):
             program, _, _ = gen_program(seed, 7)
             assert parse_goal(pretty_print(program.main)) == program.main
+
+    def test_round_trip_without_optional_spaces(self):
+        for seed in range(3000):
+            program, _, _ = gen_program(seed, 7)
+            text = re.sub(r" *([-/]) *", r"\1", pretty_program(program))
+            if "//" in text:  # would start a comment
+                continue
+            assert parse_program(text) == program, seed
