@@ -48,10 +48,10 @@ span): the run's goal on entry, and a procedure body on its first call.
 A line's text is its step's span cut to `TRACE_WIDTH` characters (the
 last three `...` when the span is longer), and only the characters kept
 are copied, so a `;` chain is not printed again for every enclosing
-step.  Rule ids: 1 success of `t`, 4 a procedure call, 5 an
-assignment, 6 sequencing, 7/8/9 the three ways a `|` can succeed (both
-operands, only the second, only the first), 10/11 an `else` whose first
-operand succeeded/failed.  Tests, case dispatch, calls in expression
+step.  A `failure(...)` result is cut the same way.  Rule ids: 1
+success of `t`, 4 a procedure call, 5 an assignment, 6 sequencing,
+7/8/9 the three ways a `|` can succeed (both operands, only the second,
+only the first), 10/11 an `else` whose first operand succeeded/failed.  Tests, case dispatch, calls in expression
 position, and rule-less failures are tagged `test`, `case`,
 `call-expr`, and `fail`.  The first line under a call's line is the
 procedure body, prefixed once with the callee's frame, e.g.
@@ -205,9 +205,11 @@ def _frame_text(frame: Frame) -> str:
 
 
 def _result_text(out: Outcome) -> str:
+    """A step's result as its trace line shows it, cut to `TRACE_WIDTH` as a goal's text is."""
     if isinstance(out, Success):
         return "success"
-    return "failure(" + ", ".join(out.tree.sorted_paths()) + ")"
+    text = "failure(" + ", ".join(out.tree.sorted_paths()) + ")"
+    return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
 
 
 class Evaluator:

@@ -38,16 +38,23 @@ operator, so this one-token decision never rejects a valid program and
 the parser never backtracks.
 
 `tokenize` keeps the tokens as two parallel lists, texts and kinds, with
-no object per token.  One `findall` gives the texts and a table lookup
-per text gives the kinds, so no Python code runs per token.  Start
-offsets are found only when an error or a `Token` view needs a
-`line:col` span, by matching the source again; the line is then found by
-bisection over the line starts.  A literal's value is converted where the
-parser builds it, in time subquadratic in its digits.  The parser keeps
-its own stacks: goals are reduced by operator precedence over a stack of
-open `(` and `case` contexts, and expressions by shunting-yard (Dijkstra
-1961).  So nesting of any depth parses without host recursion, at any
-recursion limit, in time linear in the tokens.
+no object per token.  One `findall` gives the texts; the whitespace
+before a token is one character-class run, and comments are entered
+only at a `//`.  The kinds are learned per call, in a table seeded with
+the keywords and punctuation: a new identifier, number or string gets
+its first character's kind once, and every later occurrence costs one
+lookup, so no Python code runs per repeated token.  Start offsets are
+found only when an error or a `Token` view needs a `line:col` span, by
+matching the source again; the line is then found by bisection over the
+line starts.  One parse builds one `Var` or `IntLit` node per distinct
+name or unsigned literal text and shares it wherever that text occurs
+(hash-consing): nodes are immutable, and no table keyed by identity
+holds leaves.  A literal's value is converted once per distinct text,
+in time subquadratic in its digits.  The parser keeps its own stacks:
+goals are reduced by operator precedence over a stack of open `(` and
+`case` contexts, and expressions by shunting-yard (Dijkstra 1961).  So
+nesting of any depth parses without host recursion, at any recursion
+limit, in time linear in the tokens.
 """
 
 from __future__ import annotations
@@ -182,14 +189,16 @@ class MissingMain(ParseError):
 _PUNCTUATION = ("==", "!=", "<=", ">=", *"=<>+-*/;|:,(){}")
 
 # One match per token: a skipped prefix of whitespace and `//` comments,
-# then the token's text as group 1.  `\Z` gives the empty text of eof, and
-# `.` takes a bad character, or the `"` of a string with no closing quote.
+# then the token's text as group 1.  The prefix enters its comment loop
+# only at a `//`, so before most tokens it is one character-class run.
+# `\Z` gives the empty text of eof, and `.` takes a bad character, or the
+# `"` of a string with no closing quote.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"[ \t\r\n]*(?:(?=//)(?://[^\n]*[ \t\r\n]*)+|)"
     r"([0-9]+"
     r'|"[^"\n]*"'
     r"|[A-Za-z_][A-Za-z0-9_]*"
-    r"|" + "|".join(map(re.escape, _PUNCTUATION)) +
+    r"|[=!<>]=|[-+*/;|:,(){}=<>]"
     r"|\Z"
     r"|.)"
 )
@@ -207,6 +216,15 @@ _KINDS_BY_FIRST_CHAR = {
 }
 
 
+class _Kinds(dict):
+    """Token kinds by text, learned during one `tokenize` call: a text not yet
+    seen gets its first character's kind, so a repeated name costs one lookup."""
+
+    def __missing__(self, text: str) -> str:
+        kind = self[text] = _KINDS_BY_FIRST_CHAR.get(text[:1], "bad")
+        return kind
+
+
 def tokenize(source: str) -> Tokens:
     """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`."""
     texts = _TOKEN.findall(source)
@@ -214,8 +232,7 @@ def tokenize(source: str) -> Tokens:
         # eof matched after skipped whitespace or a comment, and then again,
         # empty, at the very end
         del texts[-1]
-    by_text, by_first_char = _KINDS_BY_TEXT.get, _KINDS_BY_FIRST_CHAR.get
-    kinds = [by_text(text) or by_first_char(text[:1], "bad") for text in texts]
+    kinds = list(map(_Kinds(_KINDS_BY_TEXT).__getitem__, texts))
     if "bad" in kinds:
         tokens = Tokens(source, kinds, texts)
         i = kinds.index("bad")
@@ -280,12 +297,25 @@ _GOAL_END = (0, None)
 _BINARY = {op: (prec, op, None) for op, prec in PRECEDENCE.items()}
 
 
+class _Leaves(dict):
+    """The one `Var` or `IntLit` node of each name or unsigned literal text met in one parse.
+
+    Nodes are immutable and leaves get no span, so every occurrence of a
+    text can share one node; the table lives only as long as its parse.
+    """
+
+    def __missing__(self, text: str) -> Expr:
+        node = self[text] = IntLit(decimal_int(text)) if text[0].isdigit() else Var(text)
+        return node
+
+
 class _Parser:
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.i = 0
+        self.leaves = _Leaves()
         # index of the matching ")" of every "(" that has one
         self.closing: dict[int, int] = {}
         opened: list[int] = []
@@ -483,22 +513,19 @@ class _Parser:
         (0, name, arguments so far).  A marker's precedence 0 stops every
         reduction, so an operator reduces only inside its own parentheses.
         """
-        kinds, texts = self.kinds, self.texts
+        kinds, texts, leaves = self.kinds, self.texts, self.leaves
         operands: list[Expr] = []
         ops: list[tuple] = []
         i = self.i
         while True:
             # an operand
             kind = kinds[i]
-            if kind == "int":
-                operands.append(IntLit(decimal_int(texts[i])))
+            if kind == "int" or kind == "ident" and kinds[i + 1] != "(":
+                operands.append(leaves[texts[i]])
                 i += 1
             elif kind == "ident":
                 name = texts[i]
-                if kinds[i + 1] != "(":
-                    operands.append(Var(name))
-                    i += 1
-                elif kinds[i + 2] == ")":
+                if kinds[i + 2] == ")":
                     operands.append(Read() if name == "read" else CallExpr(name, ()))
                     i += 3
                 else:

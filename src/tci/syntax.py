@@ -4,6 +4,9 @@ A goal is a statement that either succeeds or fails; an expression denotes
 an integer or string value.  Procedure definitions bind a parameter list
 over a body goal; a program is a set of definitions keyed by name and
 arity plus a main goal.  All nodes are immutable and compare structurally.
+A tree may share nodes: the parser builds one `Var` or `IntLit` per
+distinct text of a parse.  No walk or printer depends on node identity,
+except the span tables keyed by `id`, which skip those leaves.
 
 Every node class is a `record.Record`: its fields are its `__slots__`,
 its `__init__` sets each one once (after the checks `Case` and `Def`
@@ -14,7 +17,8 @@ form of a dataclass.
 
 `_children` is the one list of each node type's sub-nodes.  The walks
 (`iter_goals`, the variable sets, the `|` lint) read the tree only
-through it, each on its own stack.  The printer lays each node out as
+through it, each on its own stack; a walk over goals alone enters only
+the `_GOAL_HOLDERS`.  The printer lays each node out as
 literal pieces and sub-nodes (`_parts`) and emits them from a stack of
 its own, recording where each goal's and call's text lies in the
 printed text (its span).  `PRECEDENCE` is the arithmetic operators'
@@ -221,21 +225,23 @@ def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
     return ()
 
 
+# The node types whose `_children` are goals; every other node's are expressions, or none.
+_GOAL_HOLDERS = frozenset({Seq, Union, Else, Case})
+
+
 def _walk(root: Goal | Expr, goals_only: bool = False) -> Iterator[Goal | Expr]:
     """`root` and every node below it, pre-order; with `goals_only`, only the goals.
 
     No node holds both goals and expressions, so the goals are walked by
-    entering no node whose children are expressions.  The walk keeps its
-    own stack, so a tree of any depth is walked in linear time without
-    host recursion.
+    entering only the `_GOAL_HOLDERS`.  The walk keeps its own stack, so
+    a tree of any depth is walked in linear time without host recursion.
     """
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
-        children = _children(node)
-        if children and not (goals_only and isinstance(children[0], Expr)):
-            stack += children[::-1]
+        if not goals_only or type(node) in _GOAL_HOLDERS:
+            stack += _children(node)[::-1]
 
 
 def iter_goals(g: Goal) -> Iterator[Goal]:
@@ -264,7 +270,7 @@ def free_vars(g: Goal) -> set[str]:
 
 def assigned_vars(g: Goal) -> set[str]:
     """Names appearing as assignment targets anywhere in the goal."""
-    return {sub.var for sub in iter_goals(g) if isinstance(sub, Assign)}
+    return {sub.var for sub in iter_goals(g) if type(sub) is Assign}
 
 
 # Up to this many bits (2,467 digits) an int is converted by `str()`,

@@ -398,6 +398,24 @@ class TestTraceText:
         # what is left beyond the indentation is linear in the steps
         assert content < 200 * len(lines)
 
+    @staticmethod
+    def result_texts(tmp_path, capsys, k: int) -> list[str]:
+        """The text after ` => ` on each trace line of a k-way `|` of distinct `f(ai)`."""
+        path = tmp_path / f"union{k}.tc"
+        path.write_text("main " + " | ".join(f"f(a{i})" for i in range(k)), encoding="utf-8")
+        assert main(["run", str(path), "--trace"]) == 1
+        return [line[line.index(" => ") + 4:] for line in capsys.readouterr().err.splitlines()]
+
+    def test_long_result_texts_are_cut(self, tmp_path, capsys):
+        # uncut, the k lines of the `|` steps hold about k**2 / 2 paths
+        small, large = (self.result_texts(tmp_path, capsys, k) for k in (400, 800))
+        assert max(map(len, large)) == interp.TRACE_WIDTH == 160
+        assert sum(map(len, large)) <= 2.2 * sum(map(len, small))
+        # the last operand's step shows its one path whole, and the root its first paths
+        assert "failure(/F/usr/a799)" in large
+        whole = "failure(" + ", ".join(sorted(f"/F/usr/a{i}" for i in range(800))) + ")"
+        assert large[0] == capped(whole)
+
 
 class TestRuleIds:
     # one small goal per rule: (definitions, goal, step budget, its step's trace line)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -5,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tci.failure import FailPath, ROOT
+from tci.interp import Evaluator
 from tci.oracle import gen_program
 from tci.parser import (
+    KEYWORDS,
     DuplicateDefinition,
     LexError,
     MissingMain,
     ParseError,
     SourceError,
+    SourceSpan,
     _Parser,
     parse_goal,
     parse_program,
@@ -31,11 +36,14 @@ from tci.syntax import (
     Test as RelopTest,
     TrueGoal,
     Union,
+    Program,
     Var,
+    _walk,
     iter_goals,
     pretty_print,
     pretty_program,
 )
+from tci.store import Store
 
 
 def kinds(source):
@@ -183,6 +191,150 @@ class TestTokenizeProperty:
             at = _offset(source, token.span)
             assert at >= end and source[at:at + len(token.text)] == token.text
             end = at + len(token.text)
+
+
+_DIGITS = frozenset("0123456789")
+_IDENT_STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_CHARS = _IDENT_STARTS | _DIGITS
+
+
+def reference_tokenize(source: str) -> tuple[list[str], list[str]]:
+    """(kinds, texts) of `source`, read one character at a time by the lexical
+    classes of the parser's module docstring; a bad character raises `LexError`
+    as `tokenize` does."""
+
+    def error(start: int, length: int, message: str) -> LexError:
+        line_start = source.rfind("\n", 0, start) + 1
+        span = SourceSpan(source.count("\n", 0, start) + 1, start - line_start + 1, length)
+        return LexError(span, message)
+
+    kinds, texts = [], []
+    i, n = 0, len(source)
+    while True:
+        while i < n and (source[i] in " \t\r\n" or source.startswith("//", i)):
+            if source[i] == "/":
+                while i < n and source[i] != "\n":
+                    i += 1
+            else:
+                i += 1
+        if i == n:
+            return kinds + ["eof"], texts + [""]
+        c, j = source[i], i + 1
+        if c in _DIGITS:
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            kind = "int"
+        elif c in _IDENT_STARTS:
+            while j < n and source[j] in _IDENT_CHARS:
+                j += 1
+            kind = source[i:j] if source[i:j] in KEYWORDS or source[i:j] == "_" else "ident"
+        elif c == '"':
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j == n or source[j] == "\n":
+                raise error(i, j - i, "unterminated string literal")
+            j += 1
+            kind = "str"
+        elif source[i:i + 2] in ("==", "!=", "<=", ">="):
+            j = i + 2
+            kind = source[i:j]
+        elif c in "=<>+-*/;|:,(){}":
+            kind = c
+        else:
+            raise error(i, 1, f"unrecognized character {c!r}")
+        kinds.append(kind)
+        texts.append(source[i:j])
+        i = j
+
+
+def tokenized(source: str) -> tuple[list[str], list[str]]:
+    tokens = tokenize(source)
+    return tokens.kinds, tokens.texts
+
+
+def lexed(lex, source):
+    """`lex(source)`, (kinds, texts), or its `LexError` as (span fields, message)."""
+    try:
+        return lex(source)
+    except LexError as err:
+        return (err.span.line, err.span.column, err.span.length), err.message
+
+
+class TestTokenizeDifferential:
+    # what pretty-printed programs never hold
+    EDGE_CASES = (
+        "main x = 1;\r\n\ty = x -1;\r\n\tz = 2 // comment\r\n",
+        "main x = 1// right after a token\n",
+        "main x = 1;// right after a `;`\n// and a second\n\n   // and a third\n y = 2",
+        "main t // a comment at eof, with no newline",
+        "main t //",
+        "main x = 6 / / 3",
+        "main x = 6 // 3",
+        "main x = 6 /// 3\n",
+        "main x = 6 /\t/ 3\n",
+        'main x = "a\tb//c" ;\n  z = "oops\r\n',
+        'main x = "',
+        "main x = 1;\n// \u00e9 in a comment\n\ty = \u00e9\n",
+        "main x = 1 \u00a0 + 2",
+        "main x = 1;\r\n  y = 2 ! 3\r\n",
+        "main x = 1\x0b",
+        "",
+        "   \n\t",
+    )
+    # characters of every lexical class, and some that are none
+    ALPHABET = "aZ_09tf \t\r\n/-=!<>+*;|:,(){}\"\u00e9?\x0b"
+
+    def test_pretty_printed_programs(self):
+        for seed in range(1000):
+            source = pretty_program(gen_program(seed, 8)[0])
+            assert lexed(tokenized, source) == lexed(reference_tokenize, source), seed
+
+    @pytest.mark.parametrize("source", EDGE_CASES)
+    def test_edge_cases(self, source):
+        assert lexed(tokenized, source) == lexed(reference_tokenize, source)
+
+    def test_random_strings(self):
+        rng = random.Random(15)
+        for _ in range(100_000):
+            source = "".join(rng.choices(self.ALPHABET, k=rng.randrange(13)))
+            assert lexed(tokenized, source) == lexed(reference_tokenize, source), source
+
+
+class TestSharedLeaves:
+    SOURCE = "x = a + a * 10; y = 10 + a"
+
+    @staticmethod
+    def unshared():
+        """`SOURCE`'s tree built by hand, each leaf a node of its own."""
+        return Seq(
+            Assign("x", Binary("+", Var("a"), Binary("*", Var("a"), IntLit(10)))),
+            Assign("y", Binary("+", IntLit(10), Var("a"))),
+        )
+
+    def test_one_node_per_distinct_leaf(self):
+        g = parse_goal(self.SOURCE)
+        x, y = g.first.expr, g.second.expr
+        assert x.left is x.right.left is y.right
+        assert x.right.right is y.left
+        assert g == self.unshared()
+
+    def test_parses_share_no_node(self):
+        first, second = parse_goal(self.SOURCE), parse_goal(self.SOURCE)
+        assert not set(map(id, _walk(first))) & set(map(id, _walk(second)))
+
+    def test_copies_keep_the_value(self):
+        g = parse_goal(self.SOURCE)
+        assert copy.deepcopy(g) == g == pickle.loads(pickle.dumps(g))
+
+    def test_printed_and_traced_as_an_unshared_tree(self):
+        shared, unshared = parse_goal(self.SOURCE), self.unshared()
+        assert pretty_print(shared) == pretty_print(unshared) == "x = a + (a * 10); y = 10 + a"
+        traces = []
+        for g in (shared, unshared):
+            evaluator = Evaluator(Program({}, g), Store((), {"a": 3}), trace=True)
+            evaluator.run(g)
+            traces.append(evaluator.trace)
+        assert traces[0] == traces[1] and len(traces[0]) == 3
 
 
 class TestParseGoal:

@@ -37,6 +37,7 @@ from tci.syntax import (
     pretty_program,
     shared_union_vars,
     Span,
+    _GOAL_HOLDERS,
     _children,
     _walk,
 )
@@ -275,6 +276,17 @@ class TestChildren:
         node = cls(**{name: sample(hints[name], fresh) for name in cls.__match_args__})
         held = [n for name in cls.__match_args__ for n in held_nodes(getattr(node, name))]
         assert [id(child) for child in _children(node)] == [id(n) for n in held]
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_goal_holders_are_the_types_whose_children_are_goals(self, cls):
+        # `iter_goals` enters only the goal holders: a type missing from
+        # them would hide the goals below it from the definition check
+        fresh = itertools.count()
+        hints = typing.get_type_hints(cls.__init__)
+        children = _children(cls(**{name: sample(hints[name], fresh) for name in cls.__match_args__}))
+        goals = [isinstance(child, Goal) for child in children]
+        assert (cls in _GOAL_HOLDERS) == (goals != [] and all(goals))
+        assert all(goals) or not any(goals)  # no node holds both goals and expressions
 
 
 class TestRecord:

@@ -1,0 +1,123 @@
+"""Time this checkout against another on one bench workload, in one process, op by op.
+
+    python3 tools/ab.py OTHER_CHECKOUT --workload parse --seed 1 --rounds 3
+
+Whole-process bench runs of one tree spread widely from run to run on
+a shared host, so two trees are compared here in pairs of calls
+instead.  Each tree's `tci` is loaded under its own
+package name (`tci_this`, `tci_other`).  The workload's 64 ops are
+generated by this checkout's `bench/workloads.py`, as `bench/run.py`
+generates its pool, and written to a temporary directory.  Each round
+runs every op once on each side, back to back, each call after
+`gc.collect()`, with the side that goes first alternating from pair to
+pair.  Every call is checked with `workloads.check`.
+
+It prints each side's median op time, the median per-op time ratio
+(this / other) and the share of pairs this checkout won.  Times are raw
+`perf_counter` times of `cli.main`, not scaled to a reference host.  The
+exit code is 1 when any call is wrong, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import io
+import statistics
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+POOL = 64  # bench/run.py's pool
+WARMUP_OPS = 4
+
+
+def load_cli(tree: Path, package: str):
+    """`tci.cli` of the checkout at `tree`, imported as `<package>.cli`."""
+    init = tree / "src" / "tci" / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"ab: no tci sources under {tree / 'src'}")
+    spec = importlib.util.spec_from_file_location(package, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{package}.cli")
+
+
+def call(main, argv: list[str]) -> tuple[float, int | None, str, str]:
+    """One op: (seconds, exit code, stdout, stderr), from a collected heap."""
+    out, err = io.StringIO(), io.StringIO()
+    gc.collect()
+    with redirect_stdout(out), redirect_stderr(err):
+        start = perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = perf_counter() - start
+    return elapsed, code, out.getvalue(), err.getvalue()
+
+
+def write_ops(ops: list[workloads.Op], work: Path) -> list[list[str]]:
+    """Write each op's program and input; return its `tci` arguments."""
+    argvs = []
+    for i, op in enumerate(ops):
+        path = work / f"op{i}.tc"
+        path.write_text(op.source, encoding="utf-8")
+        argv = ["run", str(path)]
+        if op.input is not None:
+            data = work / f"op{i}.in"
+            data.write_text(" ".join(map(str, op.input)) + "\n", encoding="utf-8")
+            argv += ["--input", str(data)]
+        if op.trace:
+            argv.append("--trace")
+        argvs.append(argv)
+    return argvs
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="the checkout to compare against")
+    ap.add_argument("--workload", choices=workloads.WORKLOADS, default="parse")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args(argv)
+
+    mains = {"this": load_cli(ROOT, "tci_this").main, "other": load_cli(args.other.resolve(), "tci_other").main}
+    ops = workloads.generate(args.workload, args.seed, POOL)
+    times: dict[str, list[float]] = {"this": [], "other": []}
+    wrong = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = write_ops(ops, Path(tmp))
+        for i in range(WARMUP_OPS):
+            for side in mains:
+                call(mains[side], argvs[i])
+        for n in range(args.rounds * len(ops)):
+            i = n % len(ops)
+            for side in ("this", "other") if n % 2 == 0 else ("other", "this"):
+                elapsed, code, out, err = call(mains[side], argvs[i])
+                diff = workloads.check(ops[i], code, out, err)
+                if diff is not None:
+                    wrong += 1
+                    print(f"ab: {side} is wrong on {args.workload} op {i}: {diff}", file=sys.stderr)
+                times[side].append(elapsed * 1000)
+
+    ratios = [a / b for a, b in zip(times["this"], times["other"])]
+    won = sum(a < b for a, b in zip(times["this"], times["other"])) / len(ratios)
+    print(f"{args.workload} seed {args.seed}: {len(ratios)} pairs, {wrong} wrong calls")
+    for side in mains:
+        print(f"  {side:5} median {statistics.median(times[side]):8.3f} ms")
+    print(f"  ratio this/other: median {statistics.median(ratios):.3f}; this won {won:.0%} of pairs")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
