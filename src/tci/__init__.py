@@ -42,6 +42,7 @@ from .syntax import (
     Fail,
     Goal,
     IntLit,
+    Param,
     Program,
     Read,
     Seq,

@@ -25,10 +25,12 @@ Outcomes are immutable, so they are shared: one Success, and one Failure
 for each fixed /F/sys path the machine throws, built at import.
 
 A call evaluates its arguments in the caller's frame and runs the
-procedure body unchanged under a fresh frame binding the parameters to
-those values.  Variable reads consult the frame before the store; a
-callee never sees its caller's frame, and parameters are never assigned
-(`Def` rejects that), so frames need no undo.
+procedure body unchanged with the list of those values as its frame.
+The parser has resolved each parameter read in a body to a `Param`
+holding the parameter's position, so a `Param` reads `frame[index]` and
+a `Var` reads the store, with no name looked up in the frame.  A callee
+never sees its caller's frame, and parameters are never assigned (`Def`
+rejects that), so frames need no undo.
 
 `G1 | G2` runs both operands in order (the second from the first's result
 state when it succeeded) and succeeds if at least one does.  `G1 else G2`
@@ -61,6 +63,7 @@ procedure body, prefixed once with the callee's frame, e.g.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 
 from .failure import (
     ExceptionTree,
@@ -87,6 +90,7 @@ from .syntax import (
     Fail,
     Goal,
     IntLit,
+    Param,
     Program,
     Read,
     Seq,
@@ -111,8 +115,8 @@ PRINT_BUILTIN = "print"
 # A trace line shows at most this many characters of its goal's text.
 TRACE_WIDTH = 160
 
-# A call's parameter bindings, read before the store.
-Frame = dict[str, Value]
+# The running call's argument values, by parameter position; a `Param` reads its slot.
+Frame = Sequence[Value]
 
 
 class Success(Record):
@@ -199,9 +203,9 @@ def format_binding(name: str, v: Value) -> str:
     return f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {int_text(v)}"
 
 
-def _frame_text(frame: Frame) -> str:
+def _frame_text(params: tuple[str, ...], frame: Frame) -> str:
     """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`."""
-    return "{" + ", ".join(format_binding(name, v) for name, v in frame.items()) + "}"
+    return "{" + ", ".join(format_binding(name, v) for name, v in zip(params, frame)) + "}"
 
 
 def _result_text(out: Outcome) -> str:
@@ -235,7 +239,7 @@ class Evaluator:
             pretty_print(goal, self._spans)
         store.checkpoint()
         try:
-            out = self._eval(goal, None, {})
+            out = self._eval(goal, None, ())
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
@@ -289,8 +293,10 @@ class Evaluator:
         they catch; every other rule leaves a failure's partial edits to
         the nearest such catch point (or `run`).
 
-        `head` prefixes the step's trace text.  The `is` chain tests the
-        most frequent goal types first.
+        `frame` is the running call's argument list, which the `Param`
+        reads of its body index (empty for the run's root goal).  `head`
+        prefixes the step's trace text.  The `is` chain tests the most
+        frequent goal types first.
         """
         trace = self.trace
         if trace is not None:
@@ -418,9 +424,10 @@ class Evaluator:
     ) -> Outcome | tuple[Goal, Frame, str]:
         """Start a call: its outcome if it ends here, else (body, callee frame, body's trace head).
 
-        The arguments are evaluated in the caller's frame; a failing
-        argument, the `print` builtin and an undefined procedure end the
-        call here.
+        The arguments are evaluated in the caller's frame, and their list
+        is the callee's frame; a failing argument, the `print` builtin and
+        an undefined procedure end the call here.  The trace head, which
+        names each parameter, is built only for a traced call.
         """
         # A loop, not a comprehension: before Python 3.12 a comprehension
         # runs in a function frame of its own.
@@ -436,22 +443,20 @@ class Evaluator:
                 self.store.emit_output(format_value(values[0]))
                 return _SUCCESS
             return _FAIL_UNDEF
-        callee_frame = dict(zip(defn.params, values))
         if self.trace is None:
-            return defn.body, callee_frame, ""
+            return defn.body, values, ""
         if id(defn.body) not in self._spans:
             pretty_print(defn.body, self._spans)
-        return defn.body, callee_frame, _frame_text(callee_frame) + " "
+        return defn.body, values, _frame_text(defn.params, values) + " "
 
     # -- expressions -------------------------------------------------------
 
     def _expr(self, e: Expr, ambient: ExceptionTree | None, frame: Frame) -> Value:
         t = type(e)
+        if t is Param:
+            return frame[e.index]
         if t is Var:
-            name = e.name
-            if name in frame:
-                return frame[name]
-            return self._lookup(name)
+            return self._lookup(e.name)
         if t is IntLit or t is StrLit:
             return e.value
         if t is Binary:
@@ -459,14 +464,14 @@ class Evaluator:
             left, right = e.left, e.right
             if type(left) is IntLit:
                 lv = left.value
-            elif type(left) is Var and left.name in frame:
-                lv = frame[left.name]
+            elif type(left) is Param:
+                lv = frame[left.index]
             else:
                 lv = self._expr(left, ambient, frame)
             if type(right) is IntLit:
                 rv = right.value
-            elif type(right) is Var and right.name in frame:
-                rv = frame[right.name]
+            elif type(right) is Param:
+                rv = frame[right.index]
             else:
                 rv = self._expr(right, ambient, frame)
             if not (isinstance(lv, int) and isinstance(rv, int)):

@@ -5,11 +5,13 @@ searching the evaluation rules over immutable store values up to a depth
 bound.  It shares the AST and the failure-path vocabulary with the
 evaluator but none of its machinery: stores are threaded functionally
 instead of mutated under an undo log, and a call substitutes its argument
-values into the procedure body instead of binding them in a frame, so a
-bug in one side is unlikely to hide the same bug in the other.
+values for the body's parameters by name instead of indexing a frame by
+position, so a bug in one side is unlikely to hide the same bug in the
+other.
 
 `gen_program` produces small, deterministic, recursion-free programs (the
-call graph is acyclic, keeping the search space finite).
+call graph is acyclic, keeping the search space finite), whose bodies read
+their parameters as `Param` nodes, as the parser builds them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .syntax import (
     Fail,
     Goal,
     IntLit,
+    Param,
     Program,
     Read,
     RELOPS,
@@ -261,7 +264,7 @@ def _lit(v: Value) -> Expr:
 
 def substitute_expr(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     match e:
-        case Var(name) if name in bindings:
+        case Var(name) | Param(name, _) if name in bindings:
             return bindings[name]
         case Binary(op, left, right):
             return Binary(op, substitute_expr(left, bindings), substitute_expr(right, bindings))
@@ -272,11 +275,13 @@ def substitute_expr(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 
 def substitute(g: Goal, bindings: Mapping[str, Expr]) -> Goal:
-    """Replace free occurrences of the bound names throughout a goal.
+    """Replace every read of the bound names, as a `Var` or a `Param`, throughout a goal.
 
     Goals introduce no local binders, so replacement is plain.  Assignment
     targets are left alone: `Def` guarantees a body never assigns to one of
-    its parameters.
+    its parameters.  A body built by the parser or `gen_program` reads its
+    parameters only as `Param`s, so substituting a call's arguments for
+    its parameter names leaves a global of the same name alone.
     """
     match g:
         case TrueGoal() | Fail():
@@ -321,7 +326,9 @@ def gen_program(seed: int, size_bound: int = 6) -> tuple[Program, StoreVal, tupl
     procedure definitions of arity <= 2 with an acyclic call graph, so
     every run terminates.  Procedure bodies read every parameter name, not
     only their own, so a name that is a parameter elsewhere must resolve
-    to the store rather than to a caller's argument.
+    to the store rather than to a caller's argument.  Each body is
+    generated with `Var` reads and then resolved: its own parameters are
+    replaced by their `Param`s, which draws nothing from the random stream.
     """
     rng = random.Random(seed)
     defs: dict[tuple[str, int], Def] = {}
@@ -331,7 +338,9 @@ def gen_program(seed: int, size_bound: int = 6) -> tuple[Program, StoreVal, tupl
     for name in reversed(("p", "q")[:n_defs]):
         arity = rng.randrange(3)
         body = _gen_goal(rng, rng.randrange(1, 4), tuple(callable_sigs), in_def=True)
-        defs[(name, arity)] = Def(name, _PARAMS[:arity], body)
+        params = _PARAMS[:arity]
+        body = substitute(body, {q: Param(q, k) for k, q in enumerate(params)})
+        defs[(name, arity)] = Def(name, params, body)
         callable_sigs.append((name, arity))
     main = _gen_goal(rng, size_bound, tuple(callable_sigs), in_def=False)
 

@@ -49,8 +49,13 @@ matching the source again; the line is then found by bisection over the
 line starts.  One parse builds one `Var` or `IntLit` node per distinct
 name or unsigned literal text and shares it wherever that text occurs
 (hash-consing): nodes are immutable, and no table keyed by identity
-holds leaves.  A literal's value is converted once per distinct text,
-in time subquadratic in its digits.  The parser keeps its own stacks:
+holds leaves.  Parameters are resolved in the same table: while a
+definition's body parses, each parameter name maps to its `Param(name,
+k)`, overlaid on the name's entry and deleted after the body, so the
+body reads its k-th argument by position at no extra cost per token,
+and the same name outside the body reads the global store.  A
+literal's value is converted once per distinct text, in time
+subquadratic in its digits.  The parser keeps its own stacks:
 goals are reduced by operator precedence over a stack of open `(` and
 `case` contexts, and expressions by shunting-yard (Dijkstra 1961).  So
 nesting of any depth parses without host recursion, at any recursion
@@ -80,6 +85,7 @@ from .syntax import (
     Goal,
     IntLit,
     PRECEDENCE,
+    Param,
     Program,
     Read,
     RELOPS,
@@ -302,6 +308,8 @@ class _Leaves(dict):
 
     Nodes are immutable and leaves get no span, so every occurrence of a
     text can share one node; the table lives only as long as its parse.
+    While a definition's body parses, its parameter names map to their
+    `Param` nodes instead.
     """
 
     def __missing__(self, text: str) -> Expr:
@@ -369,7 +377,13 @@ class _Parser:
                 params.append(self.expect("ident", "a parameter name"))
         self.expect(")")
         self.expect("=")
+        # the parameters overlay the leaf table for the body's parse only
+        leaves = self.leaves
+        for k, p in enumerate(params):
+            leaves[p] = Param(p, k)
         body = self.goal()
+        for p in params:
+            leaves.pop(p, None)  # a duplicate, which `Def` rejects, is gone already
         try:
             return Def(name, tuple(params), body)
         except ValueError as err:

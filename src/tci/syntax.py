@@ -3,10 +3,13 @@
 A goal is a statement that either succeeds or fails; an expression denotes
 an integer or string value.  Procedure definitions bind a parameter list
 over a body goal; a program is a set of definitions keyed by name and
-arity plus a main goal.  All nodes are immutable and compare structurally.
-A tree may share nodes: the parser builds one `Var` or `IntLit` per
-distinct text of a parse.  No walk or printer depends on node identity,
-except the span tables keyed by `id`, which skip those leaves.
+arity plus a main goal.  A `Var` reads the global store; a `Param` reads
+an argument of the running call by its position in the parameter list,
+and occurs only in a definition's body.  All nodes are immutable and
+compare structurally.  A tree may share nodes: the parser builds one
+`Var`, `Param` or `IntLit` per distinct text of a parse (or of a body).
+No walk or printer depends on node identity, except the span tables
+keyed by `id`, which skip those leaves.
 
 Every node class is a `record.Record`: its fields are its `__slots__`,
 its `__init__` sets each one once (after the checks `Case` and `Def`
@@ -65,6 +68,16 @@ class Var(Expr):
 
     def __init__(self, name: str):
         set_field(self, "name", name)
+
+
+class Param(Expr):
+    """The `index`-th argument of the running call, read by a definition's body as its parameter `name`."""
+
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        set_field(self, "name", name)
+        set_field(self, "index", index)
 
 
 class Binary(Expr):
@@ -178,6 +191,9 @@ class Def(Record):
     """A procedure definition name(p1, ..., pn) = body.
 
     Parameters are distinct and read-only: the body may not assign to one.
+    The body reads its k-th parameter as `Param(pk, k)`, as the parser
+    builds it; a `Var` of the same name in the body reads the global
+    store, so a hand-built body must use `Param` for its parameters.
     """
 
     __slots__ = ("name", "params", "body")
@@ -250,18 +266,21 @@ def iter_goals(g: Goal) -> Iterator[Goal]:
 
 
 def _own_vars(node: Goal | Expr) -> set[str]:
-    """The variable name a node itself reads (`Var`) or assigns (`Assign`), not those below it."""
+    """The store variable a node itself reads (`Var`) or assigns (`Assign`), not those below it.
+
+    A `Param` reads no store variable, so the `|` lint never names one.
+    """
     t = type(node)
     return {node.name} if t is Var else {node.var} if t is Assign else set()
 
 
 def expr_vars(e: Expr) -> set[str]:
-    """Variable names an expression reads."""
+    """Store variable names an expression reads (parameters excluded)."""
     return {node.name for node in _walk(e) if type(node) is Var}
 
 
 def free_vars(g: Goal) -> set[str]:
-    """All variable names a goal reads or assigns (procedure names excluded)."""
+    """All store variable names a goal reads or assigns (procedure and parameter names excluded)."""
     out: set[str] = set()
     for node in _walk(g):
         out |= _own_vars(node)
@@ -340,7 +359,7 @@ def _atom(node: Goal | Expr, parens: bool = True) -> tuple:
     t = type(node)
     if t is IntLit:
         return (int_text(node.value),)
-    if t is Var:
+    if t is Var or t is Param:
         return (node.name,)
     return ("(", node, ")") if parens and t in _COMPOUND else (node,)
 
@@ -386,7 +405,7 @@ def _parts(node: Goal | Expr) -> tuple:
         return (_fail_text(node.path),)
     if t is StrLit:
         return (f'"{node.value}"',)
-    if t is IntLit or t is Var:
+    if t is IntLit or t is Var or t is Param:
         return _atom(node)
     if t is Read:
         return ("read()",)
@@ -408,7 +427,7 @@ def _parts(node: Goal | Expr) -> tuple:
 Span = tuple[int, int, list[str]]
 
 # Expressions other than calls get no span: no trace line shows them.
-_SPANLESS = frozenset({IntLit, Var, Binary, StrLit, Read})
+_SPANLESS = frozenset({IntLit, Var, Param, Binary, StrLit, Read})
 
 
 def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:

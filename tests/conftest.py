@@ -14,6 +14,7 @@ from tci.syntax import (
     Else,
     Fail,
     IntLit,
+    Param,
     Read,
     Seq,
     StrLit,
@@ -76,7 +77,7 @@ def recursive_pretty(node) -> str:
             return str(value)
         case StrLit(value):
             return f'"{value}"'
-        case Var(name):
+        case Var(name) | Param(name, _):
             return name
         case Read():
             return "read()"

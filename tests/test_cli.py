@@ -227,6 +227,15 @@ class TestCheck:
         assert code == EXIT_SUCCESS and len(diagnostics) == 1
 
 
+    def test_parameters_are_not_shared_state(self, tmp_path):
+        # a parameter is read-only, so both branches may read it; a global
+        # of the same name outside the body is still shared state
+        path = write(tmp_path, "p.tc", "g(n) = (x = n | y = n)\nmain (x = n | y = n)")
+        code, diagnostics = cmd_check(path)
+        assert code == EXIT_SUCCESS
+        assert diagnostics == ["warning: '|' branches share variables: n (in: x = n | y = n)"]
+
+
 class TestSelfcheck:
     def test_small_run_agrees(self, capsys):
         code = main(["selfcheck", "--cases", "50", "--seed", "0", "--max-depth", "8"])

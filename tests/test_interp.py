@@ -244,6 +244,12 @@ class TestFrames:
         assert isinstance(out, Success)
         assert store.bindings == {"n": 10, "m": 2}
 
+    def test_parameter_shadows_global_only_in_its_body(self):
+        program = parse_program("g(n) = ret = n * 2\nmain n = 5; x = g(3)")
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success)
+        assert store.bindings == {"n": 5, "x": 6, "ret": 6}
+
     def test_callee_does_not_see_callers_frame(self):
         program = parse_program("g() = x = n\np(n) = g()\nmain p(1)")
         out, _, _ = run_main(program)

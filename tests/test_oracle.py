@@ -11,7 +11,7 @@ from tci.oracle import (
     gen_program,
 )
 from tci.parser import parse_goal, parse_program
-from tci.syntax import Call, CallExpr, Fail, Goal, Program, TrueGoal, iter_goals
+from tci.syntax import Call, CallExpr, Fail, Goal, Param, Program, TrueGoal, Var, _walk, iter_goals
 
 EMPTY = Program({}, TrueGoal())
 
@@ -71,6 +71,21 @@ class TestGenProgram:
             assert len(sv.bindings) <= 3
             assert len(inp) <= 3
             assert sv.input == inp
+
+    def test_bodies_read_their_parameters_as_params(self):
+        # a body's own parameter is never a `Var`, as the parser resolves it;
+        # another definition's parameter name is a global `Var`
+        params_read = 0
+        for seed in range(3000):
+            program, _, _ = gen_program(seed, 6)
+            for d in program.defs.values():
+                for node in _walk(d.body):
+                    if type(node) is Var:
+                        assert node.name not in d.params, (seed, d)
+                    elif type(node) is Param:
+                        assert d.params[node.index] == node.name, (seed, d)
+                        params_read += 1
+        assert params_read > 0
 
     def test_goal_size_within_bound(self):
         def goal_nodes(g: Goal) -> int:

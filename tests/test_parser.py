@@ -31,6 +31,7 @@ from tci.syntax import (
     Else,
     Fail,
     IntLit,
+    Param,
     Read,
     Seq,
     Test as RelopTest,
@@ -337,6 +338,25 @@ class TestSharedLeaves:
         assert traces[0] == traces[1] and len(traces[0]) == 3
 
 
+class TestParameters:
+    def test_body_reads_parameters_by_position(self):
+        p = parse_program("g(a, b) = ret = b - a * b\nmain t")
+        a, b = Param("a", 0), Param("b", 1)
+        assert p.defs[("g", 2)].body == Assign("ret", Binary("-", b, Binary("*", a, b)))
+
+    def test_parameter_name_is_a_global_outside_its_body(self):
+        # in main and in a later body, an earlier definition's parameter
+        # name reads the store
+        p = parse_program("g(n) = ret = n\nh(m) = ret = n + m\nmain x = n + g(n)")
+        assert p.defs[("g", 1)].body == Assign("ret", Param("n", 0))
+        assert p.defs[("h", 1)].body == Assign("ret", Binary("+", Var("n"), Param("m", 0)))
+        assert p.main == Assign("x", Binary("+", Var("n"), CallExpr("g", (Var("n"),))))
+
+    def test_parameter_names_print_back(self):
+        source = "g(n, s) = (n == 0; ret = s) else ret = g(n - 1, s + n)\nmain x = g(3, 0)\n"
+        assert pretty_program(parse_program(source)) == source
+
+
 class TestParseGoal:
     def test_semicolon_binds_tighter_than_else(self):
         g = parse_goal("a(); b() else c()")
@@ -492,6 +512,12 @@ main (openfile(); readfile()) | x = factorial(4)
         with pytest.raises(ParseError) as err:
             parse_program("p(u) = u = 1\nmain t")
         assert "parameter" in str(err.value)
+
+    def test_assigning_to_a_parameter_under_a_global_name_rejected(self):
+        # `n` is a global in main, but a parameter in p's body
+        with pytest.raises(ParseError) as err:
+            parse_program("p(n) = (x = n; n = x + 1)\nmain n = 1; p(n)")
+        assert "assigns to its own parameter(s): n" in str(err.value)
 
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """Time this checkout against another on one bench workload, in one process, op by op.
 
     python3 tools/ab.py OTHER_CHECKOUT --workload parse --seed 1 --rounds 3
+    python3 tools/ab.py OTHER_CHECKOUT --workload all --seed 4242
 
 Whole-process bench runs of one tree spread widely from run to run on
 a shared host, so two trees are compared here in pairs of calls
@@ -13,9 +14,11 @@ runs every op once on each side, back to back, each call after
 pair.  Every call is checked with `workloads.check`.
 
 It prints each side's median op time, the median per-op time ratio
-(this / other) and the share of pairs this checkout won.  Times are raw
-`perf_counter` times of `cli.main`, not scaled to a reference host.  The
-exit code is 1 when any call is wrong, else 0.
+(this / other) and the share of pairs this checkout won.  `--workload
+all` compares the four workloads in turn, printing that block, ratio
+line included, for each.  Times are raw `perf_counter` times of
+`cli.main`, not scaled to a reference host.  The exit code is 1 when any
+call is wrong, else 0.
 """
 
 from __future__ import annotations
@@ -83,16 +86,9 @@ def write_ops(ops: list[workloads.Op], work: Path) -> list[list[str]]:
     return argvs
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("other", type=Path, help="the checkout to compare against")
-    ap.add_argument("--workload", choices=workloads.WORKLOADS, default="parse")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=3)
-    args = ap.parse_args(argv)
-
-    mains = {"this": load_cli(ROOT, "tci_this").main, "other": load_cli(args.other.resolve(), "tci_other").main}
-    ops = workloads.generate(args.workload, args.seed, POOL)
+def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
+    """Time both sides on one workload's ops and print the comparison; returns the number of wrong calls."""
+    ops = workloads.generate(workload, seed, POOL)
     times: dict[str, list[float]] = {"this": [], "other": []}
     wrong = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,24 +96,37 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(WARMUP_OPS):
             for side in mains:
                 call(mains[side], argvs[i])
-        for n in range(args.rounds * len(ops)):
+        for n in range(rounds * len(ops)):
             i = n % len(ops)
             for side in ("this", "other") if n % 2 == 0 else ("other", "this"):
                 elapsed, code, out, err = call(mains[side], argvs[i])
                 diff = workloads.check(ops[i], code, out, err)
                 if diff is not None:
                     wrong += 1
-                    print(f"ab: {side} is wrong on {args.workload} op {i}: {diff}", file=sys.stderr)
+                    print(f"ab: {side} is wrong on {workload} op {i}: {diff}", file=sys.stderr)
                 times[side].append(elapsed * 1000)
 
     ratios = [a / b for a, b in zip(times["this"], times["other"])]
     won = sum(a < b for a, b in zip(times["this"], times["other"])) / len(ratios)
-    print(f"{args.workload} seed {args.seed}: {len(ratios)} pairs, {wrong} wrong calls")
+    print(f"{workload} seed {seed}: {len(ratios)} pairs, {wrong} wrong calls")
     for side in mains:
         print(f"  {side:5} median {statistics.median(times[side]):8.3f} ms")
     print(f"  ratio this/other: median {statistics.median(ratios):.3f}; this won {won:.0%} of pairs")
-    return 1 if wrong else 0
+    return wrong
 
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="the checkout to compare against")
+    ap.add_argument("--workload", choices=(*workloads.WORKLOADS, "all"), default="parse")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args(argv)
+
+    mains = {"this": load_cli(ROOT, "tci_this").main, "other": load_cli(args.other.resolve(), "tci_other").main}
+    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
+    wrong = sum(compare(mains, name, args.seed, args.rounds) for name in names)
+    return 1 if wrong else 0
 
 if __name__ == "__main__":
     sys.exit(main())
