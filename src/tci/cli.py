@@ -1,14 +1,13 @@
 """Command-line driver: run programs, lint them, cross-check the evaluator.
 
-Exit codes: 0 success, 1 the program failed, 2 lex/parse error (or bad
-input file), 3 internal error.  Results go to stdout; traces, warnings,
-and error messages go to stderr.
+Exit codes: 0 success (and `-h`/`--help`), 1 the program failed, 2
+lex/parse error, bad input file or usage error, 3 internal error.
+Results go to stdout; traces, warnings, and error messages go to stderr.
+A usage error prints the usage and a one-line reason to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import re
 import sys
 
@@ -29,6 +28,7 @@ from .syntax import Program, Span, pretty_program, pretty_print, shared_union_va
 EXIT_SUCCESS = 0
 EXIT_FAILURE = 1
 EXIT_PARSE_ERROR = 2
+EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 _STATUS_CODES = {
@@ -207,36 +207,98 @@ def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8) -> Selfc
     return report
 
 
-@functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The `tci` argument parser, built once per process (`main` may be called many times)."""
-    ap = argparse.ArgumentParser(
-        prog="tci",
-        description="Interpreter for TC (.tc files): statements succeed or fail, "
-        "failing statements roll back, and failures are handled by kind.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+USAGE = f"""\
+usage: tci run FILE [--input FILE] [--trace] [--max-steps N]
+       tci check FILE
+       tci selfcheck [--cases N] [--seed N] [--max-depth N]
 
-    run_p = sub.add_parser("run", help="parse and execute a program")
-    run_p.add_argument("file", help="program file (.tc)")
-    run_p.add_argument("--input", help="whitespace-separated integers for read()")
-    run_p.add_argument("--trace", action="store_true", help="print the evaluation trace to stderr")
-    run_p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N",
-                       help="step budget before the run fails with /F/sys/depth")
+Interpreter for TC (.tc files): statements succeed or fail, failing
+statements roll back, and failures are handled by kind.
 
-    check_p = sub.add_parser("check", help="parse and lint a program without running it")
-    check_p.add_argument("file", help="program file (.tc)")
+  run          parse and execute a program
+  check        parse and lint a program without running it
+  selfcheck    compare the evaluator against the reference semantics
 
-    self_p = sub.add_parser("selfcheck", help="compare the evaluator against the reference semantics")
-    self_p.add_argument("--cases", type=int, default=1000, metavar="N")
-    self_p.add_argument("--seed", type=int, default=0, metavar="N")
-    self_p.add_argument("--max-depth", type=int, default=8, metavar="N")
+  --input FILE     whitespace-separated integers for read()
+  --trace          print the evaluation trace to stderr
+  --max-steps N    step budget before the run fails with /F/sys/depth (default {DEFAULT_MAX_STEPS})
+  --cases N        generated programs to check (default 1000)
+  --seed N         seed of the first program (default 0)
+  --max-depth N    depth bound of the reference search (default 8)
+  -h, --help       print this text
+"""
 
-    return ap
+# command -> (whether it takes FILE, {option: (converter, default)}); a flag has no converter
+COMMANDS = {
+    "run": (True, {"--input": (str, None), "--trace": (None, False), "--max-steps": (int, DEFAULT_MAX_STEPS)}),
+    "check": (True, {}),
+    "selfcheck": (False, {"--cases": (int, 1000), "--seed": (int, 0), "--max-depth": (int, 8)}),
+}
+
+
+class UsageError(Exception):
+    """A command line that `COMMANDS` does not accept; the message says why."""
+
+
+def _is_option(arg: str) -> bool:
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
+    """(command, FILE or None, {option: value}) from `tci`'s arguments.
+
+    An option takes its value as `--opt value` or `--opt=value`, and
+    options may come before or after FILE; the last of a repeated option
+    wins.  Option names are matched in full.
+    """
+    if not argv:
+        raise UsageError("no command given")
+    command, *rest = argv
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    takes_file, table = COMMANDS[command]
+    values = {name: default for name, (_, default) in table.items()}
+    files = []
+    args = iter(rest)
+    for arg in args:
+        if not _is_option(arg):
+            files.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in table:
+            raise UsageError(f"unknown option {name!r} for {command}")
+        convert = table[name][0]
+        if convert is None:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_option(value):
+                raise UsageError(f"{name} needs a value")
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            raise UsageError(f"{name} needs an integer, not {value!r}") from None
+    if len(files) > takes_file:
+        raise UsageError(f"unexpected argument {files[takes_file]!r}")
+    if len(files) < takes_file:
+        raise UsageError(f"{command} needs a FILE")
+    return command, files[0] if files else None, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return EXIT_SUCCESS
+    try:
+        command, path, options = parse_args(argv)
+    except UsageError as err:
+        print(f"{USAGE}tci: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     # the evaluator nests host frames with non-tail recursion and nested
     # expressions; give it headroom (the parser keeps its own stacks and
     # needs none)
@@ -246,17 +308,17 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        if args.command == "run":
-            report = cmd_run(args.file, args.input, args.trace, args.max_steps)
+        if command == "run":
+            report = cmd_run(path, options["--input"], options["--trace"], options["--max-steps"])
             _print_report(report)
             return report.exit_code
-        if args.command == "check":
-            code, diagnostics = cmd_check(args.file)
+        if command == "check":
+            code, diagnostics = cmd_check(path)
             for line in diagnostics:
                 print(line, file=sys.stderr)
             return code
-        if args.command == "selfcheck":
-            report = cmd_selfcheck(args.cases, args.seed, args.max_depth)
+        if command == "selfcheck":
+            report = cmd_selfcheck(options["--cases"], options["--seed"], options["--max-depth"])
             print(
                 f"selfcheck: cases={report.cases} agreed={report.agreed} "
                 f"depth-exhausted={report.exhausted}"
@@ -264,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             if report.counterexample is not None:
                 print(report.counterexample)
             return report.exit_code
-        raise AssertionError(f"unhandled command {args.command!r}")
+        raise AssertionError(f"unhandled command {command!r}")
     except CheckpointUnderflow as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL

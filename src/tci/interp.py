@@ -39,7 +39,10 @@ available to `case Failtree of` goals for the handler's dynamic extent.
 
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
-enclosing step: `[rule R] text => result`.  A step reserves its line on
+enclosing step: `[rule R] text => result`.  Indentation stops at
+`TRACE_INDENT` (32) levels: a line under more steps is indented 32
+levels and starts with their number, `(40) [rule R] ...`, so a line's
+length does not grow with its depth.  A step reserves its line on
 entry and fills it in on exit, when its rule and result are known.  A
 step that goes on into a tail position (rule 6, 11, `case` or 4) has
 the same result as the last step of its loop: its line is deferred,
@@ -114,6 +117,10 @@ PRINT_BUILTIN = "print"
 
 # A trace line shows at most this many characters of its goal's text.
 TRACE_WIDTH = 160
+
+# A trace line is indented two spaces per enclosing step, up to this many
+# levels; a deeper line is indented as far and starts with its level: `(40) `.
+TRACE_INDENT = 32
 
 # The running call's argument values, by parameter position; a `Param` reads its slot.
 Frame = Sequence[Value]
@@ -271,15 +278,18 @@ class Evaluator:
         """Write a step's line: `head`, its node's text cut to `TRACE_WIDTH`, then `result`.
 
         The line is indented by the steps open around it, not counting its
-        own.  A deferred tail step is written with an empty `result`, and
-        its result is appended when its loop's last step returns.
+        own, up to `TRACE_INDENT` levels.  A deferred tail step is written
+        with an empty `result`, and its result is appended when its loop's
+        last step returns.
         """
         start, end, printed = self._spans[id(node)]
         if end - start <= TRACE_WIDTH:
             text = printed[0][start:end]
         else:
             text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
-        self.trace[at] = f"{'  ' * (self._depth - 1)}[rule {rule}] {head}{text} => {result}"
+        level = self._depth - 1
+        indent = "  " * level if level <= TRACE_INDENT else f"{'  ' * TRACE_INDENT}({level}) "
+        self.trace[at] = f"{indent}[rule {rule}] {head}{text} => {result}"
 
     # -- goals -------------------------------------------------------------
 

@@ -188,7 +188,7 @@ def _call(
             return Derivable(replace(sv, output=sv.output + (line,)))
         return NotDerivable(throw(SYS_UNDEF))
     mapping = {q: _lit(v) for q, v in zip(defn.params, values)}
-    return _derive(p, sv, substitute(defn.body, mapping), ambient, depth - 1)
+    return _derive(p, sv, substitute(defn.body, mapping, Param), ambient, depth - 1)
 
 
 def _expr(
@@ -262,47 +262,48 @@ def _lit(v: Value) -> Expr:
     return StrLit(v) if isinstance(v, str) else IntLit(v)
 
 
-def substitute_expr(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
+def substitute_expr(e: Expr, bindings: Mapping[str, Expr], read: type = Var) -> Expr:
+    if type(e) is read:
+        return bindings.get(e.name, e)
     match e:
-        case Var(name) | Param(name, _) if name in bindings:
-            return bindings[name]
         case Binary(op, left, right):
-            return Binary(op, substitute_expr(left, bindings), substitute_expr(right, bindings))
+            return Binary(op, substitute_expr(left, bindings, read), substitute_expr(right, bindings, read))
         case CallExpr(name, args):
-            return CallExpr(name, tuple(substitute_expr(a, bindings) for a in args))
+            return CallExpr(name, tuple(substitute_expr(a, bindings, read) for a in args))
         case _:
             return e
 
 
-def substitute(g: Goal, bindings: Mapping[str, Expr]) -> Goal:
-    """Replace every read of the bound names, as a `Var` or a `Param`, throughout a goal.
+def substitute(g: Goal, bindings: Mapping[str, Expr], read: type = Var) -> Goal:
+    """Replace every read of the bound names throughout a goal, where a read is a node of type `read`.
 
+    `read` is `Var` (a global) or `Param` (a parameter); reads of the other
+    kind are left alone, so a call substitutes its arguments for the
+    body's `Param`s and a `Var` of the same name still reads the store.
     Goals introduce no local binders, so replacement is plain.  Assignment
     targets are left alone: `Def` guarantees a body never assigns to one of
-    its parameters.  A body built by the parser or `gen_program` reads its
-    parameters only as `Param`s, so substituting a call's arguments for
-    its parameter names leaves a global of the same name alone.
+    its parameters.
     """
     match g:
         case TrueGoal() | Fail():
             return g
         case Assign(var, expr):
-            return Assign(var, substitute_expr(expr, bindings))
+            return Assign(var, substitute_expr(expr, bindings, read))
         case Test(left, relop, right):
-            return Test(substitute_expr(left, bindings), relop, substitute_expr(right, bindings))
+            return Test(substitute_expr(left, bindings, read), relop, substitute_expr(right, bindings, read))
         case Seq(first, second):
-            return Seq(substitute(first, bindings), substitute(second, bindings))
+            return Seq(substitute(first, bindings, read), substitute(second, bindings, read))
         case Union(first, second):
-            return Union(substitute(first, bindings), substitute(second, bindings))
+            return Union(substitute(first, bindings, read), substitute(second, bindings, read))
         case Else(tried, handler):
-            return Else(substitute(tried, bindings), substitute(handler, bindings))
+            return Else(substitute(tried, bindings, read), substitute(handler, bindings, read))
         case Case(arms, default):
             return Case(
-                tuple((p, substitute(body, bindings)) for p, body in arms),
-                None if default is None else substitute(default, bindings),
+                tuple((p, substitute(body, bindings, read)) for p, body in arms),
+                None if default is None else substitute(default, bindings, read),
             )
         case Call(name, args):
-            return Call(name, tuple(substitute_expr(a, bindings) for a in args))
+            return Call(name, tuple(substitute_expr(a, bindings, read) for a in args))
     raise TypeError(f"not a goal: {g!r}")
 
 

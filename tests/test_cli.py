@@ -9,6 +9,8 @@ from tci.cli import (
     EXIT_FAILURE,
     EXIT_PARSE_ERROR,
     EXIT_SUCCESS,
+    EXIT_USAGE,
+    USAGE,
     cmd_check,
     cmd_run,
     cmd_selfcheck,
@@ -91,15 +93,24 @@ class TestRun:
 
     def test_long_chain_under_trace_exits_0(self, tmp_path, capsys):
         # one line per step; the deferred lines of the chain's `;` steps
-        # each end with the last statement's result
+        # each end with the last statement's result; a line under more
+        # than 32 steps is indented 32 levels and starts with its level
         n = 2_000
         path = write(tmp_path, "p.tc", "main " + "; ".join(f"x{i} = {i}" for i in range(n)))
         assert main(["run", path, "--trace"]) == EXIT_SUCCESS
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 * n - 1
         assert all(line.endswith(" => success") for line in lines)
-        assert lines[-2:] == ["  " * (n - 2) + f"  [rule 5] x{n - 2} = {n - 2} => success",
-                              "  " * (n - 2) + f"  [rule 5] x{n - 1} = {n - 1} => success"]
+        assert lines[-2:] == ["  " * 32 + f"({n - 1}) [rule 5] x{n - 2} = {n - 2} => success",
+                              "  " * 32 + f"({n - 1}) [rule 5] x{n - 1} = {n - 1} => success"]
+
+    def test_trace_bytes_are_linear_in_chain_length(self, tmp_path, capsys):
+        sizes = []
+        for n in (2_000, 4_000):
+            path = write(tmp_path, f"{n}.tc", "main " + "; ".join(f"x{i} = {i}" for i in range(n)))
+            assert main(["run", path, "--trace"]) == EXIT_SUCCESS
+            sizes.append(len(capsys.readouterr().err.encode("utf-8")))
+        assert sizes[1] <= 2.2 * sizes[0]
 
     def test_deep_failure_path_is_drawn(self, tmp_path, capsys, default_recursion_limit):
         # The tree is drawn without host recursion.  At `main`'s recursion
@@ -297,6 +308,54 @@ class TestExitCodes:
         assert runs[0] == runs[1]
 
 
+class TestUsage:
+    """The command-line contract: usage errors exit 2 with the usage on stderr, `-h` exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["run", "P", "--bogus"],
+            ["run"],
+            ["check"],
+            ["run", "P", "P"],
+            ["check", "P", "P"],
+            ["run", "P", "--max-steps"],
+            ["run", "P", "--max-steps", "x"],
+            ["selfcheck", "--cases"],
+            ["selfcheck", "--cases", "x"],
+            ["run", "P", "--trace=1"],
+        ],
+        ids=["no-command", "unknown-command", "unknown-option", "run-no-file", "check-no-file",
+             "run-extra-file", "check-extra-file", "max-steps-no-value", "max-steps-not-integer",
+             "cases-no-value", "cases-not-integer", "trace-with-value"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "p.tc", "main t")
+        assert main([path if arg == "P" else arg for arg in argv]) == EXIT_USAGE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(USAGE)
+        reason = err[len(USAGE):]
+        assert reason.startswith("tci: error: ") and reason.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["selfcheck", "--cases", "5", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == EXIT_SUCCESS
+        assert capsys.readouterr() == (USAGE, "")
+
+    def test_option_value_after_equals_sign(self, tmp_path, capsys):
+        # five steps run the chain; four run out during its last statement
+        path = write(tmp_path, "p.tc", "main x = 1; y = 2; z = 3")
+        results = []
+        for argv in (["run", path, "--max-steps=4"], ["run", path, "--max-steps", "4"],
+                     ["run", "--max-steps", "4", path], ["run", path, "--max-steps=5"]):
+            results.append((main(argv), capsys.readouterr()))
+        assert results[0] == results[1] == results[2] == (EXIT_FAILURE, ("F\n└─ sys\n   └─ depth\n", ""))
+        assert results[3] == (EXIT_SUCCESS, ("x = 1\ny = 2\nz = 3\n", ""))
+
+
 class TestImports:
     """`tci run` loads neither the reference semantics nor the heavy standard modules."""
 
@@ -313,6 +372,15 @@ class TestImports:
         loaded = set(done.stdout.split())
         assert "tci.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "pathlib", "tci.oracle"})
+
+    def test_run_loads_no_argument_parser(self, tmp_path):
+        # `-X importtime` names every module the run imports, on stderr
+        path = write(tmp_path, "p.tc", "main t")
+        done = self.python("-S", "-X", "importtime", "-m", "tci", "run", path)
+        assert done.returncode == EXIT_SUCCESS and done.stdout == "", done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "tci.cli" in imported
+        assert imported.isdisjoint({"argparse", "gettext", "locale"})
 
     def test_selfcheck_imports_the_oracle_itself(self):
         done = self.python("-m", "tci", "selfcheck", "--cases", "50")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
@@ -391,7 +393,7 @@ class TestTraceText:
         pretty_print(chain, spans)
         content = 0
         for i, (line, node) in enumerate(zip(lines, steps)):
-            body = line.lstrip(" ")
+            body = re.sub(r"^ *(\(\d+\) )?", "", line)
             rule = "6" if type(node) is Seq else "5"
             assert body.startswith(f"[rule {rule}] ") and body.endswith(" => success")
             text = body[len(f"[rule {rule}] "):-len(" => success")]

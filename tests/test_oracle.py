@@ -11,7 +11,22 @@ from tci.oracle import (
     gen_program,
 )
 from tci.parser import parse_goal, parse_program
-from tci.syntax import Call, CallExpr, Fail, Goal, Param, Program, TrueGoal, Var, _walk, iter_goals
+from tci.syntax import (
+    Assign,
+    Call,
+    CallExpr,
+    Def,
+    Fail,
+    Goal,
+    IntLit,
+    Param,
+    Program,
+    Seq,
+    TrueGoal,
+    Var,
+    _walk,
+    iter_goals,
+)
 
 EMPTY = Program({}, TrueGoal())
 
@@ -151,6 +166,18 @@ class TestAgreement:
             out = eval_goal(program, store, program.main)
             assert isinstance(reference, Derivable) == isinstance(out, Success)
         assert exhausted < 4
+
+    def test_a_body_var_named_like_a_parameter_reads_the_store(self):
+        # a hand-built body that reads its parameter's name as a `Var`, not
+        # a `Param`: both sides read the global `n`, not the argument
+        from tci.interp import Success, run_main
+
+        body = Assign("x", Var("n"))
+        program = Program({("p", 1): Def("p", ("n",), body)}, Seq(Assign("n", IntLit(5)), Call("p", (IntLit(1),))))
+        outcome, store, _ = run_main(program, [])
+        reference = derive_bounded(program, StoreVal(), program.main)
+        assert isinstance(outcome, Success) and isinstance(reference, Derivable)
+        assert reference.store.bindings == store.bindings == {"n": 5, "x": 5}
 
     def test_true_derivable_for_every_store(self):
         rng = random.Random(3)

@@ -1,4 +1,4 @@
-"""Check that `tci run`, `tci check` and `tci selfcheck` behave the same here and in another checkout.
+"""Check that `tci`'s commands and command line behave the same here and in another checkout.
 
     python3 tools/same_as.py OTHER_CHECKOUT
 
@@ -32,9 +32,12 @@ after an operator, `/` between names, `-` after a `;`, a double minus,
 strings closed and not, paths with keyword segments or spaces around a
 `/`, and non-ASCII characters, each on a later line.  Last, `tci selfcheck --cases 2000` at
 seeds 0 and 2000, compared on exit code and stdout (its report and any
-counterexample).
+counterexample).  Then `COMMAND_LINES`: usage errors, `-h`, and
+options given as `--opt=value` and before FILE, each compared on exit
+code, stdout and stderr (a `SystemExit` from `cli.main` counts as its
+exit code).
 
-That is 18,827 calls.  The program files are written once, by this
+That is 18,843 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ`, and the exit code is 1; exit code 0 means
 every call agreed.
@@ -89,6 +92,14 @@ RECURSIONS = {
     "2,000-statement chain": "main " + "; ".join(f"x{i} = {i}" for i in range(2000)) + "\n",
 }
 RECURSION_MAX_STEPS = 2000
+# command lines, FILE standing for a three-statement program run in five
+# steps: usage errors, help, and options spelled and placed each way
+COMMAND_LINES = (
+    [], ["bogus"], ["run", "FILE", "--bogus"], ["run"], ["check"], ["run", "FILE", "FILE"],
+    ["check", "FILE", "FILE"], ["run", "FILE", "--max-steps"], ["run", "FILE", "--max-steps", "x"],
+    ["selfcheck", "--cases"], ["selfcheck", "--cases", "x"], ["run", "FILE", "--trace=1"], ["-h"],
+    ["run", "FILE", "--max-steps=4"], ["run", "--max-steps", "4", "FILE"], ["run", "--trace", "FILE", "--max-steps=5"],
+)
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
 SELFCHECK_SEEDS = (0, 2000)
@@ -115,8 +126,11 @@ with open(sys.argv[1]) as f:
 for argv in calls:
     out, err = io.StringIO(), io.StringIO()
     steps.clear()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:  # a usage error or `-h`, from a tree whose parser exits
+        code = exc.code
     print(json.dumps([code, out.getvalue(), err.getvalue(), steps[:1]]), flush=True)
 """
 
@@ -168,6 +182,11 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         add(name, source, None, [], traced=False)
     for seed in SELFCHECK_SEEDS:
         calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
+    program = work / "command_line.tc"
+    program.write_text("main x = 1; y = 2; z = 3\n", encoding="utf-8")
+    for argv in COMMAND_LINES:
+        argv = [str(program) if arg == "FILE" else arg for arg in argv]
+        calls.append((f"command line {' '.join(['tci', *argv])!r}", argv))
     return calls
 
 
