@@ -91,11 +91,18 @@ def matches(handler: FailPath, tree: ExceptionTree) -> bool:
     return any(handler.is_prefix_of(p) for p in tree.paths)
 
 
+# A drawn line is indented by at most this many levels of its prefix.
+RENDER_INDENT = 32
+
+
 def render(tree: ExceptionTree) -> str:
     """Deterministic tree drawing; children sorted by segment name.
 
     The drawing is made in pre-order on an explicit stack, so a path of
-    any length is drawn without host recursion.
+    any length is drawn without host recursion.  A line deeper than
+    `RENDER_INDENT` levels keeps the first 32 levels of its prefix and
+    then starts with its level, `(40) └─ a`, as a trace line does, so
+    the drawing's size is linear in the segments drawn.
     """
     root: dict = {}
     for path in tree.paths:
@@ -103,15 +110,18 @@ def render(tree: ExceptionTree) -> str:
         for seg in path.segments[1:]:
             node = node.setdefault(seg, {})
     lines = ["F"]
-    stack = _entries(root, "")
+    stack = _entries(root, "", 0)
     while stack:
-        name, node, prefix, last = stack.pop()
-        lines.append(prefix + ("└─ " if last else "├─ ") + name)
-        stack += _entries(node, prefix + ("   " if last else "│  "))
+        name, node, prefix, level, last = stack.pop()
+        lead = prefix if level <= RENDER_INDENT else f"{prefix}({level}) "
+        lines.append(lead + ("└─ " if last else "├─ ") + name)
+        if level < RENDER_INDENT:
+            prefix += "   " if last else "│  "
+        stack += _entries(node, prefix, level + 1)
     return "\n".join(lines)
 
 
-def _entries(node: dict, prefix: str) -> list[tuple[str, dict, str, bool]]:
-    """A node's children as (name, subtree, prefix, is last), last first: the top of a stack."""
+def _entries(node: dict, prefix: str, level: int) -> list[tuple[str, dict, str, int, bool]]:
+    """A node's children as (name, subtree, prefix, level, is last), last first: the top of a stack."""
     names = sorted(node, reverse=True)
-    return [(name, node[name], prefix, i == 0) for i, name in enumerate(names)]
+    return [(name, node[name], prefix, level, i == 0) for i, name in enumerate(names)]

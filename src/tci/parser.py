@@ -31,12 +31,6 @@ Lexical classes are ASCII: an INT is `[0-9]+`, unsigned, an IDENT is
 line, and whitespace is space, tab, carriage return and newline.  Any
 other character is a lexical error.
 
-A goal that starts with `(` is a test, as in `(x + 1) * 2 == y`, when the
-token after the matching `)` is a relational or arithmetic operator;
-otherwise it is a parenthesised goal.  No goal can be followed by an
-operator, so this one-token decision never rejects a valid program and
-the parser never backtracks.
-
 `tokenize` keeps the tokens as two parallel lists, texts and kinds, with
 no object per token.  One `findall` gives the texts; the whitespace
 before a token is one character-class run, and comments are entered
@@ -55,11 +49,21 @@ k)`, overlaid on the name's entry and deleted after the body, so the
 body reads its k-th argument by position at no extra cost per token,
 and the same name outside the body reads the global store.  A
 literal's value is converted once per distinct text, in time
-subquadratic in its digits.  The parser keeps its own stacks:
-goals are reduced by operator precedence over a stack of open `(` and
-`case` contexts, and expressions by shunting-yard (Dijkstra 1961).  So
-nesting of any depth parses without host recursion, at any recursion
-limit, in time linear in the tokens.
+subquadratic in its digits.
+
+One reducer parses goals and expressions alike: a shunting-yard
+(Dijkstra 1961; Pratt, POPL 1973) over one explicit stack and one
+operator table, loosest to tightest `else` < `|` < `;` < the prefix
+`IDENT =` < relational < `+ -` < `* /`.  The stack also holds the open
+`(`, call-argument and `case` contexts.  A `(` only groups, as in
+`(x + 1) * 2 == y` or `(t; x = 1) | t`: whether an operand is a goal or
+an expression is checked when it is reduced or when its context ends,
+and a bare call expression there becomes a call statement.  No
+expression operator follows a goal, so a test or an assignment ends at
+a second relational operator; `t`, `f`, `case` and `IDENT =` start only
+where a goal may start.  So the parser never backtracks, and nesting of
+any depth parses without host recursion, at any recursion limit, in
+time linear in the tokens.
 """
 
 from __future__ import annotations
@@ -288,19 +292,22 @@ _ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "(", "-"})
 # tokens that can be a segment of a failure path
 _NAMES = frozenset({"ident", "_", *KEYWORDS})
 
-# tokens that make a parenthesised operand out of the `(...)` before them
-_OPERATORS = frozenset((*RELOPS, *PRECEDENCE))
-
-_RELOPS = frozenset(RELOPS)
-
-# goal operators, all right-associative: precedence (tightest highest) and
-# node; any other token ends the goal
-_GOAL_OPS = {";": (3, Seq), "|": (2, Union), "else": (1, Else)}
-_GOAL_END = (0, None)
-
-# arithmetic operators, all left-associative, as entries of `expr`'s operator
-# stack: (precedence, tightest highest; operator; no call arguments)
-_BINARY = {op: (prec, op, None) for op, prec in PRECEDENCE.items()}
+# Operators by token, as (threshold, precedence, node or operator text),
+# loosest to tightest: `else` < `|` < `;` < prefix `IDENT =` (4) <
+# relational (5) < `+ -` < `* /`.  Before it is pushed, an operator reduces
+# every stack entry whose precedence is above its threshold: its own
+# precedence for the right-associative goal operators, one less for the
+# left-associative arithmetic ones, and 3 for a relational operator, so
+# that an `=` or a test before it is reduced to the goal it cannot follow.
+# Any other token ends the innermost context (threshold 0).
+_OPS = {
+    "else": (1, 1, Else),
+    "|": (2, 2, Union),
+    ";": (3, 3, Seq),
+    **{op: (3, 5, op) for op in RELOPS},
+    **{op: (4 + prec, 5 + prec, op) for op, prec in PRECEDENCE.items()},
+}
+_END = (0, 0, None)
 
 
 class _Leaves(dict):
@@ -324,14 +331,6 @@ class _Parser:
         self.texts = tokens.texts
         self.i = 0
         self.leaves = _Leaves()
-        # index of the matching ")" of every "(" that has one
-        self.closing: dict[int, int] = {}
-        opened: list[int] = []
-        for j, kind in enumerate(self.kinds):
-            if kind == "(":
-                opened.append(j)
-            elif kind == ")" and opened:
-                self.closing[opened.pop()] = j
 
     def error(self, i: int, what: str) -> ParseError:
         """`expected <what>` at token `i`."""
@@ -392,102 +391,173 @@ class _Parser:
     # -- goals -------------------------------------------------------------
 
     def goal(self) -> Goal:
-        """One goal, reduced by operator precedence on an explicit stack.
+        """One goal, by operator precedence (shunting-yard) on one explicit stack.
 
-        `stack` is flat, three slots an entry with the precedence last.
-        It holds each left operand that waits for its right one, as goal,
-        node type, precedence, over the frame of each context still open,
-        innermost last: `(`, a case arm or a case default, as name, data,
-        0.  A frame's precedence 0 stops every reduction, so an operator
-        or the end of a goal reduces only inside its own context.  (Flat
-        slots, not a tuple an entry: CPython keeps up to 2000 freed
-        tuples of each size for reuse, so the entries of a long chain
-        would stay allocated after the parse.)
+        `stack` is flat, three slots an entry with the precedence last.  It
+        holds each operator that waits for its right operand as left
+        operand, node or operator text, precedence (`IDENT =` as name,
+        `Assign`, 4), over the frame of each context still open, innermost
+        last, as data, name, precedence: `(`, a case arm or a case default
+        at 0, and a call's arguments at -1.  The operand at hand is `x`.  A
+        frame's precedence stops every reduction, so an operator or the end
+        of a context reduces only inside its own context; and an operand
+        under a precedence from 0 to 3 is in goal position, where `t`, `f`,
+        `case` and `IDENT =` may start.  (Flat slots, not a tuple an
+        entry: CPython keeps up to 2000 freed tuples of each size for
+        reuse, so the entries of a long chain would stay allocated after
+        the parse.)
+
+        A `(` only groups; whether an operand is a goal or an expression is
+        checked when it is reduced or when its context ends, and a bare
+        `CallExpr` there becomes a `Call`.  An error that an operand is of
+        the wrong kind points at the first token of the innermost operand
+        of a goal operator, context or argument, `start`.
         """
-        kinds = self.kinds
-        stack: list = ["goal", None, 0]
+        kinds, texts, leaves = self.kinds, self.texts, self.leaves
+        stack: list = [None, "goal", 0]
+        i = start = self.i
         while True:
-            g = self.atom_goal(stack)
-            while g is not None:
-                i = self.i
-                prec, node = _GOAL_OPS.get(kinds[i], _GOAL_END)
-                if kinds[i] == ";" and kinds[i + 1] not in _ATOM_STARTS:
-                    prec = 0  # a `;` that separates case arms
-                while stack[-1] > prec:
-                    g = stack[-2](stack[-3], g)
+            # an operand, or a prefix or context that opens before one
+            kind = kinds[i]
+            if kind == "ident":
+                if kinds[i + 1] == "(":
+                    name = texts[i]
+                    if kinds[i + 2] == ")":
+                        x = Read() if name == "read" else CallExpr(name, ())
+                        i += 3
+                    else:
+                        stack += (name, []), "call", -1
+                        i = start = i + 2
+                        continue
+                elif kinds[i + 1] == "=" and 0 <= stack[-1] < 4:
+                    # an assignment, where a goal may start
+                    stack += texts[i], Assign, 4
+                    i += 2
+                    continue
+                else:
+                    x = leaves[texts[i]]
+                    i += 1
+            elif kind == "int":
+                x = leaves[texts[i]]
+                i += 1
+            elif kind == "(":
+                stack += None, "(", 0
+                i = start = i + 1
+                continue
+            elif kind == "str":
+                x = StrLit(texts[i][1:-1])
+                i += 1
+            elif kind == "-" and kinds[i + 1] == "int":
+                x = IntLit(-decimal_int(texts[i + 1]))
+                i += 2
+            elif kind == "t" and 0 <= stack[-1] < 4:
+                x = TrueGoal()
+                i += 1
+            elif kind == "f" and 0 <= stack[-1] < 4:
+                if kinds[i + 1] == "(":
+                    self.i = i + 2
+                    x = Fail(self.fail_path("a failure name or path"))
+                    self.expect(")")
+                    i = self.i
+                else:
+                    x = Fail()
+                    i += 1
+            elif kind == "case" and 0 <= stack[-1] < 4:
+                self.i = i + 1
+                self.expect("Failtree")
+                self.expect("of")
+                self.expect("{")
+                stack += ([], self.case_arm()), "arm", 0
+                i = start = self.i
+                continue
+            else:
+                raise self.error(i, "an expression")
+
+            # after an operand: reduce, then push an operator or end a context
+            while True:
+                threshold, prec, op = _OPS.get(kinds[i], _END)
+                if prec > 3:
+                    if isinstance(x, Goal):
+                        threshold = prec = 0  # no expression operator follows a goal
+                elif op is Seq and kinds[i + 1] not in _ATOM_STARTS:
+                    threshold = prec = 0  # a `;` that separates case arms
+                while stack[-1] > threshold:
+                    top = stack[-1]
+                    if top > 3:
+                        if isinstance(x, Goal):
+                            raise self.error(start, "an expression")
+                        if top > 5:
+                            x = Binary(stack[-2], stack[-3], x)
+                        else:
+                            x = Test(stack[-3], stack[-2], x) if top == 5 else Assign(stack[-3], x)
+                            if prec > 3:
+                                threshold = prec = 0  # no relational operator follows a goal
+                    else:
+                        if not isinstance(x, Goal):
+                            x = self.statement(x, start)
+                        x = stack[-2](stack[-3], x)
                     del stack[-3:]
                 if prec:
-                    self.i = i + 1
-                    stack += g, node, prec
+                    if prec < 4:
+                        if not isinstance(x, Goal):
+                            x = self.statement(x, start)
+                        start = i + 1
+                    stack += x, op, prec
+                    i += 1
                     break
-                # the goal of the innermost context is complete
-                frame, data = stack[-3], stack[-2]
+
+                # the innermost context ends
+                data, name = stack[-3], stack[-2]
                 del stack[-3:]
-                if frame == "goal":
-                    return g
-                if frame == "(":
-                    self.expect(")")
+                if name == "(":
+                    if kinds[i] != ")":
+                        raise self.error(i, "')'")
+                    i += 1
                     continue
-                if frame == "arm":
+                if name == "call":
+                    if isinstance(x, Goal):
+                        raise self.error(start, "an expression")
+                    data[1].append(x)
+                    if kinds[i] == ",":
+                        stack += data, name, -1
+                        i = start = i + 1
+                        break
+                    if kinds[i] != ")":
+                        raise self.error(i, "')'")
+                    i += 1
+                    x = CallExpr(data[0], tuple(data[1]))
+                    continue
+                if not isinstance(x, Goal):
+                    x = self.statement(x, start)
+                if name == "goal":
+                    self.i = i
+                    return x
+                if name == "arm":
                     arms, path = data
-                    arms.append((path, g))
+                    arms.append((path, x))
                     default = None
-                    if kinds[self.i] == ";":
-                        self.i += 1
-                        if kinds[self.i] == "_":
+                    if kinds[i] == ";":
+                        self.i = i + 1
+                        if kinds[i + 1] == "_":
                             self.i += 1
                             self.expect(":")
-                            stack += "default", arms, 0
+                            stack += arms, "default", 0
                         else:
-                            stack += "arm", (arms, self.case_arm()), 0
+                            stack += (arms, self.case_arm()), "arm", 0
+                        i = start = self.i
                         break
                 else:
-                    arms, default = data, g
-                self.expect("}")
-                g = Case(tuple(arms), default)
+                    arms, default = data, x
+                if kinds[i] != "}":
+                    raise self.error(i, "'}'")
+                i += 1
+                x = Case(tuple(arms), default)
 
-    def atom_goal(self, stack: list) -> Goal | None:
-        """The atomic goal at the current token, or None once the `(` or `case` it opens is on `stack`."""
-        kinds = self.kinds
-        i = self.i
-        kind = kinds[i]
-        if kind == "t":
-            self.i = i + 1
-            return TrueGoal()
-        if kind == "ident" and kinds[i + 1] == "=":
-            self.i = i + 2
-            return Assign(self.texts[i], self.expr())
-        if kind == "f":
-            self.i = i + 1
-            if kinds[i + 1] == "(":
-                self.i = i + 2
-                path = self.fail_path("a failure name or path")
-                self.expect(")")
-                return Fail(path)
-            return Fail()
-        if kind == "case":
-            self.i = i + 1
-            self.expect("Failtree")
-            self.expect("of")
-            self.expect("{")
-            stack += "arm", ([], self.case_arm()), 0
-            return None
-        if kind == "(":
-            close = self.closing.get(i)
-            if close is None or kinds[close + 1] not in _OPERATORS:
-                self.i = i + 1
-                stack += "(", None, 0
-                return None
-
-        # a test, or a call statement
-        e = self.expr()
-        kind = kinds[self.i]
-        if kind in _RELOPS:
-            self.i += 1
-            return Test(e, kind, self.expr())
-        if type(e) is CallExpr:
-            return Call(e.name, e.args)
-        raise self.error(i, "a statement")
+    def statement(self, x: Expr, start: int) -> Call:
+        """The call statement of call expression `x`; any other expression, starting at token `start`, is no goal."""
+        if type(x) is CallExpr:
+            return Call(x.name, x.args)
+        raise self.error(start, "a statement")
 
     def case_arm(self) -> FailPath:
         """An arm's path, which starts with `/`, stepping past it and its `:`."""
@@ -516,77 +586,6 @@ class _Parser:
             return FailPath(segments) if rooted else user_path(segments)
         except ValueError as err:
             raise ParseError(self.span(start), str(err)) from None
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self) -> Expr:
-        """One expression, by shunting-yard over an operand and an operator stack.
-
-        `ops` holds each binary operator as (precedence, op, None), over
-        the marker of each `(` or call still open, as (0, None, None) or
-        (0, name, arguments so far).  A marker's precedence 0 stops every
-        reduction, so an operator reduces only inside its own parentheses.
-        """
-        kinds, texts, leaves = self.kinds, self.texts, self.leaves
-        operands: list[Expr] = []
-        ops: list[tuple] = []
-        i = self.i
-        while True:
-            # an operand
-            kind = kinds[i]
-            if kind == "int" or kind == "ident" and kinds[i + 1] != "(":
-                operands.append(leaves[texts[i]])
-                i += 1
-            elif kind == "ident":
-                name = texts[i]
-                if kinds[i + 2] == ")":
-                    operands.append(Read() if name == "read" else CallExpr(name, ()))
-                    i += 3
-                else:
-                    ops.append((0, name, []))
-                    i += 2
-                    continue
-            elif kind == "(":
-                ops.append((0, None, None))
-                i += 1
-                continue
-            elif kind == "str":
-                operands.append(StrLit(texts[i][1:-1]))
-                i += 1
-            elif kind == "-" and kinds[i + 1] == "int":
-                operands.append(IntLit(-decimal_int(texts[i + 1])))
-                i += 2
-            else:
-                raise self.error(i, "an expression")
-
-            # after an operand: binary operators, and `)` or `,` inside an open marker
-            while True:
-                kind = kinds[i]
-                binary = _BINARY.get(kind)
-                prec = 1 if binary is None else binary[0]
-                while ops and ops[-1][0] >= prec:
-                    right = operands.pop()
-                    operands[-1] = Binary(ops.pop()[1], operands[-1], right)
-                if binary is not None:
-                    ops.append(binary)
-                    i += 1
-                    break
-                if not ops:
-                    self.i = i
-                    return operands.pop()
-                _, name, args = ops[-1]
-                if kind == ")":
-                    ops.pop()
-                    i += 1
-                    if args is not None:
-                        args.append(operands.pop())
-                        operands.append(CallExpr(name, tuple(args)))
-                elif kind == "," and args is not None:
-                    args.append(operands.pop())
-                    i += 1
-                    break
-                else:
-                    raise self.error(i, "')'")
 
 
 def _parse(source: str, rule):

@@ -113,9 +113,9 @@ class TestRun:
         assert sizes[1] <= 2.2 * sizes[0]
 
     def test_deep_failure_path_is_drawn(self, tmp_path, capsys, default_recursion_limit):
-        # The tree is drawn without host recursion.  At `main`'s recursion
-        # limit of 20,000 the same check takes a path over 20,000 segments
-        # long, whose staircase drawing is about 0.6 G characters.
+        # The tree is drawn without host recursion, at the recursion limit
+        # `main` does not raise; a line under more than 32 levels is
+        # indented 32 levels and starts with its level.
         n = 1500
         path = write(tmp_path, "p.tc", "main f(" + "/".join(["a"] * n) + ")")
         report = cmd_run(path)
@@ -123,7 +123,22 @@ class TestRun:
         _print_report(report)
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == ["F", "└─ usr", "   └─ a"]
-        assert len(lines) == n + 2 and lines[-1] == "   " * n + "└─ a"
+        assert lines[33:35] == ["   " * 32 + "└─ a", "   " * 32 + "(33) └─ a"]
+        assert len(lines) == n + 2 and lines[-1] == "   " * 32 + f"({n}) └─ a"
+
+    @staticmethod
+    def failure_bytes(tmp_path, capsys, segments):
+        """The bytes `tci run` prints for `main f(a/.../a)` of `segments` segments."""
+        path = write(tmp_path, f"{segments}.tc", "main f(" + "/".join(["a"] * segments) + ")")
+        assert main(["run", path]) == EXIT_FAILURE
+        return len(capsys.readouterr().out.encode("utf-8"))
+
+    def test_deep_failure_path_prints_under_half_a_megabyte(self, tmp_path, capsys):
+        assert self.failure_bytes(tmp_path, capsys, 3_000) <= 500_000
+
+    def test_failure_bytes_are_linear_in_path_length(self, tmp_path, capsys):
+        small, large = (self.failure_bytes(tmp_path, capsys, n) for n in (2_000, 4_000))
+        assert large <= 2.2 * small
 
     def test_input_file_feeds_read(self, tmp_path, capsys):
         prog = write(tmp_path, "p.tc", "main x = read(); y = read()")

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -534,12 +535,17 @@ class TestParenthesisDecision:
             ("(x) - 1 < y", RelopTest(Binary("-", Var("x"), IntLit(1)), "<", Var("y"))),
             ("(g(x))", Call("g", (Var("x"),))),
             ("(f(x))", Fail(FailPath.parse("/F/usr/x"))),
+            ("((x) + 1) == 2", RelopTest(Binary("+", Var("x"), IntLit(1)), "==", IntLit(2))),
+            ("(t) | x == 1", Union(TrueGoal(), RelopTest(Var("x"), "==", IntLit(1)))),
+            ("(g(x)) == 1", RelopTest(CallExpr("g", (Var("x"),)), "==", IntLit(1))),
         ],
     )
     def test_operand_or_goal(self, source, expected):
         assert parse_goal(source) == expected
 
-    @pytest.mark.parametrize("source", ["(x = 1) == 2", "(t; x = 1", "((x) == 1"])
+    @pytest.mark.parametrize(
+        "source", ["(x = 1) == 2", "(t; x = 1", "((x) == 1", "(x) = 1", "t == 1", "x + 1; t", "g(x = 1)"]
+    )
     def test_malformed_parentheses_rejected_inside_the_source(self, source):
         with pytest.raises(ParseError) as err:
             parse_goal(source)
@@ -549,28 +555,36 @@ class TestParenthesisDecision:
 
 class TestLinearity:
     @staticmethod
-    def expr_calls(monkeypatch, source):
-        calls = 0
-        original = _Parser.expr
+    def parser_lines(source):
+        """The number of lines of `tci/parser.py` executed to parse `source`."""
+        parser_file = _Parser.goal.__code__.co_filename
+        lines = 0
 
-        def counting(parser):
-            nonlocal calls
-            calls += 1
-            return original(parser)
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count
 
-        monkeypatch.setattr(_Parser, "expr", counting)
-        parse_goal(source)
-        monkeypatch.undo()
-        return calls
+        def enter(frame, event, arg):
+            return count if frame.f_code.co_filename == parser_file else None
 
-    def test_expr_calls_grow_linearly_with_nesting(self, monkeypatch, default_recursion_limit):
+        previous = sys.gettrace()
+        sys.settrace(enter)
+        try:
+            parse_goal(source)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_parser_lines_grow_linearly_with_nesting(self, default_recursion_limit):
         def nested(n):
             goals = "(" * n + "t; (x) == 1" + ")" * n
             operand = "(" * n + "x" + ")" * n + " == 1"
             return f"{goals} | {operand}"
 
-        for n in (100, 50_000):
-            small, large = (self.expr_calls(monkeypatch, nested(m)) for m in (n, 2 * n))
+        for n in (100, 5_000):
+            small, large = (self.parser_lines(nested(m)) for m in (n, 2 * n))
             assert large <= 2 * small + 10
 
     @pytest.mark.parametrize(

@@ -39,8 +39,13 @@ exit code).
 
 That is 18,843 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
-then `N of M calls differ`, and the exit code is 1; exit code 0 means
-every call agreed.
+then `N of M calls differ:` and a summary of them: the differing calls
+counted by call kind (the label with its numbers dropped) and by the
+field that first differs.  For stderr the summary also gives the first
+differing line on each side, the other tree's first, with any
+`path:line:col: ` prefix dropped, as in `gen_program seed N cut check,
+stderr: expected a statement → expected ')': 30`.  The exit code is
+then 1; exit code 0 means every call agreed.
 """
 
 from __future__ import annotations
@@ -48,9 +53,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,7 +217,9 @@ def start(tree: Path, calls_file: Path) -> subprocess.Popen:
     )
 
 
-def first_difference(mine: list, theirs: list) -> str | None:
+def first_difference(mine: list, theirs: list) -> tuple[str, str, str] | None:
+    """The first field in which two calls' results differ, as (field, what differs, the
+    first differing line on each side without its source position), or None."""
     for field, a, b in zip(FIELDS, mine, theirs):
         if a == b:
             continue
@@ -218,10 +227,15 @@ def first_difference(mine: list, theirs: list) -> str | None:
             a_lines, b_lines = a.splitlines(), b.splitlines()
             for j, (x, y) in enumerate(zip(a_lines, b_lines)):
                 if x != y:
-                    return f"{field} line {j + 1}:\n  this:  {x!r}\n  other: {y!r}"
-            return f"{field}: {len(a_lines)} lines here, {len(b_lines)} in the other tree"
-        return f"{field}: {a!r} here, {b!r} in the other tree"
+                    pair = f"{_POSITION.sub('', y)} → {_POSITION.sub('', x)}"
+                    return field, f"{field} line {j + 1}:\n  this:  {x!r}\n  other: {y!r}", pair
+            return field, f"{field}: {len(a_lines)} lines here, {len(b_lines)} in the other tree", ""
+        return field, f"{field}: {a!r} here, {b!r} in the other tree", ""
     return None
+
+
+# the `path:line:col: ` before a source error's message
+_POSITION = re.compile(r"^.*?:\d+:\d+: ")
 
 
 def main(argv: list[str]) -> int:
@@ -238,13 +252,17 @@ def main(argv: list[str]) -> int:
         calls_file = work / "calls.json"
         calls_file.write_text(json.dumps([argv for _, argv in calls]), encoding="utf-8")
         procs = [start(ROOT, calls_file), start(other, calls_file)]
-        compared = differ = 0
+        compared = 0
+        kinds: Counter[str] = Counter()
         try:
             for (label, _), line_a, line_b in zip(calls, procs[0].stdout, procs[1].stdout):
                 diff = first_difference(json.loads(line_a), json.loads(line_b))
                 if diff is not None:
-                    print(f"same_as: {label} differs from {other}\n{diff}")
-                    differ += 1
+                    field, text, pair = diff
+                    print(f"same_as: {label} differs from {other}\n{text}")
+                    if field == "stderr" and pair:
+                        field += f": {pair}"
+                    kinds[f"{re.sub(r'[0-9]+', 'N', label)}, {field}"] += 1
                 compared += 1
         finally:
             for proc in procs:
@@ -253,8 +271,10 @@ def main(argv: list[str]) -> int:
         if compared < len(calls):
             print(f"same_as: a driver stopped after {compared} of {len(calls)} calls", file=sys.stderr)
             return 1
-    if differ:
-        print(f"same_as: {differ} of {len(calls)} calls differ")
+    if kinds:
+        print(f"same_as: {kinds.total()} of {len(calls)} calls differ:")
+        for kind, count in kinds.most_common():
+            print(f"  {kind}: {count}")
         return 1
     print(f"same_as: {len(calls)} calls agree with {other}")
     return 0
