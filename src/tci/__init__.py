@@ -29,7 +29,7 @@ from .parser import (
     parse_program,
     tokenize,
 )
-from .store import CheckpointUnderflow, Store, UnboundVariable, Value
+from .store import Store, UnboundVariable, Value
 from .syntax import (
     Assign,
     Binary,

@@ -22,7 +22,7 @@ from .interp import (
     run_main,
 )
 from .parser import SourceError, decimal_int, parse_program
-from .store import CheckpointUnderflow, Store, Value
+from .store import Store, Value
 from .syntax import Program, Span, pretty_program, pretty_print, shared_union_vars
 
 EXIT_SUCCESS = 0
@@ -228,16 +228,25 @@ statements roll back, and failures are handled by kind.
   -h, --help       print this text
 """
 
-# command -> (whether it takes FILE, {option: (converter, default)}); a flag has no converter
-COMMANDS = {
-    "run": (True, {"--input": (str, None), "--trace": (None, False), "--max-steps": (int, DEFAULT_MAX_STEPS)}),
-    "check": (True, {}),
-    "selfcheck": (False, {"--cases": (int, 1000), "--seed": (int, 0), "--max-depth": (int, 8)}),
-}
-
 
 class UsageError(Exception):
     """A command line that `COMMANDS` does not accept; the message says why."""
+
+
+def _count(text: str) -> int:
+    """The value of an option that counts something: an integer, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise UsageError(f"must be 0 or more, not {text!r}")
+    return value
+
+
+# command -> (whether it takes FILE, {option: (converter, default)}); a flag has no converter
+COMMANDS = {
+    "run": (True, {"--input": (str, None), "--trace": (None, False), "--max-steps": (_count, DEFAULT_MAX_STEPS)}),
+    "check": (True, {}),
+    "selfcheck": (False, {"--cases": (_count, 1000), "--seed": (int, 0), "--max-depth": (_count, 8)}),
+}
 
 
 def _is_option(arg: str) -> bool:
@@ -281,6 +290,8 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
             values[name] = convert(value)
         except ValueError:
             raise UsageError(f"{name} needs an integer, not {value!r}") from None
+        except UsageError as err:
+            raise UsageError(f"{name} {err}") from None
     if len(files) > takes_file:
         raise UsageError(f"unexpected argument {files[takes_file]!r}")
     if len(files) < takes_file:
@@ -327,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.counterexample)
             return report.exit_code
         raise AssertionError(f"unhandled command {command!r}")
-    except CheckpointUnderflow as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as err:  # noqa: BLE001 - last-resort boundary for exit code 3
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

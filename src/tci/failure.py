@@ -91,8 +91,10 @@ def matches(handler: FailPath, tree: ExceptionTree) -> bool:
     return any(handler.is_prefix_of(p) for p in tree.paths)
 
 
-# A drawn line is indented by at most this many levels of its prefix.
-RENDER_INDENT = 32
+# A trace line and a line of a drawn failure tree are indented by at most
+# this many levels; a deeper line is indented as far and starts with its
+# level: `(40) `.
+MAX_INDENT = 32
 
 
 def render(tree: ExceptionTree) -> str:
@@ -100,7 +102,7 @@ def render(tree: ExceptionTree) -> str:
 
     The drawing is made in pre-order on an explicit stack, so a path of
     any length is drawn without host recursion.  A line deeper than
-    `RENDER_INDENT` levels keeps the first 32 levels of its prefix and
+    `MAX_INDENT` levels keeps the first 32 levels of its prefix and
     then starts with its level, `(40) └─ a`, as a trace line does, so
     the drawing's size is linear in the segments drawn.
     """
@@ -113,9 +115,9 @@ def render(tree: ExceptionTree) -> str:
     stack = _entries(root, "", 0)
     while stack:
         name, node, prefix, level, last = stack.pop()
-        lead = prefix if level <= RENDER_INDENT else f"{prefix}({level}) "
+        lead = prefix if level <= MAX_INDENT else f"{prefix}({level}) "
         lines.append(lead + ("└─ " if last else "├─ ") + name)
-        if level < RENDER_INDENT:
+        if level < MAX_INDENT:
             prefix += "   " if last else "│  "
         stack += _entries(node, prefix, level + 1)
     return "\n".join(lines)

@@ -2,12 +2,14 @@
 
 Every goal evaluates to Success or Failure.  A failing goal leaves no
 trace in the store that anything reads.  Only three places read the
-store after a failure, and only they open a checkpoint: each operand of
-a `|`, the tried operand of an `else`, and the root goal of a run.  Each
-commits its checkpoint on success and rolls it back on failure.  Every
-other rule lets a failure propagate with its partial edits in place,
-and the nearest enclosing catch point undoes them, so partial updates
-never escape a failure at any nesting level.
+store after a failure, and only they take a checkpoint, a mark in the
+store's undo log: each operand of a `|`, the tried operand of an
+`else`, and the root goal of a run.  Each rolls the store back to its
+mark on failure and does nothing on success, so a success's edits stay
+in the log for an enclosing mark to undo.  Every other rule lets a
+failure propagate with its partial edits in place, and the nearest
+enclosing catch point undoes them, so partial updates never escape a
+failure at any nesting level.
 
 One step is one iteration of the loop in `_eval`: it spends a unit of
 the budget, picks the goal's rule by testing `type(goal) is ...`, most
@@ -40,7 +42,7 @@ available to `case Failtree of` goals for the handler's dynamic extent.
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
 enclosing step: `[rule R] text => result`.  Indentation stops at
-`TRACE_INDENT` (32) levels: a line under more steps is indented 32
+`MAX_INDENT` (32) levels: a line under more steps is indented 32
 levels and starts with their number, `(40) [rule R] ...`, so a line's
 length does not grow with its depth.  A step reserves its line on
 entry and fills it in on exit, when its rule and result are known.  A
@@ -70,6 +72,7 @@ from collections.abc import Sequence
 
 from .failure import (
     ExceptionTree,
+    MAX_INDENT,
     SYS_CASE,
     SYS_DEPTH,
     SYS_DIV0,
@@ -117,10 +120,6 @@ PRINT_BUILTIN = "print"
 
 # A trace line shows at most this many characters of its goal's text.
 TRACE_WIDTH = 160
-
-# A trace line is indented two spaces per enclosing step, up to this many
-# levels; a deeper line is indented as far and starts with its level: `(40) `.
-TRACE_INDENT = 32
 
 # The running call's argument values, by parameter position; a `Param` reads its slot.
 Frame = Sequence[Value]
@@ -237,22 +236,20 @@ class Evaluator:
     def run(self, goal: Goal) -> Outcome:
         """Evaluate one goal; on failure the store is as `run` found it."""
         store = self.store
-        entry_marks = store.open_checkpoints
         entry_lines = len(self.trace) if self.trace is not None else 0
         if self.trace is not None:
             # Every node this run prints is alive until it returns (the
             # program and `goal`), so no id in the table is reused.
             self._spans = {}
             pretty_print(goal, self._spans)
-        store.checkpoint()
+        mark = store.checkpoint()
         try:
             out = self._eval(goal, None, ())
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
-            # every checkpoint the aborted descent left open.
-            while store.open_checkpoints > entry_marks:
-                store.rollback()
+            # every edit the aborted descent made.
+            store.rollback(mark)
             out = _FAIL_DEPTH
             if self.trace is not None:
                 del self.trace[entry_lines:]
@@ -262,10 +259,8 @@ class Evaluator:
             return out
         finally:
             self._spans = None
-        if out is _SUCCESS:
-            store.commit()
-        else:
-            store.rollback()
+        if out is not _SUCCESS:
+            store.rollback(mark)
         return out
 
     def _open_line(self) -> int:
@@ -278,7 +273,7 @@ class Evaluator:
         """Write a step's line: `head`, its node's text cut to `TRACE_WIDTH`, then `result`.
 
         The line is indented by the steps open around it, not counting its
-        own, up to `TRACE_INDENT` levels.  A deferred tail step is written
+        own, up to `MAX_INDENT` levels.  A deferred tail step is written
         with an empty `result`, and its result is appended when its loop's
         last step returns.
         """
@@ -288,7 +283,7 @@ class Evaluator:
         else:
             text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
         level = self._depth - 1
-        indent = "  " * level if level <= TRACE_INDENT else f"{'  ' * TRACE_INDENT}({level}) "
+        indent = "  " * level if level <= MAX_INDENT else f"{'  ' * MAX_INDENT}({level}) "
         self.trace[at] = f"{indent}[rule {rule}] {head}{text} => {result}"
 
     # -- goals -------------------------------------------------------------
@@ -299,7 +294,7 @@ class Evaluator:
         A step in a tail position replaces `g`, `ambient`, `frame` and
         `head` and loops; the steps it replaces get its outcome, and their
         trace lines stay open until it returns.  Only the `|` and `else`
-        rules open store checkpoints, around the operands whose failure
+        rules take store checkpoints, around the operands whose failure
         they catch; every other rule leaves a failure's partial edits to
         the nearest such catch point (or `run`).
 
@@ -358,14 +353,12 @@ class Evaluator:
                 else:
                     out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
             elif t is Else:
-                store = self.store
-                store.checkpoint()
+                mark = self.store.checkpoint()
                 out = self._eval(g.tried, ambient, frame)
                 if out is _SUCCESS:
-                    store.commit()
                     rule = 10
                 else:
-                    store.rollback()
+                    self.store.rollback(mark)
                     rule = 11
                     if trace is not None:
                         self._close_line(at, rule, head, g, "")
@@ -374,18 +367,14 @@ class Evaluator:
                     continue
             elif t is Union:
                 store = self.store
-                store.checkpoint()
+                mark = store.checkpoint()
                 first = self._eval(g.first, ambient, frame)
-                if first is _SUCCESS:
-                    store.commit()
-                else:
-                    store.rollback()
-                store.checkpoint()
+                if first is not _SUCCESS:
+                    store.rollback(mark)
+                mark = store.checkpoint()
                 out = self._eval(g.second, ambient, frame)
-                if out is _SUCCESS:
-                    store.commit()
-                else:
-                    store.rollback()
+                if out is not _SUCCESS:
+                    store.rollback(mark)
                 if first is _SUCCESS:
                     rule = 7 if out is _SUCCESS else 9
                     out = _SUCCESS

@@ -1,14 +1,15 @@
-"""Machine state with transactional checkpoints.
+"""Machine state with an undo log.
 
 The store holds the variable bindings, a cursor over the pre-supplied
-input stream, and the output buffer.  Every edit goes through an undo log
-so that a failing goal can restore the exact state it started from; a
-checkpoint marks a log depth, commit folds the edits above it into the
-enclosing transaction, rollback reverses them.  The evaluator opens a
-checkpoint only where it catches a failure (each `|` operand, an
-`else`'s tried operand, a run's root goal), not per step.  Failure cost
-is proportional to the edits undone; success costs one push/pop per
-catch point.
+input stream, and the output buffer.  Every edit is recorded in an undo
+log so that a failing goal can restore the exact state it started from.
+A checkpoint is a mark: the log's length when it is taken.  Rolling back
+to a mark reverses every edit logged above it; a goal that succeeds does
+nothing, and its edits stay in the log for any enclosing mark to undo.
+The evaluator takes a mark only where it catches a failure (each `|`
+operand, an `else`'s tried operand, a run's root goal), not per step.
+Failure cost is proportional to the edits undone; success costs one
+length read per catch point.  The log lives as long as its store.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from collections.abc import Iterable, Mapping
 Value = int | str
 
 EOF_SENTINEL = -1
-
-
-class CheckpointUnderflow(RuntimeError):
-    """Commit/rollback without a matching checkpoint; an interpreter bug, not a program failure."""
 
 
 class UnboundVariable(Exception):
@@ -37,27 +34,16 @@ class Store:
         self.cursor: int = 0
         self.output: list[str] = []
         self._undo: list[tuple] = []
-        self._marks: list[int] = []
 
     # -- transactions ------------------------------------------------------
 
-    def checkpoint(self) -> None:
-        self._marks.append(len(self._undo))
+    def checkpoint(self) -> int:
+        """A mark to roll back to: the undo log's length now."""
+        return len(self._undo)
 
-    def commit(self) -> None:
-        """Keep the edits made since the top checkpoint; they now belong to the enclosing one."""
-        if not self._marks:
-            raise CheckpointUnderflow("commit without checkpoint")
-        self._marks.pop()
-        if not self._marks:
-            self._undo.clear()
-
-    def rollback(self) -> None:
-        """Reverse every edit made since the top checkpoint."""
-        if not self._marks:
-            raise CheckpointUnderflow("rollback without checkpoint")
-        depth = self._marks.pop()
-        while len(self._undo) > depth:
+    def rollback(self, mark: int) -> None:
+        """Reverse every edit made since `checkpoint` returned `mark`."""
+        while len(self._undo) > mark:
             entry = self._undo.pop()
             match entry[0]:
                 case "bind":
@@ -71,14 +57,6 @@ class Store:
                 case "emit":
                     self.output.pop()
 
-    def _require_open(self) -> None:
-        if not self._marks:
-            raise CheckpointUnderflow("edit outside any checkpoint")
-
-    @property
-    def open_checkpoints(self) -> int:
-        return len(self._marks)
-
     @property
     def undo_depth(self) -> int:
         return len(self._undo)
@@ -86,7 +64,6 @@ class Store:
     # -- edits -------------------------------------------------------------
 
     def bind(self, name: str, value: Value) -> None:
-        self._require_open()
         had_old = name in self.bindings
         self._undo.append(("bind", name, had_old, self.bindings.get(name)))
         self.bindings[name] = value
@@ -99,7 +76,6 @@ class Store:
 
     def read_input(self) -> int:
         """Next input token, advancing the cursor; the sentinel -1 at exhaustion."""
-        self._require_open()
         if self.cursor < len(self.input):
             value = self.input[self.cursor]
             self._undo.append(("cursor", self.cursor))
@@ -108,7 +84,6 @@ class Store:
         return EOF_SENTINEL
 
     def emit_output(self, line: str) -> None:
-        self._require_open()
         self._undo.append(("emit",))
         self.output.append(line)
 

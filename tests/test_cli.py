@@ -341,10 +341,14 @@ class TestUsage:
             ["selfcheck", "--cases"],
             ["selfcheck", "--cases", "x"],
             ["run", "P", "--trace=1"],
+            ["run", "P", "--max-steps", "-5"],
+            ["selfcheck", "--cases", "-3"],
+            ["selfcheck", "--max-depth", "-1", "--cases", "2"],
         ],
         ids=["no-command", "unknown-command", "unknown-option", "run-no-file", "check-no-file",
              "run-extra-file", "check-extra-file", "max-steps-no-value", "max-steps-not-integer",
-             "cases-no-value", "cases-not-integer", "trace-with-value"],
+             "cases-no-value", "cases-not-integer", "trace-with-value", "max-steps-negative",
+             "cases-negative", "max-depth-negative"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):
         path = write(tmp_path, "p.tc", "main t")
@@ -354,6 +358,16 @@ class TestUsage:
         assert err.startswith(USAGE)
         reason = err[len(USAGE):]
         assert reason.startswith("tci: error: ") and reason.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--max-steps", "--cases", "--max-depth"])
+    def test_negative_count_names_its_option(self, tmp_path, capsys, option):
+        argv = ["run", write(tmp_path, "p.tc", "main t")] if option == "--max-steps" else ["selfcheck"]
+        assert main([*argv, f"{option}=-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"tci: error: {option} must be 0 or more, not '-1'\n")
+
+    def test_zero_counts_are_accepted(self, capsys):
+        assert main(["selfcheck", "--cases", "0", "--max-depth", "0"]) == EXIT_SUCCESS
+        assert capsys.readouterr().out == "selfcheck: cases=0 agreed=0 depth-exhausted=0\n"
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["selfcheck", "--cases", "5", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -577,7 +577,6 @@ class TestProperties:
             for _ in range(2):
                 store = Store(inp, dict(sv.bindings))
                 ev = Evaluator(program, store, trace=True)
-                store.checkpoint()
                 out = ev.run(program.main)
                 results.append(
                     (
@@ -630,12 +629,15 @@ class TestStackExhaustion:
         assert lines == ["[rule fail] p(3000) => failure(/F/sys/depth)"]
 
     def test_eval_goal_keeps_an_outer_checkpoint_open(self, default_recursion_limit):
+        # the caller's mark still undoes the caller's edits after a failure from the host stack
         program = parse_program(NON_TAIL)
         store = make_store({"x": 1})
-        store.checkpoint()
+        mark = store.checkpoint()
+        store.bind("y", 2)
         out = eval_goal(program, store, program.main)
         assert failure_paths(out) == {str(SYS_DEPTH)}
-        assert store.open_checkpoints == 1
+        assert store.snapshot() == ({"x": 1, "y": 2}, 0, ())
+        store.rollback(mark)
         assert store.snapshot() == ({"x": 1}, 0, ())
 
 
@@ -644,9 +646,9 @@ class CountingStore(Store):
         super().__init__(*args)
         self.checkpoints = 0
 
-    def checkpoint(self) -> None:
+    def checkpoint(self) -> int:
         self.checkpoints += 1
-        super().checkpoint()
+        return super().checkpoint()
 
 
 class TestCatchPoints:
@@ -671,6 +673,18 @@ class TestCatchPoints:
         opened, trace = self.checkpoints(SUM.replace("3000", "50"))
         else_steps = sum("[rule 10]" in line or "[rule 11]" in line for line in trace)
         assert else_steps == 51 and opened == 1 + else_steps
+
+    def test_outer_mark_undoes_a_successful_eval_goal(self):
+        # a run that succeeds leaves its edits in the log, for the caller's mark
+        program = parse_program('main x = 2; print("hi")')
+        store = make_store({"x": 1})
+        mark = store.checkpoint()
+        store.bind("y", 2)
+        out = eval_goal(program, store, program.main)
+        assert isinstance(out, Success)
+        assert store.snapshot() == ({"x": 2, "y": 2}, 0, ("hi",))
+        store.rollback(mark)
+        assert store.snapshot() == ({"x": 1}, 0, ())
 
 
 class TestHostFrames:

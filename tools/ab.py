@@ -5,20 +5,21 @@
 
 Whole-process bench runs of one tree spread widely from run to run on
 a shared host, so two trees are compared here in pairs of calls
-instead.  Each tree's `tci` is loaded under its own
-package name (`tci_this`, `tci_other`).  The workload's 64 ops are
-generated by this checkout's `bench/workloads.py`, as `bench/run.py`
-generates its pool, and written to a temporary directory.  Each round
-runs every op once on each side, back to back, each call after
+instead.  Each tree's `tci` is loaded under its own package name
+(`tci_this`, `tci_other`).  The workload's ops are generated by this
+checkout's `bench/workloads.py` and written to a temporary directory
+with `bench/run.py`'s pool size, warm-up count and `write_ops`.  Each
+round runs every op once on each side, back to back, each call after
 `gc.collect()`, with the side that goes first alternating from pair to
 pair.  Every call is checked with `workloads.check`.
 
 It prints each side's median op time, the median per-op time ratio
-(this / other) and the share of pairs this checkout won.  `--workload
-all` compares the four workloads in turn, printing that block, ratio
-line included, for each.  Times are raw `perf_counter` times of
-`cli.main`, not scaled to a reference host.  The exit code is 1 when any
-call is wrong, else 0.
+(this / other) with its 25th-75th percentile range, so that a 1%
+difference can be told from noise, and the share of pairs this
+checkout won.  `--workload all` compares the four workloads in turn,
+printing that block, ratio line included, for each.  Times are raw
+`perf_counter` times of `cli.main`, not scaled to a reference host.
+The exit code is 1 when any call is wrong, else 0.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-
-POOL = 64  # bench/run.py's pool
-WARMUP_OPS = 4
+from run import POOL, WARMUP_OPS, write_ops  # noqa: E402
 
 
 def load_cli(tree: Path, package: str):
@@ -69,23 +68,6 @@ def call(main, argv: list[str]) -> tuple[float, int | None, str, str]:
     return elapsed, code, out.getvalue(), err.getvalue()
 
 
-def write_ops(ops: list[workloads.Op], work: Path) -> list[list[str]]:
-    """Write each op's program and input; return its `tci` arguments."""
-    argvs = []
-    for i, op in enumerate(ops):
-        path = work / f"op{i}.tc"
-        path.write_text(op.source, encoding="utf-8")
-        argv = ["run", str(path)]
-        if op.input is not None:
-            data = work / f"op{i}.in"
-            data.write_text(" ".join(map(str, op.input)) + "\n", encoding="utf-8")
-            argv += ["--input", str(data)]
-        if op.trace:
-            argv.append("--trace")
-        argvs.append(argv)
-    return argvs
-
-
 def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
     """Time both sides on one workload's ops and print the comparison; returns the number of wrong calls."""
     ops = workloads.generate(workload, seed, POOL)
@@ -111,7 +93,8 @@ def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
     print(f"{workload} seed {seed}: {len(ratios)} pairs, {wrong} wrong calls")
     for side in mains:
         print(f"  {side:5} median {statistics.median(times[side]):8.3f} ms")
-    print(f"  ratio this/other: median {statistics.median(ratios):.3f}; this won {won:.0%} of pairs")
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"  ratio this/other: median {median:.3f} (p25-p75 {q1:.3f}-{q3:.3f}); this won {won:.0%} of pairs")
     return wrong
 
 

@@ -32,12 +32,12 @@ after an operator, `/` between names, `-` after a `;`, a double minus,
 strings closed and not, paths with keyword segments or spaces around a
 `/`, and non-ASCII characters, each on a later line.  Last, `tci selfcheck --cases 2000` at
 seeds 0 and 2000, compared on exit code and stdout (its report and any
-counterexample).  Then `COMMAND_LINES`: usage errors, `-h`, and
-options given as `--opt=value` and before FILE, each compared on exit
-code, stdout and stderr (a `SystemExit` from `cli.main` counts as its
-exit code).
+counterexample).  Then `COMMAND_LINES`: usage errors (negative counts
+among them), `-h`, and options given as `--opt=value` and before FILE,
+each compared on exit code, stdout and stderr (a `SystemExit` from
+`cli.main` counts as its exit code).
 
-That is 18,843 calls.  The program files are written once, by this
+That is 18,846 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -106,6 +106,7 @@ COMMAND_LINES = (
     ["check", "FILE", "FILE"], ["run", "FILE", "--max-steps"], ["run", "FILE", "--max-steps", "x"],
     ["selfcheck", "--cases"], ["selfcheck", "--cases", "x"], ["run", "FILE", "--trace=1"], ["-h"],
     ["run", "FILE", "--max-steps=4"], ["run", "--max-steps", "4", "FILE"], ["run", "--trace", "FILE", "--max-steps=5"],
+    ["run", "FILE", "--max-steps", "-5"], ["selfcheck", "--cases", "-3"], ["selfcheck", "--max-depth", "-1", "--cases", "2"],
 )
 WORKLOAD_SEED = 1
 WORKLOAD_OPS = 64  # bench/run.py's pool
