@@ -4,12 +4,17 @@ Every goal evaluates to Success or Failure.  A failing goal leaves no
 trace in the store that anything reads.  Only three places read the
 store after a failure, and only they take a checkpoint, a mark in the
 store's undo log: each operand of a `|`, the tried operand of an
-`else`, and the root goal of a run.  Each rolls the store back to its
-mark on failure and does nothing on success, so a success's edits stay
-in the log for an enclosing mark to undo.  Every other rule lets a
-failure propagate with its partial edits in place, and the nearest
-enclosing catch point undoes them, so partial updates never escape a
-failure at any nesting level.
+`else`, and the root goal of a run.  Each opens its mark before the
+operand and ends it after: on failure it rolls the store back to the
+mark, on success it commits, and either way the enclosing mark is the
+newest live one again.  A success's edits stay undoable by the
+enclosing mark (the store keeps a name's first old value above each
+live mark and folds the rest).  Every other rule lets a failure
+propagate with its partial edits in place, and the nearest enclosing
+catch point undoes them, so partial updates never escape a failure at
+any nesting level.  A host-stack overflow ends a run with every mark
+its descent opened still open: `run` resets the floor to its own mark
+and rolls back from there.
 
 One step is one iteration of the loop in `_eval`: it spends a unit of
 the budget, picks the goal's rule by testing `type(goal) is ...`, most
@@ -242,14 +247,16 @@ class Evaluator:
             # program and `goal`), so no id in the table is reused.
             self._spans = {}
             pretty_print(goal, self._spans)
-        mark = store.checkpoint()
+        outer = store.checkpoint()
+        mark = store.floor
         try:
             out = self._eval(goal, None, ())
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
-            # every edit the aborted descent made.
-            store.rollback(mark)
+            # every edit the aborted descent made, whatever marks it left open.
+            store.floor = mark
+            store.rollback(outer)
             out = _FAIL_DEPTH
             if self.trace is not None:
                 del self.trace[entry_lines:]
@@ -259,8 +266,10 @@ class Evaluator:
             return out
         finally:
             self._spans = None
-        if out is not _SUCCESS:
-            store.rollback(mark)
+        if out is _SUCCESS:
+            store.commit(outer)
+        else:
+            store.rollback(outer)
         return out
 
     def _open_line(self) -> int:
@@ -345,20 +354,34 @@ class Evaluator:
                     continue
             elif t is Test:
                 rule = "test"
+                # A parameter or an integer operand is read here, without a call.
+                left, right = g.left, g.right
                 try:
-                    lv = self._expr(g.left, ambient, frame)
-                    rv = self._expr(g.right, ambient, frame)
+                    if type(left) is Param:
+                        lv = frame[left.index]
+                    elif type(left) is IntLit:
+                        lv = left.value
+                    else:
+                        lv = self._expr(left, ambient, frame)
+                    if type(right) is IntLit:
+                        rv = right.value
+                    elif type(right) is Param:
+                        rv = frame[right.index]
+                    else:
+                        rv = self._expr(right, ambient, frame)
                 except _EvalFailure as fail:
                     out = fail.out
                 else:
                     out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
             elif t is Else:
-                mark = self.store.checkpoint()
+                store = self.store
+                outer = store.checkpoint()
                 out = self._eval(g.tried, ambient, frame)
                 if out is _SUCCESS:
+                    store.commit(outer)
                     rule = 10
                 else:
-                    self.store.rollback(mark)
+                    store.rollback(outer)
                     rule = 11
                     if trace is not None:
                         self._close_line(at, rule, head, g, "")
@@ -367,14 +390,18 @@ class Evaluator:
                     continue
             elif t is Union:
                 store = self.store
-                mark = store.checkpoint()
+                outer = store.checkpoint()
                 first = self._eval(g.first, ambient, frame)
-                if first is not _SUCCESS:
-                    store.rollback(mark)
-                mark = store.checkpoint()
+                if first is _SUCCESS:
+                    store.commit(outer)
+                else:
+                    store.rollback(outer)
+                outer = store.checkpoint()
                 out = self._eval(g.second, ambient, frame)
-                if out is not _SUCCESS:
-                    store.rollback(mark)
+                if out is _SUCCESS:
+                    store.commit(outer)
+                else:
+                    store.rollback(outer)
                 if first is _SUCCESS:
                     rule = 7 if out is _SUCCESS else 9
                     out = _SUCCESS
@@ -429,11 +456,17 @@ class Evaluator:
         names each parameter, is built only for a traced call.
         """
         # A loop, not a comprehension: before Python 3.12 a comprehension
-        # runs in a function frame of its own.
+        # runs in a function frame of its own.  A parameter or an integer
+        # argument is read here, without a call.
         values = []
         try:
             for a in args:
-                values.append(self._expr(a, ambient, frame))
+                if type(a) is Param:
+                    values.append(frame[a.index])
+                elif type(a) is IntLit:
+                    values.append(a.value)
+                else:
+                    values.append(self._expr(a, ambient, frame))
         except _EvalFailure as fail:
             return fail.out
         defn = self.program.defs.get((name, len(values)))
@@ -455,10 +488,10 @@ class Evaluator:
         if t is Param:
             return frame[e.index]
         if t is Var:
-            return self._lookup(e.name)
-        if t is IntLit or t is StrLit:
+            name = e.name
+        elif t is IntLit or t is StrLit:
             return e.value
-        if t is Binary:
+        elif t is Binary:
             # A literal or a parameter operand is read here, without a call.
             left, right = e.left, e.right
             if type(left) is IntLit:
@@ -485,7 +518,7 @@ class Evaluator:
             if rv == 0:
                 raise _EvalFailure(_FAIL_DIV0)
             return _int_div(lv, rv)
-        if t is CallExpr:
+        elif t is CallExpr:
             # No checkpoint of its own: a failure here fails the enclosing
             # goal, and the nearest catch point rolls back what the call did.
             if self.trace is not None:
@@ -499,12 +532,12 @@ class Evaluator:
                 self._depth -= 1
             if out is not _SUCCESS:
                 raise _EvalFailure(out)
-            return self._lookup(RET_VAR)
-        if t is Read:
+            name = RET_VAR
+        elif t is Read:
             return self.store.read_input()
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _lookup(self, name: str) -> Value:
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        # a variable, or the result of a call
         try:
             return self.store.lookup(name)
         except UnboundVariable:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -641,6 +642,28 @@ class TestStackExhaustion:
         assert store.snapshot() == ({"x": 1}, 0, ())
 
 
+    def test_the_store_works_on_after_a_host_stack_failure(self, default_recursion_limit):
+        # Each level binds x under a mark of its own, so the aborted descent
+        # leaves hundreds of marks open and x's newest entry deep in the log.
+        deep = parse_program("p(n) = (x = n; p(n + 1)) else t\nmain p(0)")
+        store = make_store({"x": 1})
+        out = eval_goal(deep, store, deep.main)
+        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert store.snapshot() == ({"x": 1}, 0, ())
+        assert store.floor == store.undo_depth == 0
+        # a tried operand that rebinds x and fails must still log x's old value
+        retry = parse_program("main (x = 2; x == 3) else t")
+        assert isinstance(eval_goal(retry, store, retry.main), Success)
+        assert store.snapshot() == ({"x": 1}, 0, ())
+        # and a caller's mark still undoes a successful run
+        outer = store.checkpoint()
+        rebind = parse_program("main x = 4")
+        assert isinstance(eval_goal(rebind, store, rebind.main), Success)
+        assert store.bindings == {"x": 4}
+        store.rollback(outer)
+        assert store.snapshot() == ({"x": 1}, 0, ())
+
+
 class CountingStore(Store):
     def __init__(self, *args):
         super().__init__(*args)
@@ -675,7 +698,7 @@ class TestCatchPoints:
         assert else_steps == 51 and opened == 1 + else_steps
 
     def test_outer_mark_undoes_a_successful_eval_goal(self):
-        # a run that succeeds leaves its edits in the log, for the caller's mark
+        # a run that succeeds commits into the caller's mark, which can still undo it
         program = parse_program('main x = 2; print("hi")')
         store = make_store({"x": 1})
         mark = store.checkpoint()
@@ -685,6 +708,33 @@ class TestCatchPoints:
         assert store.snapshot() == ({"x": 2, "y": 2}, 0, ("hi",))
         store.rollback(mark)
         assert store.snapshot() == ({"x": 1}, 0, ())
+
+
+COUNT = "count(n) = (n == 0; ret = 0) else (x = n; count(n - 1))\nmain count(N)"
+
+
+class TestUndoLogSize:
+    # count's live state is two bindings however deep it goes: each level's
+    # tried operand fails and is rolled back, and x is logged once
+    @staticmethod
+    def peak(n):
+        program = parse_program(COUNT.replace("N", str(n)))
+        tracemalloc.start()
+        try:
+            out, store, _ = run_main(program)
+            return tracemalloc.get_traced_memory()[1], store
+        finally:
+            tracemalloc.stop()
+
+    def test_a_successful_run_keeps_one_entry_per_name(self):
+        _, store = self.peak(20000)
+        assert store.bindings == {"x": 1, "ret": 0}
+        assert store.undo_depth <= 4
+
+    def test_peak_memory_does_not_grow_with_depth(self):
+        small, _ = self.peak(20000)
+        large, _ = self.peak(40000)
+        assert large <= 1.1 * small
 
 
 class TestHostFrames:

@@ -94,12 +94,83 @@ class TestCheckpoints:
         assert s.bindings == {"x": 0}
 
     def test_mark_is_the_log_length(self):
+        # a mark opens at the log's length, and `checkpoint` returns the enclosing one
         s = open_store(input_tokens=[1])
-        assert s.checkpoint() == 0
+        assert s.checkpoint() == 0 and s.floor == 0
         s.bind("x", 1)
         s.read_input()
         s.emit_output("line")
-        assert s.checkpoint() == s.undo_depth == 3
+        assert s.checkpoint() == 0
+        assert s.floor == s.undo_depth == 3
+
+    def test_commit_and_rollback_reopen_the_enclosing_mark(self):
+        s = open_store()
+        outer = s.checkpoint()
+        s.bind("x", 1)
+        inner = s.checkpoint()
+        assert s.floor == 1
+        s.commit(inner)
+        assert s.floor == outer == 0
+        inner = s.checkpoint()
+        s.bind("y", 2)
+        s.rollback(inner)
+        assert s.floor == 0 and s.bindings == {"x": 1}
+
+
+class TestConditionalTrailing:
+    def test_a_name_is_logged_once_per_mark(self):
+        s = open_store({"x": 0})
+        outer = s.checkpoint()
+        for v in range(1, 5):
+            s.bind("x", v)
+        assert s.undo_depth == 1
+        inner = s.checkpoint()
+        s.bind("x", 5)
+        s.bind("x", 6)
+        assert s.undo_depth == 2
+        s.rollback(inner)
+        assert s.bindings == {"x": 4} and s.undo_depth == 1
+        s.rollback(outer)
+        assert s.bindings == {"x": 0} and s.undo_depth == 0
+
+    def test_commit_folds_what_the_enclosing_mark_would_undo(self):
+        s = open_store({"x": 0})
+        outer = s.checkpoint()
+        s.bind("x", 1)
+        inner = s.checkpoint()
+        s.bind("x", 2)
+        s.commit(inner)
+        assert s.undo_depth == 1 and s.bindings == {"x": 2}
+        s.bind("x", 3)  # x already has an entry above the open mark
+        assert s.undo_depth == 1
+        s.rollback(outer)
+        assert s.bindings == {"x": 0}
+
+    def test_commit_keeps_an_entry_under_one_it_cannot_fold(self):
+        # y is new above the outer mark, so its entry stays, and x's stays under it
+        s = open_store({"x": 0})
+        outer = s.checkpoint()
+        s.bind("x", 1)
+        inner = s.checkpoint()
+        s.bind("x", 2)
+        s.bind("y", 2)
+        s.commit(inner)
+        assert s.undo_depth == 3
+        s.rollback(outer)
+        assert s.bindings == {"x": 0}
+
+    def test_a_loop_of_successes_keeps_the_log_constant(self):
+        # the shape of a tail-recursive call whose `else` tries, binds and succeeds
+        s = open_store()
+        outer = s.checkpoint()
+        for n in range(1000):
+            inner = s.checkpoint()
+            s.bind("ret", n)
+            s.bind("x", n)
+            s.commit(inner)
+        assert s.undo_depth == 2
+        s.rollback(outer)
+        assert s.bindings == {}
 
 
 class TestEmitOutput:
@@ -167,41 +238,59 @@ class TestProperties:
 
     def test_interleaved_marks_match_a_model(self):
         # A model machine (a dict, a cursor, a list) takes the same random
-        # edits; marks are taken, dropped (the operand succeeded) and rolled
-        # back to, nested as the evaluator nests them.  After every step the
-        # store matches the model, and each rollback restores the snapshot
-        # taken at its mark.
+        # edits.  Marks open and end as the evaluator's catch points do: the
+        # innermost ends by success (`commit`) or by failure (`rollback`),
+        # and now and then a run's host-stack handler rolls back to a mark
+        # below it, ending every mark inside.  After every step the store
+        # matches the model, and each rollback restores the snapshot taken
+        # at its mark.  A sequence of binds alone never holds more entries
+        # than the bound in `tci.store`'s docstring, whatever its length.
         rng = random.Random(31)
-        for _ in range(200):
-            bindings = {v: rng.randrange(5) for v in rng.sample("xyzw", rng.randrange(3))}
+        for trial in range(100):
+            names = "xyzw"[: rng.randint(1, 4)]
+            binds_only = trial % 2 == 0
+            most_open = rng.randint(1, 3)  # keeps the bound below the number of binds
+            bindings = {v: rng.randrange(5) for v in rng.sample(names, rng.randrange(len(names)))}
             tokens = [rng.randrange(9) for _ in range(rng.randrange(6))]
             s = open_store(dict(bindings), tokens)
             model_bindings, model_cursor, model_output = dict(bindings), 0, []
-            held: list[tuple[int, tuple]] = []  # (mark, snapshot at the mark), innermost last
-            for _ in range(rng.randrange(1, 60)):
-                op = rng.randrange(6)
-                if op == 0:
-                    name, value = rng.choice("xyzw"), rng.choice([rng.randrange(-3, 4), "s"])
+            held: list[tuple[int, int, tuple]] = []  # (enclosing mark, mark, snapshot at the mark), innermost last
+            peak = 0  # the most marks open at once
+            for _ in range(rng.randrange(50, 5000)):
+                op = rng.randrange(7)
+                if op in (0, 1) or (binds_only and op in (2, 3)):
+                    name, value = rng.choice(names), rng.choice([rng.randrange(-3, 4), "s"])
                     s.bind(name, value)
                     model_bindings[name] = value
-                elif op == 1:
+                elif op == 2:
                     expected = tokens[model_cursor] if model_cursor < len(tokens) else EOF_SENTINEL
                     assert s.read_input() == expected
                     model_cursor = min(model_cursor + 1, len(tokens))
-                elif op == 2:
+                elif op == 3:
                     line = str(rng.randrange(10))
                     s.emit_output(line)
                     model_output.append(line)
-                elif op == 3:
-                    held.append((s.checkpoint(), s.snapshot()))
-                elif op == 4 and held:
-                    held.pop()
+                elif op == 4 and len(held) < most_open:
+                    outer = s.checkpoint()
+                    held.append((outer, s.floor, s.snapshot()))
+                    peak = max(peak, len(held))
                 elif op == 5 and held:
-                    # roll back to one held mark; the marks inside it go with it
-                    i = rng.randrange(len(held))
-                    mark, snapshot = held[i]
-                    del held[i:]
-                    s.rollback(mark)
+                    outer, _, _ = held.pop()
+                    s.commit(outer)
+                elif op == 6 and held:
+                    if rng.random() < 0.2:
+                        # as `Evaluator.run` does on RecursionError: reset the floor to a held mark
+                        i = rng.randrange(len(held))
+                        outer, mark, snapshot = held[i]
+                        del held[i:]
+                        s.floor = mark
+                    else:
+                        outer, _, snapshot = held.pop()
+                    s.rollback(outer)
                     assert s.snapshot() == snapshot
+                    assert s.floor == (held[-1][1] if held else 0)
                     model_bindings, model_cursor, model_output = dict(snapshot[0]), snapshot[1], list(snapshot[2])
                 assert s.snapshot() == (model_bindings, model_cursor, tuple(model_output))
+                if binds_only:
+                    n = len(names)
+                    assert s.undo_depth <= n * (n + 1) ** peak

@@ -16,8 +16,11 @@ pair.  Every call is checked with `workloads.check`.
 It prints each side's median op time, the median per-op time ratio
 (this / other) with its 25th-75th percentile range, so that a 1%
 difference can be told from noise, and the share of pairs this
-checkout won.  `--workload all` compares the four workloads in turn,
-printing that block, ratio line included, for each.  Times are raw
+checkout won.  It also prints each side's `peak_mb` as the bench
+measures it: the largest tracemalloc peak over the pool's `MEMORY_OPS`
+largest ops, each run by `bench/run.py`'s `_PEAK_SCRIPT` in a fresh
+process on that side's `src`.  `--workload all` compares the four
+workloads in turn, printing that block, ratio line included, for each.  Times are raw
 `perf_counter` times of `cli.main`, not scaled to a reference host.
 The exit code is 1 when any call is wrong, else 0.
 """
@@ -29,6 +32,7 @@ import gc
 import importlib.util
 import io
 import statistics
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -39,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from run import POOL, WARMUP_OPS, write_ops  # noqa: E402
+from run import _PEAK_SCRIPT, MEMORY_OPS, POOL, WARMUP_OPS, write_ops  # noqa: E402
 
 
 def load_cli(tree: Path, package: str):
@@ -68,7 +72,18 @@ def call(main, argv: list[str]) -> tuple[float, int | None, str, str]:
     return elapsed, code, out.getvalue(), err.getvalue()
 
 
-def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
+def peak_mb(tree: Path, ops: list[workloads.Op], argvs: list[list[str]]) -> float:
+    """The bench's `peak_mb` for `tree`: its largest peak over the largest ops, each in a fresh process."""
+    largest = sorted(range(len(ops)), key=lambda i: ops[i].size)[-MEMORY_OPS:]
+    peaks = []
+    for i in largest:
+        done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(tree / "src"), *argvs[i]], cwd=tree,
+                              capture_output=True, text=True, timeout=120, check=True)
+        peaks.append(int(done.stdout) / 2**20)
+    return max(peaks)
+
+
+def compare(mains: dict, trees: dict, workload: str, seed: int, rounds: int) -> int:
     """Time both sides on one workload's ops and print the comparison; returns the number of wrong calls."""
     ops = workloads.generate(workload, seed, POOL)
     times: dict[str, list[float]] = {"this": [], "other": []}
@@ -87,6 +102,7 @@ def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
                     wrong += 1
                     print(f"ab: {side} is wrong on {workload} op {i}: {diff}", file=sys.stderr)
                 times[side].append(elapsed * 1000)
+        peaks = {side: peak_mb(trees[side], ops, argvs) for side in trees}
 
     ratios = [a / b for a, b in zip(times["this"], times["other"])]
     won = sum(a < b for a, b in zip(times["this"], times["other"])) / len(ratios)
@@ -95,6 +111,7 @@ def compare(mains: dict, workload: str, seed: int, rounds: int) -> int:
         print(f"  {side:5} median {statistics.median(times[side]):8.3f} ms")
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"  ratio this/other: median {median:.3f} (p25-p75 {q1:.3f}-{q3:.3f}); this won {won:.0%} of pairs")
+    print(f"  peak_mb this {peaks['this']:.5f}, other {peaks['other']:.5f}")
     return wrong
 
 
@@ -106,9 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
 
-    mains = {"this": load_cli(ROOT, "tci_this").main, "other": load_cli(args.other.resolve(), "tci_other").main}
+    trees = {"this": ROOT, "other": args.other.resolve()}
+    mains = {side: load_cli(tree, f"tci_{side}").main for side, tree in trees.items()}
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
-    wrong = sum(compare(mains, name, args.seed, args.rounds) for name in names)
+    wrong = sum(compare(mains, trees, name, args.seed, args.rounds) for name in names)
     return 1 if wrong else 0
 
 if __name__ == "__main__":
