@@ -3,18 +3,19 @@
 Every goal evaluates to Success or Failure.  A failing goal leaves no
 trace in the store that anything reads.  Only three places read the
 store after a failure, and only they take a checkpoint, a mark in the
-store's undo log: each operand of a `|`, the tried operand of an
-`else`, and the root goal of a run.  Each opens its mark before the
-operand and ends it after: on failure it rolls the store back to the
-mark, on success it commits, and either way the enclosing mark is the
-newest live one again.  A success's edits stay undoable by the
-enclosing mark (the store keeps a name's first old value above each
-live mark and folds the rest).  Every other rule lets a failure
-propagate with its partial edits in place, and the nearest enclosing
-catch point undoes them, so partial updates never escape a failure at
-any nesting level.  A host-stack overflow ends a run with every mark
-its descent opened still open: `run` resets the floor to its own mark
-and rolls back from there.
+store: each operand of a `|`, the tried operand of an `else`, and the
+root goal of a run.  Each opens its mark before the operand and ends it
+after: on failure it rolls the store back to the mark, on success it
+commits, and either way the enclosing mark is the innermost open one
+again.  A success's edits stay undoable by the enclosing mark: the
+store keeps each name's first old value per open mark, at most (open
+marks + 1) * (names + 2) values, and a commit merges the closed mark's
+table into the enclosing one, whose older values win.  Every other rule
+lets a failure propagate with its partial edits in place, and the
+nearest enclosing catch point undoes them, so partial updates never
+escape a failure at any nesting level.  A host-stack overflow ends a
+run with every mark its descent opened still open: `run` rolls back to
+its own mark, which ends them all.
 
 One step is one iteration of the loop in `_eval`: it spends a unit of
 the budget, picks the goal's rule by testing `type(goal) is ...`, most
@@ -247,16 +248,14 @@ class Evaluator:
             # program and `goal`), so no id in the table is reused.
             self._spans = {}
             pretty_print(goal, self._spans)
-        outer = store.checkpoint()
-        mark = store.floor
+        mark = store.checkpoint()
         try:
             out = self._eval(goal, None, ())
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
             # every edit the aborted descent made, whatever marks it left open.
-            store.floor = mark
-            store.rollback(outer)
+            store.rollback(mark)
             out = _FAIL_DEPTH
             if self.trace is not None:
                 del self.trace[entry_lines:]
@@ -267,9 +266,9 @@ class Evaluator:
         finally:
             self._spans = None
         if out is _SUCCESS:
-            store.commit(outer)
+            store.commit()
         else:
-            store.rollback(outer)
+            store.rollback(mark)
         return out
 
     def _open_line(self) -> int:
@@ -375,13 +374,13 @@ class Evaluator:
                     out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
             elif t is Else:
                 store = self.store
-                outer = store.checkpoint()
+                mark = store.checkpoint()
                 out = self._eval(g.tried, ambient, frame)
                 if out is _SUCCESS:
-                    store.commit(outer)
+                    store.commit()
                     rule = 10
                 else:
-                    store.rollback(outer)
+                    store.rollback(mark)
                     rule = 11
                     if trace is not None:
                         self._close_line(at, rule, head, g, "")
@@ -390,18 +389,18 @@ class Evaluator:
                     continue
             elif t is Union:
                 store = self.store
-                outer = store.checkpoint()
+                mark = store.checkpoint()
                 first = self._eval(g.first, ambient, frame)
                 if first is _SUCCESS:
-                    store.commit(outer)
+                    store.commit()
                 else:
-                    store.rollback(outer)
-                outer = store.checkpoint()
+                    store.rollback(mark)
+                mark = store.checkpoint()
                 out = self._eval(g.second, ambient, frame)
                 if out is _SUCCESS:
-                    store.commit(outer)
+                    store.commit()
                 else:
-                    store.rollback(outer)
+                    store.rollback(mark)
                 if first is _SUCCESS:
                     rule = 7 if out is _SUCCESS else 9
                     out = _SUCCESS

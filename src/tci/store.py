@@ -1,41 +1,33 @@
-"""Machine state with an undo log.
+"""Machine state with a table of old values per open mark.
 
 The store holds the variable bindings, a cursor over the pre-supplied
-input stream, and the output buffer.  Edits are recorded in an undo log
-so that a failing goal can restore the exact state it started from.
+input stream, and the output buffer.  A mark lets a failing goal
+restore the exact state the mark opened on.
 
-A mark is a position in the log, and `floor` is the newest live one (0,
-the log's bottom, when none is open).  The evaluator opens a mark only
-where it catches a failure (each `|` operand, an `else`'s tried
-operand, a run's root goal), not per step.  `checkpoint` opens a mark
-at the log's length and returns the enclosing mark.  The catch point
-ends its mark with `rollback` if the operand failed or `commit` if it
-succeeded, passing that enclosing mark, which both reopen; so marks
-nest as the catch points do.  `rollback` reverses every entry above
-the open mark.  To abandon marks opened inside its own, as a run does
-when the host stack overflows, a caller sets `floor` back to its mark
-first.
+The evaluator opens a mark only where it catches a failure (each `|`
+operand, an `else`'s tried operand, a run's root goal), not per step.
+`checkpoint` opens a mark and returns it: the number of marks now
+open.  Each mark has a table of the first old value of every name
+bound since it opened (None for a name that was unbound), and the
+cursor and the output's length before its first read and first print,
+under two reserved keys that are not names.  The table is made on the
+first edit, so a mark that edits nothing allocates nothing.  The edits
+made with no mark open, and the outermost mark's once it succeeds, go
+to a base table that nothing restores.
 
-A binding is logged only when a rollback could need its old value: when
-the name has no bind entry at or above `floor` (conditional trailing, as
-in the WAM).  The store keeps the index of each name's newest bind
-entry, and each bind entry the index it replaced, which `rollback` and
-`commit` restore.  `commit` also folds: it pops the bind entries on top
-of the log whose name has an older entry at or above the reopened mark,
-since rolling back to that mark would undo them anyway.  Every read and
-print is logged.
+The catch point ends its mark with `commit` if the operand succeeded
+or `rollback(mark)` if it failed, so marks nest as the catch points do.
+`commit` merges the innermost table into the enclosing one, iterating
+over the smaller of the two, and the enclosing table's values win:
+they are older.  `rollback(mark)` writes back every table from the
+innermost to `mark`'s and drops them, so it also ends the marks opened
+inside `mark`, as a run does when the host stack overflows.
 
-So the log holds what the live marks could undo, not every edit made.
-A success costs a few attribute accesses plus one pop per folded entry,
-and a failure the entries it undoes.  Bound, for binds of `N` names with
-at most `H` marks open at once: above a mark, each name has at most one
-entry whose previous entry is below it, at most `N` such entries.  A
-mark closed inside it leaves behind only its entries up to the last of
-those, and the open inner mark's entries lie above them, so the log
-holds at most `N * (N + 1) ** H` entries, however long the run.  The
-bound is approached only by nesting that buries a name's entries under
-names new at each level; tail recursion through an `else` handler keeps
-one entry per name (`count(100000)` holds 2).
+So the store holds what the open marks could undo, not every edit
+made: at most (open marks + 1) * (names + 2) old values, however long
+the run (`count(100000)`, tail recursion through an `else` handler,
+ends holding 2).  A success costs one merge, which iterates over the
+smaller table only, and a failure the old values it writes back.
 """
 
 from __future__ import annotations
@@ -45,6 +37,11 @@ from collections.abc import Iterable, Mapping
 Value = int | str
 
 EOF_SENTINEL = -1
+
+# A table's keys for the cursor before a mark's first read and the output's
+# length before its first print; every other key is a name.
+_CURSOR = object()
+_OUTPUT = object()
 
 
 class UnboundVariable(Exception):
@@ -59,67 +56,70 @@ class Store:
         self.input: list[int] = list(input_tokens)
         self.cursor: int = 0
         self.output: list[str] = []
-        self.floor: int = 0  # the newest live mark
-        # Entries, newest last: (name, old value or None if unbound, index of
-        # the name's previous bind entry or -1) for a bind, the old cursor
-        # for a read, None for a print.
-        self._undo: list[tuple[str, Value | None, int] | int | None] = []
-        self._last: dict[str, int] = {}  # name -> index of its newest bind entry, -1 for none
+        # The innermost open mark's table (the base table while none is open),
+        # None before its first edit, and below it the enclosing ones, the base's first.
+        self._table: dict[object, Value | None] | None = None
+        self._outer: list[dict[object, Value | None] | None] = []
 
     # -- transactions ------------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Open a mark at the undo log's length; returns the enclosing mark."""
-        outer = self.floor
-        self.floor = len(self._undo)
-        return outer
+        """Open a mark; returns it, the number of marks now open."""
+        self._outer.append(self._table)
+        self._table = None
+        return len(self._outer)
 
-    def commit(self, outer: int) -> None:
-        """End the open mark by success: reopen `outer`, folding the entries it would undo anyway."""
-        undo, last = self._undo, self._last
-        while undo:
-            entry = undo[-1]
-            if type(entry) is not tuple or entry[2] < outer:
-                break
-            undo.pop()
-            last[entry[0]] = entry[2]
-        self.floor = outer
+    def commit(self) -> None:
+        """End the innermost mark by success: merge its table into the enclosing one."""
+        inner, outer = self._table, self._outer.pop()
+        if inner and outer:
+            if len(inner) >= len(outer):
+                inner.update(outer)
+                outer = inner
+            else:
+                for key, old in inner.items():
+                    if key not in outer:
+                        outer[key] = old
+        self._table = outer or inner
 
-    def rollback(self, outer: int) -> None:
-        """End the open mark by failure: reverse every edit made above it, then reopen `outer`."""
-        undo = self._undo
-        floor = self.floor
-        if len(undo) > floor:
-            bindings, last = self.bindings, self._last
-            for entry in reversed(undo[floor:]):
-                if type(entry) is tuple:
-                    name, old, prev = entry
+    def rollback(self, mark: int) -> None:
+        """End `mark`, and every mark opened inside it, by failure: restore the state it opened on."""
+        outer_tables = self._outer
+        while True:
+            table = self._table
+            if table:
+                self.cursor = table.pop(_CURSOR, self.cursor)
+                del self.output[table.pop(_OUTPUT, len(self.output)):]
+                for name, old in table.items():
                     if old is None:
-                        del bindings[name]
+                        del self.bindings[name]
                     else:
-                        bindings[name] = old
-                    last[name] = prev
-                elif entry is None:
-                    self.output.pop()
-                else:
-                    self.cursor = entry
-            del undo[floor:]
-        self.floor = outer
+                        self.bindings[name] = old
+            self._table = outer_tables.pop()
+            if len(outer_tables) < mark:
+                return
 
     @property
     def undo_depth(self) -> int:
-        return len(self._undo)
+        """The old values held, over every open mark's table and the base table."""
+        return sum(map(len, filter(None, (self._table, *self._outer))))
 
     # -- edits -------------------------------------------------------------
 
     def bind(self, name: str, value: Value) -> None:
-        bindings, last = self.bindings, self._last
-        prev = last.get(name, -1)
-        if prev < self.floor:
-            undo = self._undo
-            last[name] = len(undo)
-            undo.append((name, bindings.get(name), prev))
+        # `_keep` inline, reading the old value only when it is kept: every assignment comes here
+        bindings, table = self.bindings, self._table
+        if table is None:
+            self._table = {name: bindings.get(name)}
+        elif name not in table:
+            table[name] = bindings.get(name)
         bindings[name] = value
+
+    def _keep(self, key: object, old: int) -> None:
+        """Note `old` under `key` in the innermost table, unless an older value is there."""
+        if self._table is None:
+            self._table = {}
+        self._table.setdefault(key, old)
 
     def lookup(self, name: str) -> Value:
         try:
@@ -129,15 +129,15 @@ class Store:
 
     def read_input(self) -> int:
         """Next input token, advancing the cursor; the sentinel -1 at exhaustion."""
-        if self.cursor < len(self.input):
-            value = self.input[self.cursor]
-            self._undo.append(self.cursor)
-            self.cursor += 1
-            return value
+        cursor = self.cursor
+        if cursor < len(self.input):
+            self._keep(_CURSOR, cursor)
+            self.cursor = cursor + 1
+            return self.input[cursor]
         return EOF_SENTINEL
 
     def emit_output(self, line: str) -> None:
-        self._undo.append(None)
+        self._keep(_OUTPUT, len(self.output))
         self.output.append(line)
 
     # -- observation -------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,27 @@ class TestRun:
     def test_failure_bytes_are_linear_in_path_length(self, tmp_path, capsys):
         small, large = (self.failure_bytes(tmp_path, capsys, n) for n in (2_000, 4_000))
         assert large <= 2.2 * small
+
+    def test_commit_cascade_time_is_linear(self, tmp_path, capsys):
+        # Every level's mark holds y, and the innermost binds `names` more;
+        # each commit on the way out merges that table into y's.  Merging
+        # the smaller table into the larger keeps this linear; merging the
+        # closed table in whatever its size costs depth * names.
+        def best_time(names, depth):
+            chain = "; ".join(f"x{i} = {i}" for i in range(names))
+            source = (f"p(n) = (y = n; q(n)) else t\nq(n) = (n == 0; {chain}) else p(n - 1)\n"
+                      f"main p({depth})")
+            path = write(tmp_path, f"{names}.tc", source)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert main(["run", path]) == EXIT_SUCCESS
+                times.append(time.perf_counter() - start)
+                assert len(capsys.readouterr().out.splitlines()) == names + 1
+            return min(times)
+
+        small, large = best_time(1_000, 2_000), best_time(2_000, 4_000)
+        assert large <= 3 * small
 
     def test_input_file_feeds_read(self, tmp_path, capsys):
         prog = write(tmp_path, "p.tc", "main x = read(); y = read()")

@@ -644,19 +644,21 @@ class TestStackExhaustion:
 
     def test_the_store_works_on_after_a_host_stack_failure(self, default_recursion_limit):
         # Each level binds x under a mark of its own, so the aborted descent
-        # leaves hundreds of marks open and x's newest entry deep in the log.
+        # leaves hundreds of marks open, each with a table holding x.
         deep = parse_program("p(n) = (x = n; p(n + 1)) else t\nmain p(0)")
         store = make_store({"x": 1})
         out = eval_goal(deep, store, deep.main)
         assert failure_paths(out) == {str(SYS_DEPTH)}
         assert store.snapshot() == ({"x": 1}, 0, ())
-        assert store.floor == store.undo_depth == 0
-        # a tried operand that rebinds x and fails must still log x's old value
+        assert store.undo_depth == 0
+        # a tried operand that rebinds x and fails must still keep x's old value
         retry = parse_program("main (x = 2; x == 3) else t")
         assert isinstance(eval_goal(retry, store, retry.main), Success)
         assert store.snapshot() == ({"x": 1}, 0, ())
-        # and a caller's mark still undoes a successful run
+        # the run's rollback ended every mark the descent opened, and a
+        # caller's mark still undoes a successful run
         outer = store.checkpoint()
+        assert outer == 1
         rebind = parse_program("main x = 4")
         assert isinstance(eval_goal(rebind, store, rebind.main), Success)
         assert store.bindings == {"x": 4}

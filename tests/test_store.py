@@ -94,27 +94,37 @@ class TestCheckpoints:
         assert s.bindings == {"x": 0}
 
     def test_mark_is_the_log_length(self):
-        # a mark opens at the log's length, and `checkpoint` returns the enclosing one
-        s = open_store(input_tokens=[1])
-        assert s.checkpoint() == 0 and s.floor == 0
-        s.bind("x", 1)
-        s.read_input()
+        # a mark is the number of marks open, and a mark's table holds one
+        # old value per name bound, one cursor and one output length
+        s = open_store(input_tokens=[1, 2])
+        assert s.checkpoint() == 1 and s.undo_depth == 0
+        for _ in range(2):
+            s.bind("x", 1)
+            s.read_input()
+            s.emit_output("line")
+        assert s.undo_depth == 3
+        assert s.checkpoint() == 2 and s.undo_depth == 3
+        s.bind("x", 2)
         s.emit_output("line")
-        assert s.checkpoint() == 0
-        assert s.floor == s.undo_depth == 3
+        assert s.undo_depth == 5
 
     def test_commit_and_rollback_reopen_the_enclosing_mark(self):
+        # after either, the next mark opened is the enclosing mark's successor,
+        # and an edit goes to the enclosing mark's table
         s = open_store()
         outer = s.checkpoint()
         s.bind("x", 1)
+        assert s.checkpoint() == outer + 1
+        s.commit()
         inner = s.checkpoint()
-        assert s.floor == 1
-        s.commit(inner)
-        assert s.floor == outer == 0
-        inner = s.checkpoint()
+        assert inner == outer + 1
         s.bind("y", 2)
         s.rollback(inner)
-        assert s.floor == 0 and s.bindings == {"x": 1}
+        assert s.bindings == {"x": 1}
+        s.bind("z", 3)
+        assert s.checkpoint() == outer + 1
+        s.rollback(outer)
+        assert s.bindings == {} and s.undo_depth == 0
 
 
 class TestConditionalTrailing:
@@ -137,37 +147,56 @@ class TestConditionalTrailing:
         s = open_store({"x": 0})
         outer = s.checkpoint()
         s.bind("x", 1)
-        inner = s.checkpoint()
+        s.checkpoint()
         s.bind("x", 2)
-        s.commit(inner)
+        s.commit()
         assert s.undo_depth == 1 and s.bindings == {"x": 2}
-        s.bind("x", 3)  # x already has an entry above the open mark
+        s.bind("x", 3)  # the open mark's table already holds x
         assert s.undo_depth == 1
         s.rollback(outer)
         assert s.bindings == {"x": 0}
 
     def test_commit_keeps_an_entry_under_one_it_cannot_fold(self):
-        # y is new above the outer mark, so its entry stays, and x's stays under it
-        s = open_store({"x": 0})
-        outer = s.checkpoint()
-        s.bind("x", 1)
-        inner = s.checkpoint()
-        s.bind("x", 2)
-        s.bind("y", 2)
-        s.commit(inner)
-        assert s.undo_depth == 3
-        s.rollback(outer)
-        assert s.bindings == {"x": 0}
+        # y is new above the outer mark, so the merged table takes y's entry,
+        # and keeps x's older one, whichever table is the larger
+        for extra in range(4):
+            s = open_store({"x": 0})
+            outer = s.checkpoint()
+            s.bind("x", 1)
+            for i in range(extra):
+                s.bind(f"a{i}", i)
+            s.checkpoint()
+            s.bind("x", 2)
+            s.bind("y", 2)
+            s.commit()
+            assert s.undo_depth == 2 + extra
+            s.rollback(outer)
+            assert s.bindings == {"x": 0}
+
+    def test_nested_successes_leave_one_entry_per_name(self):
+        # 100 nested marks each rebind a, the innermost binds t; once all
+        # are closed by success, one old value per name is left (an undo
+        # log that folds only its top entries keeps 102)
+        s = open_store()
+        s.bind("a", -1)
+        for depth in range(100):
+            s.checkpoint()
+            s.bind("a", depth)
+        s.bind("t", 0)
+        for _ in range(100):
+            s.commit()
+        assert s.undo_depth == 2
+        assert s.bindings == {"a": 99, "t": 0}
 
     def test_a_loop_of_successes_keeps_the_log_constant(self):
         # the shape of a tail-recursive call whose `else` tries, binds and succeeds
         s = open_store()
         outer = s.checkpoint()
         for n in range(1000):
-            inner = s.checkpoint()
+            s.checkpoint()
             s.bind("ret", n)
             s.bind("x", n)
-            s.commit(inner)
+            s.commit()
         assert s.undo_depth == 2
         s.rollback(outer)
         assert s.bindings == {}
@@ -243,19 +272,18 @@ class TestProperties:
         # and now and then a run's host-stack handler rolls back to a mark
         # below it, ending every mark inside.  After every step the store
         # matches the model, and each rollback restores the snapshot taken
-        # at its mark.  A sequence of binds alone never holds more entries
-        # than the bound in `tci.store`'s docstring, whatever its length.
+        # at its mark.  The store never holds more old values than the
+        # bound in `tci.store`'s docstring, whatever the sequence's length.
         rng = random.Random(31)
         for trial in range(100):
             names = "xyzw"[: rng.randint(1, 4)]
             binds_only = trial % 2 == 0
-            most_open = rng.randint(1, 3)  # keeps the bound below the number of binds
+            most_open = rng.randint(1, 6)
             bindings = {v: rng.randrange(5) for v in rng.sample(names, rng.randrange(len(names)))}
             tokens = [rng.randrange(9) for _ in range(rng.randrange(6))]
             s = open_store(dict(bindings), tokens)
             model_bindings, model_cursor, model_output = dict(bindings), 0, []
-            held: list[tuple[int, int, tuple]] = []  # (enclosing mark, mark, snapshot at the mark), innermost last
-            peak = 0  # the most marks open at once
+            held: list[tuple[int, tuple]] = []  # (mark, snapshot at the mark), innermost last
             for _ in range(rng.randrange(50, 5000)):
                 op = rng.randrange(7)
                 if op in (0, 1) or (binds_only and op in (2, 3)):
@@ -271,26 +299,19 @@ class TestProperties:
                     s.emit_output(line)
                     model_output.append(line)
                 elif op == 4 and len(held) < most_open:
-                    outer = s.checkpoint()
-                    held.append((outer, s.floor, s.snapshot()))
-                    peak = max(peak, len(held))
+                    held.append((s.checkpoint(), s.snapshot()))
+                    assert held[-1][0] == len(held)
                 elif op == 5 and held:
-                    outer, _, _ = held.pop()
-                    s.commit(outer)
+                    held.pop()
+                    s.commit()
                 elif op == 6 and held:
-                    if rng.random() < 0.2:
-                        # as `Evaluator.run` does on RecursionError: reset the floor to a held mark
-                        i = rng.randrange(len(held))
-                        outer, mark, snapshot = held[i]
-                        del held[i:]
-                        s.floor = mark
-                    else:
-                        outer, _, snapshot = held.pop()
-                    s.rollback(outer)
+                    # as `Evaluator.run` does on RecursionError, now and then
+                    # roll back to a held mark below the innermost
+                    i = rng.randrange(len(held)) if rng.random() < 0.2 else len(held) - 1
+                    mark, snapshot = held[i]
+                    del held[i:]
+                    s.rollback(mark)
                     assert s.snapshot() == snapshot
-                    assert s.floor == (held[-1][1] if held else 0)
                     model_bindings, model_cursor, model_output = dict(snapshot[0]), snapshot[1], list(snapshot[2])
                 assert s.snapshot() == (model_bindings, model_cursor, tuple(model_output))
-                if binds_only:
-                    n = len(names)
-                    assert s.undo_depth <= n * (n + 1) ** peak
+                assert s.undo_depth <= (len(held) + 1) * (len(names) + 2)
