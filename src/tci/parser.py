@@ -34,13 +34,16 @@ other character is a lexical error.
 `tokenize` keeps the tokens as two parallel lists, texts and kinds, with
 no object per token.  One `findall` gives the texts; the whitespace
 before a token is one character-class run, and comments are entered
-only at a `//`.  The kinds are learned per call, in a table seeded with
-the keywords and punctuation: a new identifier, number or string gets
-its first character's kind once, and every later occurrence costs one
-lookup, so no Python code runs per repeated token.  Start offsets are
-found only when an error or a `Token` view needs a `line:col` span, by
-matching the source again; the line is then found by bisection over the
-line starts.  One parse builds one `Var` or `IntLit` node per distinct
+only at a `//`.  Equal texts then share one string, through a table
+local to the call, for the life of the parse: a name or number used a
+thousand times is held once, and every `Assign`, `Call`, `Def`, `Param`
+or `Var` name taken from it is that one string.  The kinds are learned
+per call, in a table seeded with the keywords and punctuation: a new
+identifier, number or string gets its first character's kind once, and
+every later occurrence costs one lookup, so no Python code runs per
+repeated token.  Start offsets are found only when an error or a
+`Token` view needs a `line:col` span, by matching the source again; the
+line is then found by bisection over the line starts.  One parse builds one `Var` or `IntLit` node per distinct
 name or unsigned literal text and shares it wherever that text occurs
 (hash-consing): nodes are immutable, and no table keyed by identity
 holds leaves.  Parameters are resolved in the same table: while a
@@ -202,13 +205,15 @@ _PUNCTUATION = ("==", "!=", "<=", ">=", *"=<>+-*/;|:,(){}")
 # then the token's text as group 1.  The prefix enters its comment loop
 # only at a `//`, so before most tokens it is one character-class run.
 # `\Z` gives the empty text of eof, and `.` takes a bad character, or the
-# `"` of a string with no closing quote.
+# `"` of a string with no closing quote.  No two alternatives before `\Z`
+# can start on the same character, except the operators, where the
+# two-character ones come first; identifiers, the commonest, are tried first.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:(?=//)(?://[^\n]*[ \t\r\n]*)+|)"
-    r"([0-9]+"
-    r'|"[^"\n]*"'
-    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"([A-Za-z_][A-Za-z0-9_]*"
+    r"|[0-9]+"
     r"|[=!<>]=|[-+*/;|:,(){}=<>]"
+    r'|"[^"\n]*"'
     r"|\Z"
     r"|.)"
 )
@@ -236,14 +241,21 @@ class _Kinds(dict):
 
 
 def tokenize(source: str) -> Tokens:
-    """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`."""
+    """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`.
+
+    Equal texts are one string object, the first found, for as long as the
+    tokens or the tree parsed from them live; no table outlives the call.
+    """
     texts = _TOKEN.findall(source)
+    seen: dict[str, str] = {}
+    texts = list(map(seen.setdefault, texts, texts))
     if len(texts) > 1 and not texts[-2]:
         # eof matched after skipped whitespace or a comment, and then again,
         # empty, at the very end
         del texts[-1]
-    kinds = list(map(_Kinds(_KINDS_BY_TEXT).__getitem__, texts))
-    if "bad" in kinds:
+    kind_of = _Kinds(_KINDS_BY_TEXT)
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "bad" in map(kind_of.__getitem__, seen):  # one test per distinct text
         tokens = Tokens(source, kinds, texts)
         i = kinds.index("bad")
         if texts[i] != '"':

@@ -2,6 +2,7 @@
 
     python3 tools/ab.py OTHER_CHECKOUT --workload parse --seed 1 --rounds 3
     python3 tools/ab.py OTHER_CHECKOUT --workload all --seed 4242
+    python3 tools/ab.py . --workload all --seed 4242     # A/A: this checkout against itself
 
 Whole-process bench runs of one tree spread widely from run to run on
 a shared host, so two trees are compared here in pairs of calls
@@ -23,6 +24,11 @@ process on that side's `src`.  `--workload all` compares the four
 workloads in turn, printing that block, ratio line included, for each.  Times are raw
 `perf_counter` times of `cli.main`, not scaled to a reference host.
 The exit code is 1 when any call is wrong, else 0.
+
+An A/A reading, a checkout against itself, shows how far identical code
+reads from 1 on the host at hand: at 5 rounds the same tree has read a
+median of up to 1.008.  Report one, at the same seed and rounds, beside
+every A/B ratio; a ratio within the A/A spread is no difference.
 """
 
 from __future__ import annotations
