@@ -35,7 +35,6 @@ _STATUS_CODES = {
     "success": EXIT_SUCCESS,
     "failure": EXIT_FAILURE,
     "parse-error": EXIT_PARSE_ERROR,
-    "internal-error": EXIT_INTERNAL,
 }
 
 

@@ -37,8 +37,9 @@ procedure body unchanged with the list of those values as its frame.
 The parser has resolved each parameter read in a body to a `Param`
 holding the parameter's position, so a `Param` reads `frame[index]` and
 a `Var` reads the store, with no name looked up in the frame.  A callee
-never sees its caller's frame, and parameters are never assigned (`Def`
-rejects that), so frames need no undo.
+never sees its caller's frame, and nothing writes a frame: an `Assign`
+writes the store by name, and a body reads its parameters only through
+`Param` slots.  So frames need no undo.
 
 `G1 | G2` runs both operands in order (the second from the first's result
 state when it succeeded) and succeeds if at least one does.  `G1 else G2`
@@ -64,10 +65,11 @@ are copied, so a `;` chain is not printed again for every enclosing
 step.  A `failure(...)` result is cut the same way.  Rule ids: 1
 success of `t`, 4 a procedure call, 5 an assignment, 6 sequencing,
 7/8/9 the three ways a `|` can succeed (both operands, only the second,
-only the first), 10/11 an `else` whose first operand succeeded/failed.  Tests, case dispatch, calls in expression
-position, and rule-less failures are tagged `test`, `case`,
-`call-expr`, and `fail`.  The first line under a call's line is the
-procedure body, prefixed once with the callee's frame, e.g.
+only the first), 10/11 an `else` whose first operand succeeded/failed.
+Tests, case dispatch, calls in expression position, and rule-less
+failures are tagged `test`, `case`, `call-expr`, and `fail`.  The first
+line under a call's line is the procedure body, prefixed once with the
+callee's frame, e.g.
 `[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
 """
 

@@ -41,17 +41,21 @@ or `Var` name taken from it is that one string.  The kinds are learned
 per call, in a table seeded with the keywords and punctuation: a new
 identifier, number or string gets its first character's kind once, and
 every later occurrence costs one lookup, so no Python code runs per
-repeated token.  Start offsets are found only when an error or a
-`Token` view needs a `line:col` span, by matching the source again; the
-line is then found by bisection over the line starts.  One parse builds one `Var` or `IntLit` node per distinct
-name or unsigned literal text and shares it wherever that text occurs
+repeated token.  A token's start offset is found only when an error
+needs its `line:col` span, by matching the source again.
+
+One parse builds one `Var` or `IntLit` node per distinct name or
+unsigned literal text and shares it wherever that text occurs
 (hash-consing): nodes are immutable, and no table keyed by identity
 holds leaves.  Parameters are resolved in the same table: while a
 definition's body parses, each parameter name maps to its `Param(name,
 k)`, overlaid on the name's entry and deleted after the body, so the
 body reads its k-th argument by position at no extra cost per token,
-and the same name outside the body reads the global store.  A
-literal's value is converted once per distinct text, in time
+and the same name outside the body reads the global store.  The overlay
+also enforces the parameter rules as the body is read: an assignment
+whose target maps to a `Param` is noted, and once the body has parsed,
+the definition is rejected if its parameters repeat or it assigned
+one.  A literal's value is converted once per distinct text, in time
 subquadratic in its digits.
 
 One reducer parses goals and expressions alike: a shunting-yard
@@ -72,9 +76,6 @@ time linear in the tokens.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from collections import namedtuple
-from collections.abc import Sequence
 from functools import cached_property
 
 from .failure import FailPath, user_path
@@ -119,21 +120,11 @@ class SourceSpan(Record):
         return f"{self.line}:{self.column}"
 
 
-class Token(namedtuple("Token", ("kind", "text", "line", "column", "value"), defaults=(None,))):
-    """One token: `kind` is "ident", "int", "str", "eof", or the keyword/operator text."""
+class Tokens:
+    """The tokens of one source as parallel lists of kinds and texts.
 
-    __slots__ = ()
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, len(self.text))
-
-
-class Tokens(Sequence):
-    """The tokens of one source as parallel lists of kinds and texts; indexing builds `Token` views.
-
-    Start offsets and line starts are built on first use, for an error's
-    span or a view: the parser itself reads only kinds and texts.
+    Start offsets are built on first use, for an error's span: the parser
+    itself reads only kinds and texts.
     """
 
     def __init__(self, source: str, kinds: list[str], texts: list[str]):
@@ -144,32 +135,16 @@ class Tokens(Sequence):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._view(j) for j in range(*i.indices(len(self.kinds)))]
-        return self._view(i)
-
-    def _view(self, i: int) -> Token:
-        kind, text = self.kinds[i], self.texts[i]
-        span = self.span(i)
-        value = decimal_int(text) if kind == "int" else text[1:-1] if kind == "str" else None
-        return Token(kind, text, span.line, span.column, value)
-
     @cached_property
     def starts(self) -> list[int]:
         """The start offset of each token, from a second pass of the regex that found the texts."""
         return [m.start(1) for m, _ in zip(_TOKEN.finditer(self.source), self.texts)]
 
-    @cached_property
-    def line_starts(self) -> list[int]:
-        """The offset of each line's first character."""
-        return [0, *(m.end() for m in _NEWLINE.finditer(self.source))]
-
     def span(self, i: int) -> SourceSpan:
-        offset = self.starts[i]
-        line_starts = self.line_starts
-        line = bisect_right(line_starts, offset)
-        return SourceSpan(line, offset - line_starts[line - 1] + 1, len(self.texts[i]))
+        """The `line:col` of token `i`, from the newlines before it: a failed parse needs one span."""
+        source, offset = self.source, self.starts[i]
+        line_start = source.rfind("\n", 0, offset) + 1
+        return SourceSpan(source.count("\n", 0, offset) + 1, offset - line_start + 1, len(self.texts[i]))
 
 
 class SourceError(Exception):
@@ -218,8 +193,6 @@ _TOKEN = re.compile(
     r"|.)"
 )
 
-_NEWLINE = re.compile("\n")
-
 # A token's kind is its text's entry here, if it has one, or else its first
 # character's entry; any other character is a lexical error.
 _KINDS_BY_TEXT = {**{text: text for text in (*KEYWORDS, "_", *_PUNCTUATION)}, '"': "bad"}
@@ -232,8 +205,9 @@ _KINDS_BY_FIRST_CHAR = {
 
 
 class _Kinds(dict):
-    """Token kinds by text, learned during one `tokenize` call: a text not yet
-    seen gets its first character's kind, so a repeated name costs one lookup."""
+    """Kinds of tokens by text, learned during one `tokenize` call: a text
+    not yet seen gets its first character's kind, so a repeated name costs
+    one lookup."""
 
     def __missing__(self, text: str) -> str:
         kind = self[text] = _KINDS_BY_FIRST_CHAR.get(text[:1], "bad")
@@ -337,6 +311,10 @@ class _Leaves(dict):
 
 
 class _Parser:
+    # the parameters the body being parsed assigns; a violation replaces this
+    # shared empty default, so a valid parse allocates nothing for the check
+    assigned_params: frozenset[str] = frozenset()
+
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.kinds = tokens.kinds
@@ -346,10 +324,7 @@ class _Parser:
 
     def error(self, i: int, what: str) -> ParseError:
         """`expected <what>` at token `i`."""
-        return ParseError(self.span(i), f"expected {what}")
-
-    def span(self, i: int) -> SourceSpan:
-        return self.tokens.span(i)
+        return ParseError(self.tokens.span(i), f"expected {what}")
 
     def expect(self, kind: str, what: str | None = None) -> str:
         """The current token's text, stepping past it, if it is of `kind`."""
@@ -366,12 +341,12 @@ class _Parser:
         defs: dict[tuple[str, int], Def] = {}
         while kinds[self.i] != "main":
             if kinds[self.i] == "eof":
-                raise MissingMain(self.span(self.i))
+                raise MissingMain(self.tokens.span(self.i))
             name_at = self.i
             d = self.definition()
             key = (d.name, len(d.params))
             if key in defs:
-                raise DuplicateDefinition(self.span(name_at), *key)
+                raise DuplicateDefinition(self.tokens.span(name_at), *key)
             defs[key] = d
         self.i += 1
         return Program(defs, self.goal())
@@ -394,11 +369,15 @@ class _Parser:
             leaves[p] = Param(p, k)
         body = self.goal()
         for p in params:
-            leaves.pop(p, None)  # a duplicate, which `Def` rejects, is gone already
-        try:
+            leaves.pop(p, None)  # a duplicate is gone already
+        if len(set(params)) != len(params):
+            message = f"duplicate parameter in definition of {name}"
+        elif self.assigned_params:
+            names = ", ".join(sorted(self.assigned_params))
+            message = f"definition of {name} assigns to its own parameter(s): {names}"
+        else:
             return Def(name, tuple(params), body)
-        except ValueError as err:
-            raise ParseError(self.span(name_at), str(err)) from None
+        raise ParseError(self.tokens.span(name_at), message)
 
     # -- goals -------------------------------------------------------------
 
@@ -442,8 +421,12 @@ class _Parser:
                         i = start = i + 2
                         continue
                 elif kinds[i + 1] == "=" and 0 <= stack[-1] < 4:
-                    # an assignment, where a goal may start
-                    stack += texts[i], Assign, 4
+                    # an assignment, where a goal may start; `definition`
+                    # rejects one to a parameter once the body has parsed
+                    name = texts[i]
+                    if type(leaves.get(name)) is Param:
+                        self.assigned_params |= {name}
+                    stack += name, Assign, 4
                     i += 2
                     continue
                 else:
@@ -597,7 +580,7 @@ class _Parser:
         try:
             return FailPath(segments) if rooted else user_path(segments)
         except ValueError as err:
-            raise ParseError(self.span(start), str(err)) from None
+            raise ParseError(self.tokens.span(start), str(err)) from None
 
 
 def _parse(source: str, rule):

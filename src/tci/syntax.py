@@ -12,16 +12,15 @@ No walk or printer depends on node identity, except the span tables
 keyed by `id`, which skip those leaves.
 
 Every node class is a `record.Record`: its fields are its `__slots__`,
-its `__init__` sets each one once (after the checks `Case` and `Def`
-make), and from then on setting or deleting an attribute raises
+its `__init__` sets each one once (after the check `Case` makes), and
+from then on setting or deleting an attribute raises
 `AttributeError`.  Nodes compare and hash by type and fields, and their
 `repr` is the `Binary(op='+', left=IntLit(value=1), right=Var(name='x'))`
 form of a dataclass.
 
 `_children` is the one list of each node type's sub-nodes.  The walks
 (`iter_goals`, the variable sets, the `|` lint) read the tree only
-through it, each on its own stack; a walk over goals alone enters only
-the `_GOAL_HOLDERS`.  The printer lays each node out as
+through it, each on its own stack.  The printer lays each node out as
 literal pieces and sub-nodes (`_parts`) and emits them from a stack of
 its own, recording where each goal's and call's text lies in the
 printed text (its span).  `PRECEDENCE` is the arithmetic operators'
@@ -190,24 +189,19 @@ TRUE = TrueGoal()
 class Def(Record):
     """A procedure definition name(p1, ..., pn) = body.
 
-    Parameters are distinct and read-only: the body may not assign to one.
     The body reads its k-th parameter as `Param(pk, k)`, as the parser
     builds it; a `Var` of the same name in the body reads the global
-    store, so a hand-built body must use `Param` for its parameters.
+    store, so a hand-built body must use `Param` for its parameters.  The
+    parser also enforces the parameter rules as it reads the body: the
+    parameters are distinct, and the body assigns to none of them.  A
+    hand-built `Def` is not checked.
     """
 
     __slots__ = ("name", "params", "body")
 
     def __init__(self, name: str, params: tuple[str, ...], body: Goal):
-        params = tuple(params)
-        if len(set(params)) != len(params):
-            raise ValueError(f"duplicate parameter in definition of {name}")
-        clobbered = assigned_vars(body) & set(params)
-        if clobbered:
-            names = ", ".join(sorted(clobbered))
-            raise ValueError(f"definition of {name} assigns to its own parameter(s): {names}")
         set_field(self, "name", name)
-        set_field(self, "params", params)
+        set_field(self, "params", tuple(params))
         set_field(self, "body", body)
 
 
@@ -241,28 +235,25 @@ def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:
     return ()
 
 
-# The node types whose `_children` are goals; every other node's are expressions, or none.
-_GOAL_HOLDERS = frozenset({Seq, Union, Else, Case})
+def _walk(root: Goal | Expr) -> Iterator[Goal | Expr]:
+    """`root` and every node below it, pre-order.
 
-
-def _walk(root: Goal | Expr, goals_only: bool = False) -> Iterator[Goal | Expr]:
-    """`root` and every node below it, pre-order; with `goals_only`, only the goals.
-
-    No node holds both goals and expressions, so the goals are walked by
-    entering only the `_GOAL_HOLDERS`.  The walk keeps its own stack, so
-    a tree of any depth is walked in linear time without host recursion.
+    The walk keeps its own stack, so a tree of any depth is walked in
+    linear time without host recursion.
     """
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
-        if not goals_only or type(node) in _GOAL_HOLDERS:
-            stack += _children(node)[::-1]
+        stack += _children(node)[::-1]
 
 
 def iter_goals(g: Goal) -> Iterator[Goal]:
-    """The goal and every sub-goal, pre-order, without host recursion."""
-    return _walk(g, goals_only=True)
+    """The goal and every sub-goal, pre-order, without host recursion.
+
+    No expression holds a goal, so these are the goals of `_walk` in its order.
+    """
+    return (node for node in _walk(g) if isinstance(node, Goal))
 
 
 def _own_vars(node: Goal | Expr) -> set[str]:
@@ -285,11 +276,6 @@ def free_vars(g: Goal) -> set[str]:
     for node in _walk(g):
         out |= _own_vars(node)
     return out
-
-
-def assigned_vars(g: Goal) -> set[str]:
-    """Names appearing as assignment targets anywhere in the goal."""
-    return {sub.var for sub in iter_goals(g) if type(sub) is Assign}
 
 
 # Up to this many bits (2,467 digits) an int is converted by `str()`,

@@ -36,6 +36,7 @@ from tci.syntax import (
     Param,
     Read,
     Seq,
+    StrLit,
     Test as RelopTest,
     TrueGoal,
     Union,
@@ -50,7 +51,15 @@ from tci.store import Store
 
 
 def kinds(source):
-    return [(t.kind, t.text) for t in tokenize(source)[:-1]]
+    tokens = tokenize(source)
+    return list(zip(tokens.kinds, tokens.texts))[:-1]
+
+
+def spanned(source):
+    """(kind, text, line, column) of each token of `source`, eof included."""
+    tokens = tokenize(source)
+    spans = map(tokens.span, range(len(tokens)))
+    return [(kind, text, span.line, span.column) for kind, text, span in zip(tokens.kinds, tokens.texts, spans)]
 
 
 class TestTokenize:
@@ -76,8 +85,7 @@ class TestTokenize:
         ]
 
     def test_negative_literal_after_operator(self):
-        toks = tokenize("read( ) != -1")
-        assert [(t.kind, t.text) for t in toks[:-1]] == [
+        assert kinds("read( ) != -1") == [
             ("ident", "read"),
             ("(", "("),
             (")", ")"),
@@ -85,7 +93,7 @@ class TestTokenize:
             ("-", "-"),
             ("int", "1"),
         ]
-        assert toks[5].value == 1
+        assert parse_goal("read( ) != -1") == RelopTest(Read(), "!=", IntLit(-1))
 
     def test_minus_after_value_is_binary(self):
         assert [k for k, _ in kinds("x -1")] == ["ident", "-", "int"]
@@ -95,8 +103,8 @@ class TestTokenize:
         assert kinds("t // trailing words\n") == [("t", "t")]
 
     def test_string_literal(self):
-        toks = tokenize('"hi there"')
-        assert toks[0].kind == "str" and toks[0].value == "hi there"
+        assert kinds('"hi there"') == [("str", '"hi there"')]
+        assert parse_goal('x = "hi there"') == Assign("x", StrLit("hi there"))
 
     def test_unterminated_string(self):
         with pytest.raises(LexError):
@@ -108,34 +116,40 @@ class TestTokenize:
         assert err.value.span.column == 3
 
     def test_spans_are_one_based(self):
-        toks = tokenize("t\n  f")
-        assert (toks[0].span.line, toks[0].span.column) == (1, 1)
-        assert (toks[1].span.line, toks[1].span.column) == (2, 3)
+        assert spanned("t\n  f") == [("t", "t", 1, 1), ("f", "f", 2, 3), ("eof", "", 2, 4)]
 
     def test_eof_column_after_trailing_comment(self):
-        eof = tokenize("t // c")[-1]
-        assert (eof.kind, eof.span.line, eof.span.column) == ("eof", 1, 7)
+        assert spanned("t // c")[-1] == ("eof", "", 1, 7)
+
+    def test_length_counts_every_token_and_eof(self):
+        # the bench counts tokens as `len(tokenize(source))`
+        assert len(tokenize("")) == 1
+        assert len(tokenize('main x = -12; y = "s" // c\n')) == 10
 
     def test_spans_on_multi_line_input(self):
         # CRLF line ends, tabs, a whole-line comment, a `-` split off the
         # int after a value, and eof after the final newline
         source = 'a = 1;\r\n// whole line\r\n\tb = a -1;\r\n\t\tc = "s"\n'
-        assert [(t.kind, t.text, t.value, t.span.line, t.span.column) for t in tokenize(source)] == [
-            ("ident", "a", None, 1, 1),
-            ("=", "=", None, 1, 3),
-            ("int", "1", 1, 1, 5),
-            (";", ";", None, 1, 6),
-            ("ident", "b", None, 3, 2),
-            ("=", "=", None, 3, 4),
-            ("ident", "a", None, 3, 6),
-            ("-", "-", None, 3, 8),
-            ("int", "1", 1, 3, 9),
-            (";", ";", None, 3, 10),
-            ("ident", "c", None, 4, 3),
-            ("=", "=", None, 4, 5),
-            ("str", '"s"', "s", 4, 7),
-            ("eof", "", None, 5, 1),
+        assert spanned(source) == [
+            ("ident", "a", 1, 1),
+            ("=", "=", 1, 3),
+            ("int", "1", 1, 5),
+            (";", ";", 1, 6),
+            ("ident", "b", 3, 2),
+            ("=", "=", 3, 4),
+            ("ident", "a", 3, 6),
+            ("-", "-", 3, 8),
+            ("int", "1", 3, 9),
+            (";", ";", 3, 10),
+            ("ident", "c", 4, 3),
+            ("=", "=", 4, 5),
+            ("str", '"s"', 4, 7),
+            ("eof", "", 5, 1),
         ]
+        assert parse_goal(source) == Seq(
+            Assign("a", IntLit(1)),
+            Seq(Assign("b", Binary("-", Var("a"), IntLit(1))), Assign("c", StrLit("s"))),
+        )
 
     def test_lex_error_span_on_a_later_line(self):
         with pytest.raises(LexError) as err:
@@ -157,7 +171,7 @@ class TestTokenize:
         value = 123456789 * (10 ** (9 * n) - 1) // (10**9 - 1)
         assert parse_goal("x = " + "123456789" * n) == Assign("x", IntLit(value))
         assert parse_goal("x = -" + "123456789" * n) == Assign("x", IntLit(-value))
-        assert tokenize("1 -" + "123456789" * n)[2].value == value
+        assert parse_goal("x = 1 -" + "123456789" * n) == Assign("x", Binary("-", IntLit(1), IntLit(value)))
 
 
 # pieces of source, lexically valid and not: `-` and `/` are always
@@ -187,13 +201,16 @@ class TestTokenizeProperty:
                 assert err.message == f"unrecognized character {source[at]!r}"
             tokenize(source[:at])  # no earlier error
             return
-        assert [t.kind == "eof" for t in tokens] == [False] * (len(tokens) - 1) + [True]
-        assert _offset(source, tokens[-1].span) == len(source)
+        n = len(tokens)
+        assert [kind == "eof" for kind in tokens.kinds] == [False] * (n - 1) + [True]
+        assert _offset(source, tokens.span(n - 1)) == len(source)
         end = 0
-        for token in tokens[:-1]:
-            at = _offset(source, token.span)
-            assert at >= end and source[at:at + len(token.text)] == token.text
-            end = at + len(token.text)
+        for i, text in enumerate(tokens.texts[:-1]):
+            span = tokens.span(i)
+            at = _offset(source, span)
+            assert span.length == len(text)
+            assert at >= end and source[at:at + len(text)] == text
+            end = at + len(text)
 
 
 _DIGITS = frozenset("0123456789")
@@ -392,6 +409,48 @@ class TestParameters:
     def test_parameter_names_print_back(self):
         source = "g(n, s) = (n == 0; ret = s) else ret = g(n - 1, s + n)\nmain x = g(3, 0)\n"
         assert pretty_program(parse_program(source)) == source
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "f else case Failtree of { /F/usr/a: t; /F: n = 1; _: t }",
+            "t else (x = 1; n = x)",
+            "((t; (n = 2)))",
+            "x = 1 | n = 2",
+        ],
+        ids=["case-arm", "else-handler", "parentheses", "union-operand"],
+    )
+    def test_assignment_to_a_parameter_is_rejected_at_the_definition(self, body):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"q() = t\n  p(m, n) = {body}\nmain t")
+        assert str(err.value) == "2:3: definition of p assigns to its own parameter(s): n"
+
+    def test_every_assigned_parameter_is_named(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(a, b, c) = c = 1; a = 2; c = 3\nmain t")
+        assert err.value.message == "definition of p assigns to its own parameter(s): a, c"
+
+    def test_duplicate_parameters_are_reported_first(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(n, n) = n = 1\nmain t")
+        assert str(err.value) == "1:1: duplicate parameter in definition of p"
+
+    def test_a_parameter_name_may_be_assigned_outside_its_body(self):
+        p = parse_program("g(n) = ret = n\nh(m) = n = m\nmain n = 1; g(n)")
+        assert p.defs[("h", 1)].body == Assign("n", Param("m", 0))
+        assert p.main == Seq(Assign("n", IntLit(1)), Call("g", (Var("n"),)))
+
+    def test_a_syntax_error_in_the_body_wins(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(n) = n = 1; (t\nmain t")
+        assert str(err.value) == "2:1: expected ')'"
+
+    def test_a_long_body_is_checked_at_the_default_recursion_limit(self, default_recursion_limit):
+        # 20,000 statements, the last an assignment to the parameter
+        chain = "; ".join(f"x{i} = {i}" for i in range(19_999))
+        with pytest.raises(ParseError) as err:
+            parse_program(f"\np(u) = {chain}; u = 1\nmain p(1)")
+        assert str(err.value) == "2:1: definition of p assigns to its own parameter(s): u"
 
 
 class TestParseGoal:

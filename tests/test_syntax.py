@@ -16,7 +16,6 @@ from tci.syntax import (
     Call,
     CallExpr,
     Case,
-    Def,
     Else,
     Expr,
     Fail,
@@ -37,7 +36,6 @@ from tci.syntax import (
     pretty_program,
     shared_union_vars,
     Span,
-    _GOAL_HOLDERS,
     _children,
     _walk,
 )
@@ -279,14 +277,40 @@ class TestChildren:
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_goal_holders_are_the_types_whose_children_are_goals(self, cls):
-        # `iter_goals` enters only the goal holders: a type missing from
-        # them would hide the goals below it from the definition check
+        # `iter_goals` filters `_walk` to the goals: that is the pre-order of
+        # the goals only if no expression holds a goal
         fresh = itertools.count()
         hints = typing.get_type_hints(cls.__init__)
-        children = _children(cls(**{name: sample(hints[name], fresh) for name in cls.__match_args__}))
-        goals = [isinstance(child, Goal) for child in children]
-        assert (cls in _GOAL_HOLDERS) == (goals != [] and all(goals))
-        assert all(goals) or not any(goals)  # no node holds both goals and expressions
+        node = cls(**{name: sample(hints[name], fresh) for name in cls.__match_args__})
+        goals = [child for child in _children(node) if isinstance(child, Goal)]
+        if issubclass(cls, Expr):
+            assert goals == []
+        else:
+            assert list(map(id, iter_goals(node))) == [id(node), *map(id, goals)]
+
+
+def recursive_goals(g: Goal) -> list[Goal]:
+    """The structural definition of `iter_goals`: `g`, then the goals of each sub-goal, in field order."""
+    match g:
+        case Seq(first, second) | Union(first, second) | Else(first, second):
+            subs = [first, second]
+        case Case(arms, default):
+            subs = [body for _, body in arms] + ([default] if default is not None else [])
+        case _:
+            subs = []
+    return [g] + [goal for sub in subs for goal in recursive_goals(sub)]
+
+
+class TestIterGoals:
+    def test_agrees_with_the_recursive_pre_order(self):
+        kinds = set()
+        for seed in range(1000):
+            program, _, _ = gen_program(seed, 8)
+            for g in [program.main] + [d.body for d in program.defs.values()]:
+                expected = recursive_goals(g)
+                assert [id(sub) for sub in iter_goals(g)] == [id(sub) for sub in expected], pretty_print(g)
+                kinds.update(map(type, expected))
+        assert {Seq, Union, Else, Case, Assign, Call, RelopTest} <= kinds
 
 
 class TestRecord:
@@ -362,23 +386,6 @@ class TestInvariants:
     def test_case_requires_arms(self):
         with pytest.raises(ValueError):
             Case((), TrueGoal())
-
-    def test_def_rejects_assignment_to_parameter(self):
-        # parameters are read-only wherever the assignment sits in the body
-        with pytest.raises(ValueError, match="parameter"):
-            Def("p", ("n",), Else(TrueGoal(), Assign("n", IntLit(1))))
-        with pytest.raises(ValueError, match="duplicate parameter"):
-            Def("p", ("n", "n"), TrueGoal())
-        assert Def("p", ("n",), Assign("m", Var("n"))).params == ("n",)
-
-    def test_def_validates_a_deep_body(self, default_recursion_limit):
-        # the parameter check walks the body without host recursion
-        body = Assign("n", IntLit(1))
-        for i in range(20_000):
-            body = Seq(Assign(f"x{i}", IntLit(i)), body)
-        with pytest.raises(ValueError, match="parameter"):
-            Def("p", ("n",), body)
-        assert len(list(iter_goals(Def("p", ("m",), body).body))) == 40_001
 
     def test_shared_union_vars_lint(self):
         g = parse_goal("(x = 1) | (x = 2)")

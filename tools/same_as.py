@@ -30,14 +30,20 @@ from `random.Random(7)`; and `LEXICAL_EDGE_CASES`, a fixed handful of
 sources with CRLF line ends, tabs, comments, `-N` after a value and
 after an operator, `/` between names, `-` after a `;`, a double minus,
 strings closed and not, paths with keyword segments or spaces around a
-`/`, and non-ASCII characters, each on a later line.  Last, `tci selfcheck --cases 2000` at
+`/`, and non-ASCII characters, each on a later line; and
+`PARAMETER_RULES`, sources that break the rules on a definition's
+parameters or come near them: duplicate parameters, an assignment to a
+parameter in a `case` arm, an `else` handler, parentheses and a `|`
+operand, a parameter's name assigned in main, an assignment to a
+parameter followed by a syntax error, and a duplicate parameter that
+the body also assigns.  Last, `tci selfcheck --cases 2000` at
 seeds 0 and 2000, compared on exit code and stdout (its report and any
 counterexample).  Then `COMMAND_LINES`: usage errors (negative counts
 among them), `-h`, and options given as `--opt=value` and before FILE,
 each compared on exit code, stdout and stderr (a `SystemExit` from
 `cli.main` counts as its exit code).
 
-That is 18,846 calls.  The program files are written once, by this
+That is 18,862 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -92,6 +98,16 @@ LEXICAL_EDGE_CASES = (
     "main t;\n\tf(t) else t\n",
     "main t;\n\tf(a / t) else case Failtree of { /F/usr/a/t: t }\n",
     "main t;\n\tf(/F/sys/case) else\n\tcase Failtree of { /F/sys/case: x = 1; _: t }\n",
+)
+PARAMETER_RULES = (
+    "q() = t\n  p(n, m, n) = t\nmain p(1, 2, 3)\n",
+    "q() = t\n  p(m, n) = f else case Failtree of { /F/usr/a: t; /F: n = 1; _: t }\nmain p(1, 2)\n",
+    "q() = t\n  p(m, n) = t else (x = 1; n = x)\nmain p(1, 2)\n",
+    "q() = t\n  p(m, n) = ((t; (n = 2)))\nmain p(1, 2)\n",
+    "q() = t\n  p(m, n) = x = 1 | n = 2 | m = 3\nmain p(1, 2)\n",
+    "p(n) = ret = n + 1\nh(m) = n = m\nmain n = 1; p(n); h(n); x = n\n",
+    "q() = t\n  p(n) = n = 1; (t\nmain p(1)\n",
+    "q() = t\n  p(n, n) = n = 1\nmain p(1, 2)\n",
 )
 RECURSIONS = {
     "tail-recursive sum": "sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum(2000, 0)\n",
@@ -177,6 +193,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
             add(f"gen_program seed {seed} {how}", source, None, ["--max-steps", str(GEN_MAX_STEPS)], traced=False)
     for i, source in enumerate(LEXICAL_EDGE_CASES):
         add(f"lexical edge case {i}", source, None, [], traced=False)
+    for i, source in enumerate(PARAMETER_RULES):
+        add(f"parameter rule {i}", source, None, [], traced=False)
     for name in workloads.WORKLOADS:
         for i, op in enumerate(workloads.generate(name, WORKLOAD_SEED, WORKLOAD_OPS)):
             add(f"{name} op {i}", op.source, op.input, [])
