@@ -3,9 +3,9 @@
 Every goal evaluates to Success or Failure.  A failing goal leaves no
 trace in the store that anything reads.  Only three places read the
 store after a failure, and only they take a checkpoint, a mark in the
-store: each operand of a `|`, the tried operand of an `else`, and the
-root goal of a run.  Each opens its mark before the operand and ends it
-after: on failure it rolls the store back to the mark, on success it
+store: each operand of a `|` chain, the tried operand of an `else`, and
+the root goal of a run.  Each opens its mark before the operand and ends
+it after: on failure it rolls the store back to the mark, on success it
 commits, and either way the enclosing mark is the innermost open one
 again.  A success's edits stay undoable by the enclosing mark: the
 store keeps each name's first old value per open mark, at most (open
@@ -13,9 +13,15 @@ marks + 1) * (names + 2) values, and a commit merges the closed mark's
 table into the enclosing one, whose older values win.  Every other rule
 lets a failure propagate with its partial edits in place, and the
 nearest enclosing catch point undoes them, so partial updates never
-escape a failure at any nesting level.  A host-stack overflow ends a
-run with every mark its descent opened still open: `run` rolls back to
-its own mark, which ends them all.
+escape a failure at any nesting level.  The unions on a chain's spine
+(in `G1 | (G2 | G3)`, the `|` that is the second operand of the one
+before) take no mark of their own.  A union that fails has rolled back
+each of its operands already, so its mark would have nothing to undo;
+and an operand's commit straight into the enclosing mark leaves that
+mark's table as the spine's commits would, because older values win.
+So an n-operand chain opens n marks.  A host-stack overflow ends a run
+with every mark its descent opened still open: `run` rolls back to its
+own mark, which ends them all.
 
 One step is one iteration of the loop in `_eval`: it spends a unit of
 the budget, picks the goal's rule by testing `type(goal) is ...`, most
@@ -28,9 +34,12 @@ the chosen `case` arm or default, and the body of a call in goal
 position, under the callee's frame.  So tail recursion runs in constant
 host stack.  Every other operand (a `;`'s first, an `else`'s tried
 operand, each `|` operand, arguments, calls in expression position) is
-run by a nested call of `_eval` or `_expr`, one host frame deeper.
-Outcomes are immutable, so they are shared: one Success, and one Failure
-for each fixed /F/sys path the machine throws, built at import.
+run by a nested call of `_eval` or `_expr`, one host frame deeper.  A
+`|` chain's step walks the spine in one loop, each spine union spending
+its step when it is reached, so a chain of any width takes constant host
+stack and is bounded only by the budget.  Outcomes are immutable, so
+they are shared: one Success, and one Failure for each fixed /F/sys path
+the machine throws, built at import.
 
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged with the list of those values as its frame.
@@ -42,9 +51,13 @@ writes the store by name, and a body reads its parameters only through
 `Param` slots.  So frames need no undo.
 
 `G1 | G2` runs both operands in order (the second from the first's result
-state when it succeeded) and succeeds if at least one does.  `G1 else G2`
-runs the handler only after rolling G1 back, and makes the failure tree
-available to `case Failtree of` goals for the handler's dynamic extent.
+state when it succeeded) and succeeds if at least one does.  A chain
+`G1 | ... | Gn` runs its n operands in order in the same way; the paths
+of each operand that fails go into one set as it returns, and nothing
+else of it is kept, and one tree is built from the set if every operand
+failed.  `G1 else G2` runs the handler only after rolling G1 back, and
+makes the failure tree available to `case Failtree of` goals for the
+handler's dynamic extent.
 
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
@@ -56,10 +69,16 @@ entry and fills it in on exit, when its rule and result are known.  A
 step that goes on into a tail position (rule 6, 11, `case` or 4) has
 the same result as the last step of its loop: its line is deferred,
 written up to ` => ` when the loop goes on, and its result is appended
-when that last step returns.  A traced run prints each root once,
-recording where the text of each goal and call below it lies (its
-span): the run's goal on entry, and a procedure body on its first call.
-A line's text is its step's span cut to `TRACE_WIDTH` characters (the
+when that last step returns.  Each spine union of a `|` chain keeps
+its own line, reserved when the union is reached, and the chain's lines
+are closed right to left when it ends: a union's result is the chain's
+outcome from its own operand on, and its rule comes from its operand and
+that rest.  Their `failure(...)` texts come from one growing set of
+paths whose smallest are kept as text, so a traced chain takes time
+linear in its width.  A traced run prints each root once, recording
+where the text of each goal and call below it lies (its span): the
+run's goal on entry, and a procedure body on its first call.  A line's
+text is its step's span cut to `TRACE_WIDTH` characters (the
 last three `...` when the span is longer), and only the characters kept
 are copied, so a `;` chain is not printed again for every enclosing
 step.  A `failure(...)` result is cut the same way.  Rule ids: 1
@@ -80,6 +99,7 @@ from collections.abc import Sequence
 
 from .failure import (
     ExceptionTree,
+    FailPath,
     MAX_INDENT,
     SYS_CASE,
     SYS_DEPTH,
@@ -88,7 +108,6 @@ from .failure import (
     SYS_UNBOUND,
     SYS_UNDEF,
     matches,
-    merge,
     throw,
 )
 from .record import Record, set_field
@@ -226,8 +245,55 @@ def _result_text(out: Outcome) -> str:
     """A step's result as its trace line shows it, cut to `TRACE_WIDTH` as a goal's text is."""
     if isinstance(out, Success):
         return "success"
-    text = "failure(" + ", ".join(out.tree.sorted_paths()) + ")"
-    return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
+    if len(out.tree.paths) == 1:  # most failures; it saves a `_FailureText` per line
+        [path] = out.tree.paths
+        text = f"failure({path})"
+        return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
+    text = _FailureText()
+    text.add(out.tree.paths)
+    return text.text()
+
+
+class _FailureText:
+    """The `failure(...)` text of a growing set of paths, cut to `TRACE_WIDTH`, in time linear in the paths.
+
+    The text lists the paths sorted, so only its smallest paths are kept:
+    `seen` holds the text of every path added, `head` the smallest of
+    them, sorted, just as many as fill `TRACE_WIDTH` characters (or all
+    of them), `head_length` is the length of `failure(` and `head`
+    joined (for a nonempty head), and `length` that of the whole text.
+    """
+
+    __slots__ = ("seen", "head", "head_length", "length")
+
+    def __init__(self):
+        self.seen: set[str] = set()
+        self.head: list[str] = []
+        self.head_length = len("failure(") - 2
+        self.length = len("failure()") - 2
+
+    def add(self, paths) -> None:
+        seen, head = self.seen, self.head
+        for path in paths:
+            text = str(path)
+            if text in seen:
+                continue
+            seen.add(text)
+            self.length += len(text) + 2
+            if self.head_length >= TRACE_WIDTH and text > head[-1]:
+                continue
+            i = len(head)
+            while i and head[i - 1] > text:
+                i -= 1
+            head.insert(i, text)
+            self.head_length += len(text) + 2
+            while self.head_length - len(head[-1]) - 2 >= TRACE_WIDTH:
+                self.head_length -= len(head.pop()) + 2
+
+    def text(self) -> str:
+        if self.length <= TRACE_WIDTH:
+            return "failure(" + ", ".join(self.head) + ")"
+        return ("failure(" + ", ".join(self.head))[:TRACE_WIDTH - 3] + "..."
 
 
 class Evaluator:
@@ -295,6 +361,39 @@ class Evaluator:
         level = self._depth - 1
         indent = "  " * level if level <= MAX_INDENT else f"{'  ' * MAX_INDENT}({level}) "
         self.trace[at] = f"{indent}[rule {rule}] {head}{text} => {result}"
+
+    def _close_spine(self, levels: list, rest: Outcome) -> int | str:
+        """Write the lines of a `|` chain's spine unions, right to left; returns the first one's rule.
+
+        `levels` holds three items per spine union, in chain order: its
+        line, the union, and its first operand's paths (None when that
+        operand succeeded).  `rest` is the outcome of what follows the
+        last: the last operand, or /F/sys/depth when the budget ran out
+        at the next union.  A union's rule comes from its first operand
+        and the rest of the chain, and its result is the chain's outcome
+        from its own operand on.  The first union's line is left to the
+        step's own close.
+        """
+        text = _FailureText()
+        ok = rest is _SUCCESS
+        if not ok:
+            text.add(rest.tree.paths)
+        while True:
+            first = levels.pop()
+            union = levels.pop()
+            line = levels.pop()
+            if first is None:
+                rule = 7 if ok else 9
+                ok = True
+            elif ok:
+                rule = 8
+            else:
+                rule = "fail"
+                text.add(first)
+            if not levels:
+                return rule
+            self._close_line(line, rule, "", union, "success" if ok else text.text())
+            self._depth -= 1
 
     # -- goals -------------------------------------------------------------
 
@@ -390,27 +489,52 @@ class Evaluator:
                     g, ambient, head = g.handler, out.tree, ""
                     continue
             elif t is Union:
+                # A chain `G1 | G2 | ... | Gn` runs as one step, walking its
+                # spine (`g` and each `Union` that is the second operand of
+                # the one before) in one loop.  Each operand runs under its
+                # own mark; each spine union after `g` spends a step when it
+                # is reached, after the operand before it.
                 store = self.store
-                mark = store.checkpoint()
-                first = self._eval(g.first, ambient, frame)
-                if first is _SUCCESS:
-                    store.commit()
-                else:
-                    store.rollback(mark)
-                mark = store.checkpoint()
-                out = self._eval(g.second, ambient, frame)
-                if out is _SUCCESS:
-                    store.commit()
-                else:
-                    store.rollback(mark)
-                if first is _SUCCESS:
-                    rule = 7 if out is _SUCCESS else 9
-                    out = _SUCCESS
-                elif out is _SUCCESS:
-                    rule = 8
-                else:
-                    rule = "fail"
-                    out = Failure(merge(first.tree, out.tree))
+                failed: set[FailPath] | None = set()  # the failed operands' paths; None once one succeeded
+                if trace is not None:
+                    levels = []  # per spine union: its line, itself, its first operand's paths or None
+                    line = at
+                union = g
+                operand = g.first
+                while True:
+                    mark = store.checkpoint()
+                    out = self._eval(operand, ambient, frame)
+                    if out is _SUCCESS:
+                        store.commit()
+                        failed = None
+                    else:
+                        store.rollback(mark)
+                        if failed is not None:
+                            failed.update(out.tree.paths)
+                    if union is None:  # that was the last operand
+                        break
+                    if trace is not None:
+                        levels += line, union, None if out is _SUCCESS else out.tree.paths
+                    operand = union.second
+                    if type(operand) is not Union:
+                        union = None
+                        continue
+                    union = operand
+                    if trace is not None:
+                        line = self._open_line()
+                    if budget.remaining <= 0:
+                        out = _FAIL_DEPTH
+                        if failed is not None:
+                            failed.add(SYS_DEPTH)
+                        if trace is not None:
+                            self._close_line(line, "fail", "", union, _result_text(out))
+                            self._depth -= 1
+                        break
+                    budget.remaining -= 1
+                    operand = union.first
+                if trace is not None:
+                    rule = self._close_spine(levels, out)
+                out = _SUCCESS if failed is None else Failure(ExceptionTree(failed))
             elif t is TrueGoal:
                 rule = 1
                 out = _SUCCESS

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -7,7 +8,18 @@ from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
 
 from tci import interp, syntax
 from tci.cli import main
-from tci.failure import ROOT, SYS_CASE, SYS_DEPTH, SYS_DIV0, SYS_TEST, SYS_UNBOUND, SYS_UNDEF, throw
+from tci.failure import (
+    ROOT,
+    SYS_CASE,
+    SYS_DEPTH,
+    SYS_DIV0,
+    SYS_TEST,
+    SYS_UNBOUND,
+    SYS_UNDEF,
+    ExceptionTree,
+    FailPath,
+    throw,
+)
 from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
@@ -425,6 +437,22 @@ class TestTraceText:
         whole = "failure(" + ", ".join(sorted(f"/F/usr/a{i}" for i in range(800))) + ")"
         assert large[0] == capped(whole)
 
+    def test_failure_text_agrees_with_the_full_sort(self):
+        # paths added in batches, with repeats, to one text: after each
+        # batch it reads as the sorted text of every path so far, cut
+        rng = random.Random(0)
+        names = ("a", "b", "zz", "a1", "usr", "sys", "x" * 40, "y" * 70)
+        for _ in range(400):
+            text, added = interp._FailureText(), set()
+            for _ in range(rng.randrange(1, 6)):
+                batch = [FailPath(("F", *rng.choices(names, k=rng.randrange(4)))) for _ in range(rng.randrange(60))]
+                text.add(batch)
+                added.update(batch)
+                if added:
+                    whole = "failure(" + ", ".join(sorted(map(str, added))) + ")"
+                    assert text.text() == capped(whole)
+                    assert interp._result_text(Failure(ExceptionTree(added))) == capped(whole)
+
 
 class TestRuleIds:
     # one small goal per rule: (definitions, goal, step budget, its step's trace line)
@@ -555,14 +583,16 @@ class TestProperties:
             assert s2.snapshot() == s3.snapshot()
         assert checked_f > 100
 
-    def test_seq_associativity(self):
+    @staticmethod
+    def associates(op):
+        """`(a op b) op c` and `a op (b op c)` give one outcome and one final store."""
         for seed in range(150):
             ga, _, _ = gen_program(3 * seed, 3)
             gb, _, _ = gen_program(3 * seed + 1, 3)
             gc, sv, inp = gen_program(3 * seed + 2, 3)
             program = gc  # defs of the third instance; others may call undefined procs
-            left = Seq(Seq(ga.main, gb.main), gc.main)
-            right = Seq(ga.main, Seq(gb.main, gc.main))
+            left = op(op(ga.main, gb.main), gc.main)
+            right = op(ga.main, op(gb.main, gc.main))
             s1 = Store(inp, dict(sv.bindings))
             o1 = eval_goal(program, s1, left)
             s2 = Store(inp, dict(sv.bindings))
@@ -571,6 +601,14 @@ class TestProperties:
             if isinstance(o1, Failure):
                 assert o1.tree == o2.tree
             assert s1.snapshot() == s2.snapshot()
+
+    def test_seq_associativity(self):
+        self.associates(Seq)
+
+    def test_union_associativity(self):
+        # a chain runs its right spine in one loop, and a `|` nested to
+        # the left as an operand
+        self.associates(Union)
 
     def test_determinism_including_trace(self):
         for program, sv, inp in self.instances(100):
@@ -694,6 +732,16 @@ class TestCatchPoints:
     def test_union_operands_and_tried_operand(self):
         assert self.checkpoints("main (x = 1 | y = 2) else t")[0] == 4
 
+    def test_a_chain_opens_one_mark_per_operand(self):
+        # the root, the tried operand and the four operands: the spine
+        # unions nested as second operands open none
+        assert self.checkpoints("main (x = 1 | y = 2 | z = 3 | w = 4) else t")[0] == 6
+
+    def test_each_operand_of_a_chain_rolls_back_under_its_own_mark(self):
+        program = parse_program("main x = 0; (x = 1 | (y = 2; f) | (z = 3; f(q)))")
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.bindings == {"x": 1}
+
     def test_calls_open_one_per_else_step(self):
         opened, trace = self.checkpoints(SUM.replace("3000", "50"))
         else_steps = sum("[rule 10]" in line or "[rule 11]" in line for line in trace)
@@ -751,6 +799,17 @@ class TestHostFrames:
         # run at the default recursion limit, under the step budget
         out, store, _ = run_main(parse_program(SUM.replace("3000", "20000")))
         assert isinstance(out, Success) and store.bindings["ret"] == 20000 * 20001 // 2
+
+    def test_a_wide_union_takes_no_host_frame_per_operand(self, default_recursion_limit, tmp_path, capsys):
+        # the chain's operands run one at a time from one loop, so its
+        # width is bounded by the budget, not by the host stack
+        n = 25_000
+        path = tmp_path / "union.tc"
+        path.write_text("main " + " | ".join(f"f(a{i})" for i in range(n)), encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        drawn = capsys.readouterr().out.splitlines()
+        assert drawn[:2] == ["F", "└─ usr"]
+        assert {line.split("─ ")[1] for line in drawn[2:]} == {f"a{i}" for i in range(n)}
 
 
 # Each tail position, reached by a step that succeeds and by one that
@@ -822,3 +881,38 @@ class TestTailPositions:
         assert ev._depth == 0
         if max_steps is None:
             assert isinstance(out, Success) and ev.store.bindings["r"] == 1
+
+
+WIDE = " | ".join(f"f(w{i % 30})" for i in range(40))
+# `|` chains whose operands give rules 7, 8, 9 and `fail`: as procedure
+# bodies (in goal and expression position), as an `else`'s tried operand,
+# 40 spine levels deep, with repeated paths, and with a `|` as an operand.
+UNION_CHAIN = f"""\
+pick(n) = x = n | f(a) | (y = n; f(b)) | z = n + 1 | f(c)
+one(n) = ret = n | ret = n + 1
+wide() = {WIDE}
+main r = one(1) + 1; pick(2); ((f(d) | f(e) | (w = 1; f(g))) else case Failtree of {{ /F/usr/e: t }}); \
+(wide() | v = 1); ((f(h) | f(i)) | f(j) | t | f(k))
+"""
+
+
+class TestUnionChains:
+    # With no budget, with budgets that run out at a spine union's entry
+    # (in a body with a frame head, at pick's second and fourth unions, in
+    # the tried operand's chain, 40 levels into wide, at `t | f(k)`), and
+    # with one that runs out at a chain's last operand (17).
+    BUDGETS = (None, 2, 9, 15, 17, 22, 100, 118)
+
+    def test_trace_text_is_unchanged(self, golden_dir):
+        # pinned from the evaluator before a chain ran in one loop, when
+        # each spine union ran its second operand one host frame deeper
+        program = parse_program(UNION_CHAIN)
+        texts = []
+        for max_steps in self.BUDGETS:
+            ev = Evaluator(program, Store(), Budget() if max_steps is None else Budget(max_steps), trace=True)
+            out = ev.run(program.main)
+            result = "success" if isinstance(out, Success) else ", ".join(out.tree.sorted_paths())
+            texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
+            texts.extend(line + "\n" for line in ev.trace)
+            assert ev._depth == 0
+        assert "".join(texts) == (golden_dir / "union_chain.trace").read_text(encoding="utf-8")

@@ -15,7 +15,12 @@ message` for a source error) and, for `tci run`, steps used
 - the golden programs on each golden input;
 - `RECURSIONS`: a tail-recursive sum, a non-tail recursion and a
   2,000-statement `;` chain, with `--max-steps 2000` so that the budget
-  runs out in the middle of each.
+  runs out in the middle of each;
+- `UNIONS`: 500-way `|` chains whose operands succeed, fail, or edit
+  the store and print before they fail, and a short mixed chain, used
+  as a procedure body and as an `else`'s tried operand, run at every
+  budget in `UNION_BUDGETS`, so that the budget runs out at each spine
+  `|` and each operand in turn.
 
 and, run without `--trace` at the default budget and checked, each of
 `RECURSIONS`, sized to finish at the CLI's recursion limit of 20,000
@@ -43,7 +48,7 @@ among them), `-h`, and options given as `--opt=value` and before FILE,
 each compared on exit code, stdout and stderr (a `SystemExit` from
 `cli.main` counts as its exit code).
 
-That is 18,862 calls.  The program files are written once, by this
+That is 19,006 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -115,6 +120,19 @@ RECURSIONS = {
     "2,000-statement chain": "main " + "; ".join(f"x{i} = {i}" for i in range(2000)) + "\n",
 }
 RECURSION_MAX_STEPS = 2000
+# `|` chains: wide ones whose operands succeed, fail, or edit and then
+# fail, and a short mixed one run at every budget in `UNION_BUDGETS`, so
+# that the budget runs out at each spine union and each operand in turn
+UNIONS = {
+    "succeeding": "main " + " | ".join(f"x{i} = {i}" for i in range(500)) + "\n",
+    "failing": "main " + " | ".join(f"f(a{i % 7}/b{i})" for i in range(500)) + "\n",
+    "partly editing": "main x = 0; ("
+    + " | ".join(f"z = x + {i}" if i % 50 == 49 else f"(x = x + {i}; print(x); f(e{i % 40}))" for i in range(500))
+    + ")\n",
+    "mixed": "p(n) = x = n | f(a) | (y = n; f(b)) | z = n + 1 | f(c)\n"
+    "main p(1); ((f(d) | (w = 1; f(e)) | f(d)) else t); (f(g) | t | (v = 2; f(h)) | f(i))\n",
+}
+UNION_BUDGETS = range(1, 45)
 # command lines, FILE standing for a three-statement program run in five
 # steps: usage errors, help, and options spelled and placed each way
 COMMAND_LINES = (
@@ -206,6 +224,10 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
     for name, source in RECURSIONS.items():
         add(f"{name}, budget {RECURSION_MAX_STEPS}", source, None, ["--max-steps", str(RECURSION_MAX_STEPS)])
         add(name, source, None, [], traced=False)
+    for name, source in UNIONS.items():
+        add(f"{name} union chain", source, None, [])
+    for steps in UNION_BUDGETS:
+        add(f"mixed union chain, budget {steps}", UNIONS["mixed"], None, ["--max-steps", str(steps)])
     for seed in SELFCHECK_SEEDS:
         calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
     program = work / "command_line.tc"

@@ -14,7 +14,9 @@ three at both sizes and the 2n/n ratio of each: about 2 for a shape
 that grows linearly, about 4 for a quadratic one (the log2 of a ratio
 is an empirical growth exponent; Goldsmith, Aiken & Wilkerson, FSE
 2007).  Times are raw `perf_counter` seconds of `cli.main`.  The sizes
-keep each run under about 2 s on a 2-core host with Python 3.11.
+keep each run under about 2 s on a 2-core host with Python 3.11, and
+each timed run over about 30 ms, so that a ratio is not noise; a
+checkout where a shape is still quadratic takes longer.
 """
 
 from __future__ import annotations
@@ -56,13 +58,19 @@ def chain(n: int, names: int) -> str:
     return "main " + "; ".join(["v0 = 0", *(f"v{(i + 1) % names} = v{i % names} + 1" for i in range(n))])
 
 
+def union(n: int) -> str:
+    """A `|` chain of `n` throws of distinct paths."""
+    return "main " + " | ".join(f"f(a{i})" for i in range(n))
+
+
 # name: (n, program for a size, whether the run is traced)
 SHAPES = {
     "chain": (40_000, lambda n: chain(n, 4), False),
     "chain-distinct": (40_000, lambda n: chain(n, n + 1), False),
     "parens": (200_000, lambda n: "main x = " + "(" * n + "1" + ")" * n, False),
     "int-literal": (200_000, lambda n: "main x = " + "1234567890" * (n // 10), False),
-    "union": (2_000, lambda n: "main " + " | ".join(f"f(a{i})" for i in range(n)), False),
+    "union": (4_000, union, False),
+    "union-traced": (4_000, union, True),
     "chain-traced": (8_000, lambda n: chain(n, 4), True),
 }
 
