@@ -7,12 +7,11 @@ parser, the evaluator, an independent reference semantics for testing,
 and the `tci` command-line driver.
 """
 
-from .failure import ExceptionTree, FailPath, matches, merge, render, throw
+from .failure import Failure, matches, render, throw
 from .interp import (
     Budget,
     DEFAULT_MAX_STEPS,
     Evaluator,
-    Failure,
     Outcome,
     Success,
     eval_goal,
@@ -52,7 +51,6 @@ from .syntax import (
     Union,
     Var,
     free_vars,
-    pretty_expr,
     pretty_print,
     pretty_program,
 )

@@ -11,11 +11,10 @@ from __future__ import annotations
 import re
 import sys
 
-from .failure import ExceptionTree, render
+from .failure import Failure, render
 from .interp import (
     Budget,
     DEFAULT_MAX_STEPS,
-    Failure,
     Success,
     eval_goal,
     format_binding,
@@ -39,7 +38,7 @@ _STATUS_CODES = {
 
 
 class RunReport:
-    def __init__(self, status: str, failtree: ExceptionTree | None = None,
+    def __init__(self, status: str, failtree: Failure | None = None,
                  bindings: dict[str, Value] | None = None, output: list[str] | None = None,
                  steps_used: int = 0, message: str = "", trace: list[str] | None = None):
         self.status = status
@@ -104,7 +103,7 @@ def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
             steps_used=budget.used,
             trace=trace_lines,
         )
-    return RunReport(status="failure", failtree=outcome.tree, steps_used=budget.used, trace=trace_lines)
+    return RunReport(status="failure", failtree=outcome, steps_used=budget.used, trace=trace_lines)
 
 
 def _print_report(report: RunReport) -> None:
@@ -184,12 +183,12 @@ def cmd_selfcheck(cases: int = 1000, seed: int = 0, max_depth: int = 8) -> Selfc
                 f"bindings={store.bindings!r} cursor={store.cursor} output={tuple(store.output)!r}"
             )
         elif isinstance(reference, NotDerivable) and isinstance(outcome, Failure):
-            if reference.tree == outcome.tree:
+            if reference.tree == outcome:
                 report.agreed += 1
                 continue
             detail = (
-                f"failure trees differ\n  reference: {reference.tree.sorted_paths()}"
-                f"\n  evaluator: {outcome.tree.sorted_paths()}"
+                f"failure trees differ\n  reference: {sorted(reference.tree.paths)}"
+                f"\n  evaluator: {sorted(outcome.paths)}"
             )
         else:
             ref_text = "derivable" if isinstance(reference, Derivable) else "not derivable"

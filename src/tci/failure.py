@@ -1,94 +1,54 @@
 """Hierarchical failure classification.
 
-Failures are identified by paths rooted at /F, organized like directories:
-/F/usr/EOF is a user-thrown end-of-input failure, /F/sys/div0 a division by
-zero.  A handler registered for a path catches every failure at or below
-it, so /F/usr catches /F/usr/EOF and /F catches everything.  A failing
-evaluation carries a tree of such paths (several branches of a `|` may
-fail for different reasons at once).
+A failure path is its text: a string rooted at /F and organized like a
+directory path, "/F/usr/EOF" for a user-thrown end-of-input failure,
+"/F/sys/div0" for a division by zero.  A failing outcome is a `Failure`,
+the nonempty set of paths it carries (several operands of a `|` may fail
+for different reasons at once).  A handler path catches every failure at
+or below it, segment by segment, so /F/usr catches /F/usr/EOF but not
+/F/usrx, and /F catches everything.
 """
 
 from __future__ import annotations
 
-import re
-
 from .record import Record, set_field
 
-_SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class FailPath(Record):
-    """One failure kind, written /F/seg/.../seg.  The first segment is always F."""
-
-    __slots__ = ("segments",)
-
-    def __init__(self, segments: tuple[str, ...]):
-        segments = tuple(segments)
-        if not segments or segments[0] != "F":
-            raise ValueError(f"failure path must be rooted at /F: {segments!r}")
-        for seg in segments:
-            if not _SEGMENT_RE.match(seg):
-                raise ValueError(f"bad failure path segment: {seg!r}")
-        set_field(self, "segments", segments)
-
-    @classmethod
-    def parse(cls, text: str) -> FailPath:
-        if not text.startswith("/"):
-            raise ValueError(f"failure path must start with '/': {text!r}")
-        return cls(tuple(text[1:].split("/")))
-
-    def is_prefix_of(self, other: FailPath) -> bool:
-        return self.segments == other.segments[: len(self.segments)]
-
-    def __str__(self) -> str:
-        return "/" + "/".join(self.segments)
-
-
-ROOT = FailPath(("F",))
+ROOT = "/F"
 
 # Failures raised by the machine itself, rather than by an f(...) statement.
-SYS_TEST = FailPath(("F", "sys", "test"))
-SYS_UNBOUND = FailPath(("F", "sys", "unbound"))
-SYS_DIV0 = FailPath(("F", "sys", "div0"))
-SYS_UNDEF = FailPath(("F", "sys", "undef"))
-SYS_DEPTH = FailPath(("F", "sys", "depth"))
-SYS_CASE = FailPath(("F", "sys", "case"))
+SYS_TEST = "/F/sys/test"
+SYS_UNBOUND = "/F/sys/unbound"
+SYS_DIV0 = "/F/sys/div0"
+SYS_UNDEF = "/F/sys/undef"
+SYS_DEPTH = "/F/sys/depth"
+SYS_CASE = "/F/sys/case"
 
 
-def user_path(segments: tuple[str, ...] | list[str]) -> FailPath:
+def user_path(segments: tuple[str, ...] | list[str]) -> str:
     """Path for a user-thrown failure: f(a/b) lands under /F/usr."""
-    return FailPath(("F", "usr", *segments))
+    return "/F/usr/" + "/".join(segments)
 
 
-class ExceptionTree(Record):
-    """The failure kinds carried by one failing outcome (a nonempty path set)."""
+class Failure(Record):
+    """A failing outcome: the nonempty set of failure paths it carries."""
 
     __slots__ = ("paths",)
 
-    def __init__(self, paths: frozenset[FailPath]):
+    def __init__(self, paths: frozenset[str]):
         paths = frozenset(paths)
         if not paths:
-            raise ValueError("an exception tree is never empty")
+            raise ValueError("a failure carries at least one path")
         set_field(self, "paths", paths)
 
-    def sorted_paths(self) -> list[str]:
-        return sorted(str(p) for p in self.paths)
 
-    def __str__(self) -> str:
-        return render(self)
+def throw(path: str) -> Failure:
+    return Failure(frozenset((path,)))
 
 
-def throw(path: FailPath) -> ExceptionTree:
-    return ExceptionTree(frozenset((path,)))
-
-
-def merge(a: ExceptionTree, b: ExceptionTree) -> ExceptionTree:
-    return ExceptionTree(a.paths | b.paths)
-
-
-def matches(handler: FailPath, tree: ExceptionTree) -> bool:
-    """True when the handler path is an ancestor (or equal) of some failure in the tree."""
-    return any(handler.is_prefix_of(p) for p in tree.paths)
+def matches(handler: str, failure: Failure) -> bool:
+    """True when the handler path is an ancestor (or equal) of some path of the failure."""
+    below = handler + "/"
+    return any(p == handler or p.startswith(below) for p in failure.paths)
 
 
 # A trace line and a line of a drawn failure tree are indented by at most
@@ -97,8 +57,8 @@ def matches(handler: FailPath, tree: ExceptionTree) -> bool:
 MAX_INDENT = 32
 
 
-def render(tree: ExceptionTree) -> str:
-    """Deterministic tree drawing; children sorted by segment name.
+def render(failure: Failure) -> str:
+    """Deterministic tree drawing of a failure's paths; children sorted by segment name.
 
     The drawing is made in pre-order on an explicit stack, so a path of
     any length is drawn without host recursion.  A line deeper than
@@ -107,9 +67,9 @@ def render(tree: ExceptionTree) -> str:
     the drawing's size is linear in the segments drawn.
     """
     root: dict = {}
-    for path in tree.paths:
+    for path in failure.paths:
         node = root
-        for seg in path.segments[1:]:
+        for seg in path.split("/")[2:]:
             node = node.setdefault(seg, {})
     lines = ["F"]
     stack = _entries(root, "", 0)

@@ -1,6 +1,7 @@
 """The TC evaluator.
 
-Every goal evaluates to Success or Failure.  A failing goal leaves no
+Every goal evaluates to an outcome: `Success`, or a `failure.Failure`,
+the set of failure paths the goal failed with.  A failing goal leaves no
 trace in the store that anything reads.  Only three places read the
 store after a failure, and only they take a checkpoint, a mark in the
 store: each operand of a `|` chain, the tried operand of an `else`, and
@@ -39,7 +40,9 @@ run by a nested call of `_eval` or `_expr`, one host frame deeper.  A
 its step when it is reached, so a chain of any width takes constant host
 stack and is bounded only by the budget.  Outcomes are immutable, so
 they are shared: one Success, and one Failure for each fixed /F/sys path
-the machine throws, built at import.
+the machine throws, built at import; an `else` hands its tried operand's
+Failure on as the ambient failure that `case` reads, and a `case` with
+no matching arm fails with that same object.
 
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged with the list of those values as its frame.
@@ -54,10 +57,10 @@ writes the store by name, and a body reads its parameters only through
 state when it succeeded) and succeeds if at least one does.  A chain
 `G1 | ... | Gn` runs its n operands in order in the same way; the paths
 of each operand that fails go into one set as it returns, and nothing
-else of it is kept, and one tree is built from the set if every operand
-failed.  `G1 else G2` runs the handler only after rolling G1 back, and
-makes the failure tree available to `case Failtree of` goals for the
-handler's dynamic extent.
+else of it is kept, and one Failure is built from the set if every
+operand failed.  `G1 else G2` runs the handler only after rolling G1
+back, and makes G1's Failure available to `case Failtree of` goals for
+the handler's dynamic extent.
 
 The trace is a flat list of lines in pre-order, one per goal step and
 one per call in expression position, each indented two spaces per
@@ -98,8 +101,7 @@ import operator
 from collections.abc import Sequence
 
 from .failure import (
-    ExceptionTree,
-    FailPath,
+    Failure,
     MAX_INDENT,
     SYS_CASE,
     SYS_DEPTH,
@@ -110,7 +112,7 @@ from .failure import (
     matches,
     throw,
 )
-from .record import Record, set_field
+from .record import Record
 from .store import Store, UnboundVariable, Value
 from .syntax import (
     Assign,
@@ -158,24 +160,17 @@ class Success(Record):
     __slots__ = ()
 
 
-class Failure(Record):
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: ExceptionTree):
-        set_field(self, "tree", tree)
-
-
 Outcome = Success | Failure
 
 # The evaluator's one Success, which it tests for by identity, and its
 # failures at fixed paths.
 _SUCCESS = Success()
-_FAIL_TEST = Failure(throw(SYS_TEST))
-_FAIL_UNBOUND = Failure(throw(SYS_UNBOUND))
-_FAIL_DIV0 = Failure(throw(SYS_DIV0))
-_FAIL_UNDEF = Failure(throw(SYS_UNDEF))
-_FAIL_DEPTH = Failure(throw(SYS_DEPTH))
-_FAIL_CASE = Failure(throw(SYS_CASE))
+_FAIL_TEST = throw(SYS_TEST)
+_FAIL_UNBOUND = throw(SYS_UNBOUND)
+_FAIL_DIV0 = throw(SYS_DIV0)
+_FAIL_UNDEF = throw(SYS_UNDEF)
+_FAIL_DEPTH = throw(SYS_DEPTH)
+_FAIL_CASE = throw(SYS_CASE)
 
 
 class Budget:
@@ -245,12 +240,12 @@ def _result_text(out: Outcome) -> str:
     """A step's result as its trace line shows it, cut to `TRACE_WIDTH` as a goal's text is."""
     if isinstance(out, Success):
         return "success"
-    if len(out.tree.paths) == 1:  # most failures; it saves a `_FailureText` per line
-        [path] = out.tree.paths
+    if len(out.paths) == 1:  # most failures; it saves a `_FailureText` per line
+        [path] = out.paths
         text = f"failure({path})"
         return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
     text = _FailureText()
-    text.add(out.tree.paths)
+    text.add(out.paths)
     return text.text()
 
 
@@ -274,8 +269,7 @@ class _FailureText:
 
     def add(self, paths) -> None:
         seen, head = self.seen, self.head
-        for path in paths:
-            text = str(path)
+        for text in paths:
             if text in seen:
                 continue
             seen.add(text)
@@ -377,7 +371,7 @@ class Evaluator:
         text = _FailureText()
         ok = rest is _SUCCESS
         if not ok:
-            text.add(rest.tree.paths)
+            text.add(rest.paths)
         while True:
             first = levels.pop()
             union = levels.pop()
@@ -397,7 +391,7 @@ class Evaluator:
 
     # -- goals -------------------------------------------------------------
 
-    def _eval(self, g: Goal, ambient: ExceptionTree | None, frame: Frame, head: str = "") -> Outcome:
+    def _eval(self, g: Goal, ambient: Failure | None, frame: Frame, head: str = "") -> Outcome:
         """Steps from `g` on: each spends a unit of the budget, then runs the rule of its goal's type.
 
         A step in a tail position replaces `g`, `ambient`, `frame` and
@@ -486,7 +480,7 @@ class Evaluator:
                     if trace is not None:
                         self._close_line(at, rule, head, g, "")
                         deferred.append(at)
-                    g, ambient, head = g.handler, out.tree, ""
+                    g, ambient, head = g.handler, out, ""
                     continue
             elif t is Union:
                 # A chain `G1 | G2 | ... | Gn` runs as one step, walking its
@@ -495,7 +489,7 @@ class Evaluator:
                 # own mark; each spine union after `g` spends a step when it
                 # is reached, after the operand before it.
                 store = self.store
-                failed: set[FailPath] | None = set()  # the failed operands' paths; None once one succeeded
+                failed: set[str] | None = set()  # the failed operands' paths; None once one succeeded
                 if trace is not None:
                     levels = []  # per spine union: its line, itself, its first operand's paths or None
                     line = at
@@ -510,11 +504,11 @@ class Evaluator:
                     else:
                         store.rollback(mark)
                         if failed is not None:
-                            failed.update(out.tree.paths)
+                            failed.update(out.paths)
                     if union is None:  # that was the last operand
                         break
                     if trace is not None:
-                        levels += line, union, None if out is _SUCCESS else out.tree.paths
+                        levels += line, union, None if out is _SUCCESS else out.paths
                     operand = union.second
                     if type(operand) is not Union:
                         union = None
@@ -534,13 +528,13 @@ class Evaluator:
                     operand = union.first
                 if trace is not None:
                     rule = self._close_spine(levels, out)
-                out = _SUCCESS if failed is None else Failure(ExceptionTree(failed))
+                out = _SUCCESS if failed is None else Failure(failed)
             elif t is TrueGoal:
                 rule = 1
                 out = _SUCCESS
             elif t is Fail:
                 rule = "fail"
-                out = Failure(throw(g.path))
+                out = throw(g.path)
             elif t is Case:
                 rule = "case"
                 if ambient is None:
@@ -552,7 +546,7 @@ class Evaluator:
                     else:
                         body = g.default
                     if body is None:
-                        out = Failure(ambient)
+                        out = ambient
                     else:
                         if trace is not None:
                             self._close_line(at, rule, head, g, "")
@@ -571,7 +565,7 @@ class Evaluator:
         return out
 
     def _enter(
-        self, name: str, args: tuple[Expr, ...], ambient: ExceptionTree | None, frame: Frame
+        self, name: str, args: tuple[Expr, ...], ambient: Failure | None, frame: Frame
     ) -> Outcome | tuple[Goal, Frame, str]:
         """Start a call: its outcome if it ends here, else (body, callee frame, body's trace head).
 
@@ -608,7 +602,7 @@ class Evaluator:
 
     # -- expressions -------------------------------------------------------
 
-    def _expr(self, e: Expr, ambient: ExceptionTree | None, frame: Frame) -> Value:
+    def _expr(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
         t = type(e)
         if t is Param:
             return frame[e.index]

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .failure import (
-    ExceptionTree,
-    FailPath,
+    Failure,
     ROOT,
     SYS_CASE,
     SYS_DIV0,
@@ -30,7 +29,6 @@ from .failure import (
     SYS_UNBOUND,
     SYS_UNDEF,
     matches,
-    merge,
     throw,
 )
 from .syntax import (
@@ -83,7 +81,7 @@ class Derivable:
 
 @dataclass(frozen=True)
 class NotDerivable:
-    tree: ExceptionTree
+    tree: Failure
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def derive_bounded(program: Program, store: StoreVal, goal: Goal, max_depth: int
     return _derive(program, store, goal, None, max_depth)
 
 
-def _derive(p: Program, sv: StoreVal, g: Goal, ambient: ExceptionTree | None, depth: int) -> Status:
+def _derive(p: Program, sv: StoreVal, g: Goal, ambient: Failure | None, depth: int) -> Status:
     if depth <= 0:
         return DepthExhausted()
     match g:
@@ -145,7 +143,7 @@ def _derive(p: Program, sv: StoreVal, g: Goal, ambient: ExceptionTree | None, de
                 return r2
             if isinstance(r2, Derivable):
                 return r2  # only the second succeeded
-            return NotDerivable(merge(r1.tree, r2.tree))
+            return NotDerivable(Failure(r1.tree.paths | r2.tree.paths))
         case Else(tried, handler):
             r1 = _derive(p, sv, tried, ambient, depth - 1)
             if not isinstance(r1, NotDerivable):
@@ -170,7 +168,7 @@ def _call(
     sv: StoreVal,
     name: str,
     args: tuple[Expr, ...],
-    ambient: ExceptionTree | None,
+    ambient: Failure | None,
     depth: int,
 ) -> Status:
     values: list[Value] = []
@@ -195,7 +193,7 @@ def _expr(
     p: Program,
     sv: StoreVal,
     e: Expr,
-    ambient: ExceptionTree | None,
+    ambient: Failure | None,
     depth: int,
 ) -> tuple[StoreVal, Value] | NotDerivable | DepthExhausted:
     match e:
@@ -314,9 +312,9 @@ _PARAMS = ("u", "v")
 _STRINGS = ("a", "b")
 _PATHS = (
     ROOT,
-    FailPath(("F", "usr", "EOF")),
-    FailPath(("F", "usr", "a")),
-    FailPath(("F", "sys", "test")),
+    "/F/usr/EOF",
+    "/F/usr/a",
+    SYS_TEST,
 )
 
 

@@ -78,7 +78,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
-from .failure import FailPath, user_path
+from .failure import user_path
 from .record import Record, set_field
 from .syntax import (
     Assign,
@@ -554,7 +554,7 @@ class _Parser:
             return Call(x.name, x.args)
         raise self.error(start, "a statement")
 
-    def case_arm(self) -> FailPath:
+    def case_arm(self) -> str:
         """An arm's path, which starts with `/`, stepping past it and its `:`."""
         if self.kinds[self.i] != "/":
             raise self.error(self.i, "a failure path")
@@ -562,8 +562,8 @@ class _Parser:
         self.expect(":")
         return path
 
-    def fail_path(self, what: str) -> FailPath:
-        """`["/"] NAME {"/" NAME}`, stepping past it: rooted at /F with the `/`, else under /F/usr."""
+    def fail_path(self, what: str) -> str:
+        """`["/"] NAME {"/" NAME}` as a path's text, stepping past it: rooted at /F with the `/`, else under /F/usr."""
         kinds, texts = self.kinds, self.texts
         start = i = self.i
         rooted = kinds[i] == "/"
@@ -577,10 +577,11 @@ class _Parser:
             segments.append(texts[i + 1])
             i += 2
         self.i = i
-        try:
-            return FailPath(segments) if rooted else user_path(segments)
-        except ValueError as err:
-            raise ParseError(self.tokens.span(start), str(err)) from None
+        if not rooted:
+            return user_path(segments)
+        if segments[0] != "F":
+            raise ParseError(self.tokens.span(start), f"failure path must be rooted at /F: {tuple(segments)!r}")
+        return "/" + "/".join(segments)
 
 
 def _parse(source: str, rule):

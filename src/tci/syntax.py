@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .failure import FailPath, ROOT
+from .failure import ROOT
 from .record import Record, set_field
 
 RELOPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -113,7 +113,7 @@ class Fail(Goal):
 
     __slots__ = ("path",)
 
-    def __init__(self, path: FailPath = ROOT):
+    def __init__(self, path: str = ROOT):
         set_field(self, "path", path)
 
 
@@ -167,7 +167,7 @@ class Case(Goal):
 
     __slots__ = ("arms", "default")
 
-    def __init__(self, arms: tuple[tuple[FailPath, Goal], ...], default: Goal | None = None):
+    def __init__(self, arms: tuple[tuple[str, Goal], ...], default: Goal | None = None):
         arms = tuple((p, g) for p, g in arms)
         if not arms:
             raise ValueError("a case goal needs at least one arm")
@@ -323,12 +323,11 @@ def int_text(n: int) -> str:
         return str(convert(n, n.bit_length()))
 
 
-def _fail_text(path: FailPath) -> str:
-    segs = path.segments
-    if segs == ("F",):
+def _fail_text(path: str) -> str:
+    if path == ROOT:
         return "f"
-    if len(segs) > 2 and segs[:2] == ("F", "usr"):
-        return "f(" + "/".join(segs[2:]) + ")"
+    if path.startswith("/F/usr/"):
+        return "f(" + path[len("/F/usr/"):] + ")"
     return f"f({path})"
 
 
@@ -397,7 +396,7 @@ def _parts(node: Goal | Expr) -> tuple:
         return ("read()",)
     if t is Case:
         parts = ["case Failtree of { "]
-        arms = [(str(path), body) for path, body in node.arms]
+        arms = list(node.arms)
         if node.default is not None:
             arms.append(("_", node.default))
         for i, (label, body) in enumerate(arms):
@@ -455,11 +454,6 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
             stack += reversed(_parts(item))
     printed.append("".join(pieces))
     return printed[0]
-
-
-def pretty_expr(e: Expr) -> str:
-    """Concrete syntax for an expression, printed as `pretty_print` prints a goal."""
-    return pretty_print(e)
 
 
 def pretty_program(p: Program) -> str:

@@ -58,7 +58,7 @@ PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def recursive_pretty(node) -> str:
-    """The structural definition of `pretty_print`/`pretty_expr`, as a reference for the printer.
+    """The structural definition of `pretty_print`, as a reference for the printer.
 
     A compound operand is parenthesized, except the right operand of the
     same right-associative `;`/`|`/`else` and the left operand of an
@@ -91,7 +91,7 @@ def recursive_pretty(node) -> str:
         case TrueGoal():
             return "t"
         case Fail(path):
-            segs = path.segments
+            segs = tuple(path[1:].split("/"))
             if segs == ("F",):
                 return "f"
             if len(segs) > 2 and segs[:2] == ("F", "usr"):

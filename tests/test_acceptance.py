@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from tci.cli import cmd_selfcheck
-from tci.failure import FailPath, ROOT, ExceptionTree, matches
-from tci.interp import Failure, Success, eval_goal
+from tci.failure import Failure, ROOT, matches
+from tci.interp import Success, eval_goal
 from tci.oracle import gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
@@ -81,7 +81,7 @@ def test_criterion_2_union_truth_table():
         assert isinstance(out_union, Success) == expect_success
         assert s_union.snapshot() == s_branches.snapshot()
         if not expect_success:
-            assert out_union.tree.paths == out1.tree.paths | out2.tree.paths
+            assert out_union.paths == out1.paths | out2.paths
         cases += 1
     assert cases >= 500
     print(f"PASS criterion 2: union truth table holds on {cases} generated pairs")
@@ -141,7 +141,7 @@ def test_criterion_5_else_laws():
         out3 = eval_goal(program, s3, g)
         assert isinstance(out2, Success) == isinstance(out3, Success)
         if isinstance(out2, Failure):
-            assert out2.tree == out3.tree
+            assert out2 == out3
         assert s2.snapshot() == s3.snapshot()
         cases_f += 1
     print(f"PASS criterion 5: else laws hold ((t else G): {cases_t} cases, (f else G): {cases_f} cases)")
@@ -173,7 +173,7 @@ def test_criterion_7_parser_round_trip():
 
 def test_criterion_8_handler_matching_table():
     def tree(*texts):
-        return ExceptionTree(frozenset(FailPath.parse(t) for t in texts))
+        return Failure(frozenset(texts))
 
     table = [
         ("/F", tree("/F/usr/EOF"), True),  # root catches everything
@@ -186,7 +186,7 @@ def test_criterion_8_handler_matching_table():
         ("/F/usr/a", tree("/F/sys/test", "/F/usr/EOF"), False),
     ]
     for handler, t, expected in table:
-        assert matches(FailPath.parse(handler), t) == expected, (handler, t)
+        assert matches(handler, t) == expected, (handler, t)
     print(f"PASS criterion 8: handler matching table ({len(table)} rows)")
 
 

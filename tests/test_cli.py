@@ -299,7 +299,7 @@ class TestSelfcheck:
     def test_broken_evaluator_is_caught(self, monkeypatch, capsys):
         # negative control: force the evaluator to lie about one goal form
         import tci.cli as cli_mod
-        from tci.interp import Failure, Success
+        from tci.interp import Success
         from tci.failure import ROOT, throw
 
         real = cli_mod.eval_goal
@@ -307,7 +307,7 @@ class TestSelfcheck:
         def broken(program, store, goal, budget=None):
             out = real(program, store, goal, budget)
             if isinstance(out, Success):
-                return Failure(throw(ROOT))
+                return throw(ROOT)
             return out
 
         monkeypatch.setattr(cli_mod, "eval_goal", broken)

@@ -16,11 +16,10 @@ from tci.failure import (
     SYS_TEST,
     SYS_UNBOUND,
     SYS_UNDEF,
-    ExceptionTree,
-    FailPath,
+    Failure,
     throw,
 )
-from tci.interp import Budget, Evaluator, Failure, Success, eval_goal, run_main
+from tci.interp import Budget, Evaluator, Success, eval_goal, run_main
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
@@ -75,7 +74,7 @@ main
 
 def failure_paths(outcome):
     assert isinstance(outcome, Failure)
-    return set(outcome.tree.sorted_paths())
+    return set(outcome.paths)
 
 
 class TestGoalForms:
@@ -122,7 +121,7 @@ class TestGoalForms:
         out, _ = run(parse_goal("1 < 2"))
         assert isinstance(out, Success)
         out, _ = run(parse_goal("2 < 1"))
-        assert failure_paths(out) == {str(SYS_TEST)}
+        assert failure_paths(out) == {SYS_TEST}
 
     def test_string_equality_tests(self):
         out, _ = run(parse_goal('x == "a"'), bindings={"x": "a"})
@@ -132,27 +131,27 @@ class TestGoalForms:
         # strings have no order: an ordering test fails even where it would hold
         for relop in ("<", "<=", ">", ">="):
             out, _ = run(parse_goal(f'x {relop} "a"'), bindings={"x": "a"})
-            assert failure_paths(out) == {str(SYS_TEST)}
+            assert failure_paths(out) == {SYS_TEST}
             out, _ = run(parse_goal(f'"a" {relop} "b"'))
-            assert failure_paths(out) == {str(SYS_TEST)}
+            assert failure_paths(out) == {SYS_TEST}
 
     def test_mixed_type_comparison_fails(self):
         out, _ = run(parse_goal('1 == "a"'))
-        assert failure_paths(out) == {str(SYS_TEST)}
+        assert failure_paths(out) == {SYS_TEST}
 
     def test_undefined_procedure(self):
         out, _ = run(parse_goal("nosuch()"))
-        assert failure_paths(out) == {str(SYS_UNDEF)}
+        assert failure_paths(out) == {SYS_UNDEF}
 
     def test_unbound_variable(self):
         out, _ = run(parse_goal("x = y"))
-        assert failure_paths(out) == {str(SYS_UNBOUND)}
+        assert failure_paths(out) == {SYS_UNBOUND}
 
 
 class TestCase:
     def test_case_outside_handler_fails(self):
         out, _ = run(parse_goal("case Failtree of { /F: t }"))
-        assert failure_paths(out) == {str(SYS_CASE)}
+        assert failure_paths(out) == {SYS_CASE}
 
     def test_first_matching_arm_wins(self):
         g = parse_goal("f(EOF) else case Failtree of { /F/usr: x = 1; /F/usr/EOF: x = 2 }")
@@ -173,7 +172,7 @@ class TestCase:
         # inside the arm body there is no ambient tree any more
         g = parse_goal("f(EOF) else case Failtree of { /F: case Failtree of { /F: t } }")
         out, _ = run(g)
-        assert failure_paths(out) == {str(SYS_CASE)}
+        assert failure_paths(out) == {SYS_CASE}
 
     def test_handler_scope_is_dynamic(self):
         # a procedure called from the handler can dispatch on the tree
@@ -199,7 +198,7 @@ class TestExpressions:
     def test_division_by_zero(self):
         out, _ = run(parse_goal("y = 6 / 0"))
         assert isinstance(out, Failure)
-        assert out.tree == throw(SYS_DIV0)
+        assert out == throw(SYS_DIV0)
 
     def test_division_truncates_toward_zero(self):
         for text, expected in (("7 / 2", 3), ("-7 / 2", -3), ("7 / -2", -3), ("-7 / -2", 3)):
@@ -212,7 +211,7 @@ class TestExpressions:
 
     def test_call_without_ret_is_unbound(self):
         out, _ = run(parse_goal("y = p()"), parse_program("p() = t\nmain t"))
-        assert isinstance(out, Failure) and out.tree == throw(SYS_UNBOUND)
+        assert isinstance(out, Failure) and out == throw(SYS_UNBOUND)
 
     def test_failed_expression_rolls_back_reads(self):
         out, store = run(parse_goal("y = read() + z"), input_tokens=[5])
@@ -268,7 +267,7 @@ class TestFrames:
     def test_callee_does_not_see_callers_frame(self):
         program = parse_program("g() = x = n\np(n) = g()\nmain p(1)")
         out, _, _ = run_main(program)
-        assert failure_paths(out) == {str(SYS_UNBOUND)}
+        assert failure_paths(out) == {SYS_UNBOUND}
 
     def test_callee_reads_global_of_a_callers_parameter_name(self):
         program = parse_program("g() = x = n\np(n) = g()\nmain n = 5; p(1)")
@@ -445,13 +444,13 @@ class TestTraceText:
         for _ in range(400):
             text, added = interp._FailureText(), set()
             for _ in range(rng.randrange(1, 6)):
-                batch = [FailPath(("F", *rng.choices(names, k=rng.randrange(4)))) for _ in range(rng.randrange(60))]
+                batch = ["/".join(("", "F", *rng.choices(names, k=rng.randrange(4)))) for _ in range(rng.randrange(60))]
                 text.add(batch)
                 added.update(batch)
                 if added:
-                    whole = "failure(" + ", ".join(sorted(map(str, added))) + ")"
+                    whole = "failure(" + ", ".join(sorted(added)) + ")"
                     assert text.text() == capped(whole)
-                    assert interp._result_text(Failure(ExceptionTree(added))) == capped(whole)
+                    assert interp._result_text(Failure(added)) == capped(whole)
 
 
 class TestRuleIds:
@@ -492,7 +491,7 @@ class TestBudget:
     def test_nonterminating_recursion_fails_with_depth(self):
         program = parse_program("loop() = loop()\nmain loop()")
         out, _, _ = run_main(program, budget=Budget(5000))
-        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert failure_paths(out) == {SYS_DEPTH}
 
     def test_budget_counts_steps(self):
         budget = Budget(100)
@@ -551,7 +550,7 @@ class TestProperties:
             assert isinstance(out_union, Success) == expect_success
             assert s_union.snapshot() == s_branches.snapshot()
             if not expect_success:
-                assert out_union.tree.paths == out1.tree.paths | out2.tree.paths
+                assert out_union.paths == out1.paths | out2.paths
 
     def test_erase_law(self):
         for program, sv, inp in self.instances(150):
@@ -579,7 +578,7 @@ class TestProperties:
             out3 = eval_goal(program, s3, g)
             assert isinstance(out2, Success) == isinstance(out3, Success)
             if isinstance(out2, Failure):
-                assert out2.tree == out3.tree
+                assert out2 == out3
             assert s2.snapshot() == s3.snapshot()
         assert checked_f > 100
 
@@ -599,7 +598,7 @@ class TestProperties:
             o2 = eval_goal(program, s2, right)
             assert isinstance(o1, Success) == isinstance(o2, Success)
             if isinstance(o1, Failure):
-                assert o1.tree == o2.tree
+                assert o1 == o2
             assert s1.snapshot() == s2.snapshot()
 
     def test_seq_associativity(self):
@@ -620,7 +619,7 @@ class TestProperties:
                 results.append(
                     (
                         isinstance(out, Success),
-                        out.tree.sorted_paths() if isinstance(out, Failure) else None,
+                        sorted(out.paths) if isinstance(out, Failure) else None,
                         store.snapshot(),
                         ev.trace,
                     )
@@ -644,7 +643,7 @@ class TestProperties:
                 assert final.output == tuple(store.output)
             else:
                 assert isinstance(out, Failure)
-                assert reference.tree == out.tree
+                assert reference.tree == out
         assert exhausted <= 3
 
 
@@ -660,7 +659,7 @@ class TestStackExhaustion:
     # long before its step budget
     def test_run_main_reports_depth_and_an_empty_store(self, default_recursion_limit):
         out, store, _ = run_main(parse_program(NON_TAIL))
-        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert failure_paths(out) == {SYS_DEPTH}
         assert store.snapshot() == ({}, 0, ())
 
     def test_trace_is_one_fail_line(self, default_recursion_limit):
@@ -674,7 +673,7 @@ class TestStackExhaustion:
         mark = store.checkpoint()
         store.bind("y", 2)
         out = eval_goal(program, store, program.main)
-        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert failure_paths(out) == {SYS_DEPTH}
         assert store.snapshot() == ({"x": 1, "y": 2}, 0, ())
         store.rollback(mark)
         assert store.snapshot() == ({"x": 1}, 0, ())
@@ -686,7 +685,7 @@ class TestStackExhaustion:
         deep = parse_program("p(n) = (x = n; p(n + 1)) else t\nmain p(0)")
         store = make_store({"x": 1})
         out = eval_goal(deep, store, deep.main)
-        assert failure_paths(out) == {str(SYS_DEPTH)}
+        assert failure_paths(out) == {SYS_DEPTH}
         assert store.snapshot() == ({"x": 1}, 0, ())
         assert store.undo_depth == 0
         # a tried operand that rebinds x and fails must still keep x's old value
@@ -853,7 +852,7 @@ class TestTailPositions:
         texts = []
         for max_steps in self.BUDGETS:
             out, ev, _ = self.traced(monkeypatch, max_steps)
-            result = "success" if isinstance(out, Success) else ", ".join(out.tree.sorted_paths())
+            result = "success" if isinstance(out, Success) else ", ".join(sorted(out.paths))
             texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
             texts.extend(line + "\n" for line in ev.trace)
         assert "".join(texts) == (golden_dir / "tail_positions.trace").read_text(encoding="utf-8")
@@ -911,7 +910,7 @@ class TestUnionChains:
         for max_steps in self.BUDGETS:
             ev = Evaluator(program, Store(), Budget() if max_steps is None else Budget(max_steps), trace=True)
             out = ev.run(program.main)
-            result = "success" if isinstance(out, Success) else ", ".join(out.tree.sorted_paths())
+            result = "success" if isinstance(out, Success) else ", ".join(sorted(out.paths))
             texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
             texts.extend(line + "\n" for line in ev.trace)
             assert ev._depth == 0

@@ -39,7 +39,7 @@ class TestDeriveBounded:
     def test_fail_is_not_derivable(self):
         result = derive_bounded(EMPTY, StoreVal(), Fail(ROOT))
         assert isinstance(result, NotDerivable)
-        assert result.tree.sorted_paths() == ["/F"]
+        assert result.tree.paths == {"/F"}
 
     def test_second_branch_rescues(self):
         result = derive_bounded(EMPTY, StoreVal(), parse_goal("f | t"))

@@ -7,7 +7,7 @@ import typing
 import pytest
 from conftest import recursive_pretty
 
-from tci.failure import ExceptionTree, FailPath, ROOT
+from tci.failure import Failure, ROOT, throw
 from tci.oracle import gen_program, substitute
 from tci.parser import decimal_int, parse_goal, parse_program
 from tci.syntax import (
@@ -31,7 +31,6 @@ from tci.syntax import (
     free_vars,
     int_text,
     iter_goals,
-    pretty_expr,
     pretty_print,
     pretty_program,
     shared_union_vars,
@@ -70,9 +69,9 @@ class TestSubstitute:
         assert substitute(FACTORIAL_BODY, {"n": IntLit(4)}) == expected
 
     def test_case_arms_patterns_untouched(self):
-        g = Case(((FailPath.parse("/F/usr"), Assign("x", Var("n"))),), None)
+        g = Case((("/F/usr", Assign("x", Var("n"))),), None)
         out = substitute(g, {"n": IntLit(2)})
-        assert out == Case(((FailPath.parse("/F/usr"), Assign("x", IntLit(2))),), None)
+        assert out == Case((("/F/usr", Assign("x", IntLit(2))),), None)
 
     def test_idempotent_once_keys_are_gone(self):
         mapping = {"n": IntLit(4)}
@@ -96,8 +95,8 @@ class TestPrettyPrint:
         assert pretty_print(Else(Seq(TrueGoal(), TrueGoal()), TrueGoal())) == "(t; t) else t"
 
     def test_fail_paths(self):
-        assert pretty_print(Fail(FailPath.parse("/F/usr/EOF"))) == "f(EOF)"
-        assert pretty_print(Fail(FailPath.parse("/F/sys/test"))) == "f(/F/sys/test)"
+        assert pretty_print(Fail("/F/usr/EOF")) == "f(EOF)"
+        assert pretty_print(Fail("/F/sys/test")) == "f(/F/sys/test)"
         assert pretty_print(Fail(ROOT)) == "f"
 
     def test_agrees_with_the_recursive_definition(self):
@@ -107,7 +106,7 @@ class TestPrettyPrint:
                 # every goal and expression alone, and every span of the goal
                 for sub in iter_goals(g):
                     for e in goal_exprs(sub):
-                        assert pretty_expr(e) == recursive_pretty(e)
+                        assert pretty_print(e) == recursive_pretty(e)
                     assert pretty_print(sub) == recursive_pretty(sub)
                 assert_spans(g)
 
@@ -154,7 +153,7 @@ class TestPrettyPrint:
         n = 20_000
         chain = "; ".join(["x = 1"] * n)
         assert pretty_print(self.chain(n)) == chain
-        assert pretty_expr(self.total(n)) == " + ".join(["1"] * n)
+        assert pretty_print(self.total(n)) == " + ".join(["1"] * n)
         # Neither text has a parenthesis, so both read back at this limit.
         # `==` on trees this deep recurses, so the reading is compared by
         # its text; shallow trees are compared directly.
@@ -172,7 +171,7 @@ class TestPrettyPrint:
                 value = decimal_int(digits)
                 assert int_text(value) == digits
                 assert int_text(-value) == "-" + digits
-                assert pretty_expr(IntLit(value)) == digits
+                assert pretty_print(IntLit(value)) == digits
 
     def test_only_needed_parentheses(self):
         cases = {
@@ -249,7 +248,7 @@ def sample(hint, fresh: itertools.count):
         return Var(f"v{n}")
     if hint is Goal:
         return Call(f"g{n}")
-    return {str: "+", int: n, FailPath: ROOT}[hint]
+    return {str: "+", int: n}[hint]
 
 
 def held_nodes(value) -> list:
@@ -336,12 +335,12 @@ class TestRecord:
         with pytest.raises(AttributeError):
             del node.left
         with pytest.raises(AttributeError):
-            ROOT.segments = ("F", "usr")
+            throw(ROOT).paths = frozenset()
         assert node == Binary("+", IntLit(1), Var("x"))
 
     def test_copy_and_pickle_round_trip(self):
         program = parse_program("p(n) = n == 0 else f(a/b)\nmain case Failtree of { /F/usr: p(1); _: t }")
-        for value in (program, FACTORIAL_BODY, ExceptionTree(frozenset((ROOT,)))):
+        for value in (program, FACTORIAL_BODY, Failure(frozenset((ROOT,)))):
             copied = copy.deepcopy(value)
             assert copied == value and copied is not value
             assert pickle.loads(pickle.dumps(value)) == value
@@ -362,10 +361,9 @@ class TestRecord:
     def test_repr_is_the_dataclass_format(self):
         assert repr(Binary("+", IntLit(1), Var("x"))) == "Binary(op='+', left=IntLit(value=1), right=Var(name='x'))"
         assert repr(TrueGoal()) == "TrueGoal()"
-        assert repr(Fail()) == "Fail(path=FailPath(segments=('F',)))"
-        assert repr(Case(((ROOT, TrueGoal()),))) == (
-            "Case(arms=((FailPath(segments=('F',)), TrueGoal()),), default=None)"
-        )
+        assert repr(Fail()) == "Fail(path='/F')"
+        assert repr(Case(((ROOT, TrueGoal()),))) == "Case(arms=(('/F', TrueGoal()),), default=None)"
+        assert repr(throw(ROOT)) == "Failure(paths=frozenset({'/F'}))"
         assert repr(Program({}, TrueGoal())) == "Program(defs={}, main=TrueGoal())"
 
 

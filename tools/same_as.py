@@ -20,7 +20,13 @@ message` for a source error) and, for `tci run`, steps used
   the store and print before they fail, and a short mixed chain, used
   as a procedure body and as an `else`'s tried operand, run at every
   budget in `UNION_BUDGETS`, so that the budget runs out at each spine
-  `|` and each operand in turn.
+  `|` and each operand in turn;
+- `FAILURE_PATHS`: `f(a)` beside `f(ab)` under arms `/F/usr/a` and
+  `/F/usr/ab` (one path a string prefix of the other but not a segment
+  prefix), a rooted `f(/F/sys/test)`, keyword segments `f(t/case)`, a
+  `case` with no matching arm, which fails with the ambient failure, a
+  3,000-segment path, and both spellings of a `/G/x` path, which are
+  parse errors.
 
 and, run without `--trace` at the default budget and checked, each of
 `RECURSIONS`, sized to finish at the CLI's recursion limit of 20,000
@@ -48,7 +54,7 @@ among them), `-h`, and options given as `--opt=value` and before FILE,
 each compared on exit code, stdout and stderr (a `SystemExit` from
 `cli.main` counts as its exit code).
 
-That is 19,006 calls.  The program files are written once, by this
+That is 19,027 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -133,6 +139,18 @@ UNIONS = {
     "main p(1); ((f(d) | (w = 1; f(e)) | f(d)) else t); (f(g) | t | (v = 2; f(h)) | f(i))\n",
 }
 UNION_BUDGETS = range(1, 45)
+FAILURE_PATHS = {
+    "string-prefix arms": "main (f(a) else case Failtree of { /F/usr/ab: x = 1; /F/usr/a: x = 2 });\n"
+    "  (f(ab) else case Failtree of { /F/usr/a: y = 1; /F/usr/ab: y = 2 });\n"
+    "  (f(ab) else case Failtree of { /F/usr/a: z = 1; _: z = 2 });\n"
+    "  f(a) | f(ab) | f(a/b)\n",
+    "rooted path": "main (f(/F/sys/test) else case Failtree of { /F/sys: x = 1 }); f(/F/sys/test)\n",
+    "keyword segments": "main (f(t/case) else case Failtree of { /F/usr/t/case: x = 1 }); f(t/case)\n",
+    "no matching arm": "main (f(a) | f(b/c)) else case Failtree of { /F/usr/z: t; /F/sys: t }\n",
+    "3,000-segment path": "main " + "f(" + "/".join(["a"] * 3000) + ")\n",
+    "unrooted call path": "main f(/G/x)\n",
+    "unrooted arm path": "main f else case Failtree of { /G/x: t }\n",
+}
 # command lines, FILE standing for a three-statement program run in five
 # steps: usage errors, help, and options spelled and placed each way
 COMMAND_LINES = (
@@ -228,6 +246,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         add(f"{name} union chain", source, None, [])
     for steps in UNION_BUDGETS:
         add(f"mixed union chain, budget {steps}", UNIONS["mixed"], None, ["--max-steps", str(steps)])
+    for name, source in FAILURE_PATHS.items():
+        add(f"failure path: {name}", source, None, [])
     for seed in SELFCHECK_SEEDS:
         calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
     program = work / "command_line.tc"

@@ -72,6 +72,7 @@ SHAPES = {
     "union": (4_000, union, False),
     "union-traced": (4_000, union, True),
     "chain-traced": (8_000, lambda n: chain(n, 4), True),
+    "deep-path": (20_000, lambda n: "main f(" + "/".join(["a"] * n) + ")", False),
 }
 
 
