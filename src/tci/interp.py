@@ -20,9 +20,23 @@ before) take no mark of their own.  A union that fails has rolled back
 each of its operands already, so its mark would have nothing to undo;
 and an operand's commit straight into the enclosing mark leaves that
 mark's table as the spine's commits would, because older values win.
-So an n-operand chain opens n marks.  A host-stack overflow ends a run
-with every mark its descent opened still open: `run` rolls back to its
-own mark, which ends them all.
+So an n-operand chain opens at most n marks.  A host-stack overflow
+ends a run with every mark its descent opened still open: `run` rolls
+back to its own mark, which ends them all.
+
+An untraced run opens no mark where nothing can be undone (shallow
+backtracking, after Carlsson, ICLP 1989), decided by node types at the
+step.  An `f` operand of a `|` opens none.  Nor does the guard `G` of
+an `else` whose tried operand is `(G; rest)`, when `G` is a test whose
+operands are parameters, variables or literals: the guard is evaluated
+first, and if it fails the handler runs at once, with the guard's own
+failure as the ambient failure; only a guard that holds opens the mark,
+around `rest`.  A guard over leaves reads the store but never writes
+it, and `f` writes nothing, so the marks skipped would have had nothing
+to undo, and outcomes and stores are as the generic rules leave them.
+A test with a call or `read()` in an operand can edit the store (the
+callee's assignments, the input cursor) before it fails, and so can an
+assignment before the test; both keep their mark.
 
 One step is one iteration of the loop in `_eval`: it spends a unit of
 the budget, picks the goal's rule by testing `type(goal) is ...`, most
@@ -33,16 +47,26 @@ and the loop goes on.  The tail positions are a `;`'s second operand
 once the first has succeeded, an `else`'s handler after the rollback,
 the chosen `case` arm or default, and the body of a call in goal
 position, under the callee's frame.  So tail recursion runs in constant
-host stack.  Every other operand (a `;`'s first, an `else`'s tried
-operand, each `|` operand, arguments, calls in expression position) is
-run by a nested call of `_eval` or `_expr`, one host frame deeper.  A
-`|` chain's step walks the spine in one loop, each spine union spending
-its step when it is reached, so a chain of any width takes constant host
-stack and is bounded only by the budget.  Outcomes are immutable, so
-they are shared: one Success, and one Failure for each fixed /F/sys path
-the machine throws, built at import; an `else` hands its tried operand's
-Failure on as the ambient failure that `case` reads, and a `case` with
-no matching arm fails with that same object.
+host stack.  In an untraced run a leaf operand runs in the frame of the
+step that holds it, and spends its own step there: a `;`'s first
+operand when it is a test or an assignment runs as the loop's next
+step, and the guard and the `;` around it, and an `f` operand of a `|`,
+are spent inline by the `else` and `|` rules.  Such a fast path is
+taken only when the budget covers every step it spends inline, so
+`Budget.used` and the step where `/F/sys/depth` fires are as the
+generic rules give them.  Every other operand (a `;`'s first, an
+`else`'s tried operand, each `|` operand, arguments, calls in
+expression position) is run by a nested call of `_eval` or `_expr`, one
+host frame deeper.  A traced run takes the generic rules everywhere, so
+its trace shows every step in its own line, and it may take more host
+frames than the same run untraced.  A `|` chain's step walks the spine
+in one loop, each spine union spending its step when it is reached, so
+a chain of any width takes constant host stack and is bounded only by
+the budget.  Outcomes are immutable, so they are shared: one Success,
+and one Failure for each fixed /F/sys path the machine throws, built at
+import; an `else` hands its tried operand's Failure on as the ambient
+failure that `case` reads, and a `case` with no matching arm fails with
+that same object.
 
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged with the list of those values as its frame.
@@ -210,15 +234,6 @@ _COMPARE = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-
-def _test_holds(left: Value, op: str, right: Value) -> bool:
-    # integers compare by every relop, strings only by (in)equality
-    if isinstance(left, int) and isinstance(right, int):
-        return _COMPARE[op](left, right)
-    if isinstance(left, str) and isinstance(right, str) and op in ("==", "!="):
-        return _COMPARE[op](left, right)
-    return False
 
 
 def format_value(v: Value) -> str:
@@ -398,8 +413,9 @@ class Evaluator:
         `head` and loops; the steps it replaces get its outcome, and their
         trace lines stay open until it returns.  Only the `|` and `else`
         rules take store checkpoints, around the operands whose failure
-        they catch; every other rule leaves a failure's partial edits to
-        the nearest such catch point (or `run`).
+        they catch and that can edit the store before they fail; every
+        other rule leaves a failure's partial edits to the nearest such
+        catch point (or `run`).
 
         `frame` is the running call's argument list, which the `Param`
         reads of its body index (empty for the run's root goal).  `head`
@@ -410,6 +426,7 @@ class Evaluator:
         if trace is not None:
             deferred: list[int] = []  # the lines of the tail steps this loop went through
         budget = self.budget
+        then = None  # untraced: the `;`'s second operand, while its leaf first operand runs
         while True:
             if trace is not None:
                 at = self._open_line()
@@ -421,7 +438,12 @@ class Evaluator:
             t = type(g)
             if t is Seq:
                 rule = 6
-                out = self._eval(g.first, ambient, frame)
+                first = g.first
+                if trace is None and (type(first) is Assign or type(first) is Test):
+                    # the leaf runs as this loop's next step, and `then` holds the rest
+                    g, then = first, g.second
+                    continue
+                out = self._eval(first, ambient, frame)
                 if out is _SUCCESS:
                     if trace is not None:
                         self._close_line(at, rule, head, g, "")
@@ -448,29 +470,27 @@ class Evaluator:
                     continue
             elif t is Test:
                 rule = "test"
-                # A parameter or an integer operand is read here, without a call.
-                left, right = g.left, g.right
-                try:
-                    if type(left) is Param:
-                        lv = frame[left.index]
-                    elif type(left) is IntLit:
-                        lv = left.value
-                    else:
-                        lv = self._expr(left, ambient, frame)
-                    if type(right) is IntLit:
-                        rv = right.value
-                    elif type(right) is Param:
-                        rv = frame[right.index]
-                    else:
-                        rv = self._expr(right, ambient, frame)
-                except _EvalFailure as fail:
-                    out = fail.out
-                else:
-                    out = _SUCCESS if _test_holds(lv, g.relop, rv) else _FAIL_TEST
+                out = self._test(g, ambient, frame)
             elif t is Else:
                 store = self.store
+                tried = g.tried
+                if trace is None and type(tried) is Seq and type(tried.first) is Test and budget.remaining >= 2:
+                    # A guard over leaves reads the store and never writes it, so
+                    # it runs here before any mark opens, spending the `;`'s step
+                    # and its own.
+                    guard = tried.first
+                    left, right = type(guard.left), type(guard.right)
+                    if (left is Param or left is Var or left is IntLit or left is StrLit) and (
+                        right is IntLit or right is Param or right is Var or right is StrLit
+                    ):
+                        budget.remaining -= 2
+                        out = self._test(guard, ambient, frame)
+                        if out is not _SUCCESS:
+                            g, ambient = g.handler, out
+                            continue
+                        tried = tried.second
                 mark = store.checkpoint()
-                out = self._eval(g.tried, ambient, frame)
+                out = self._eval(tried, ambient, frame)
                 if out is _SUCCESS:
                     store.commit()
                     rule = 10
@@ -486,8 +506,9 @@ class Evaluator:
                 # A chain `G1 | G2 | ... | Gn` runs as one step, walking its
                 # spine (`g` and each `Union` that is the second operand of
                 # the one before) in one loop.  Each operand runs under its
-                # own mark; each spine union after `g` spends a step when it
-                # is reached, after the operand before it.
+                # own mark, but for an untraced `f`; each spine union after
+                # `g` spends a step when it is reached, after the operand
+                # before it.
                 store = self.store
                 failed: set[str] | None = set()  # the failed operands' paths; None once one succeeded
                 if trace is not None:
@@ -496,15 +517,21 @@ class Evaluator:
                 union = g
                 operand = g.first
                 while True:
-                    mark = store.checkpoint()
-                    out = self._eval(operand, ambient, frame)
-                    if out is _SUCCESS:
-                        store.commit()
-                        failed = None
-                    else:
-                        store.rollback(mark)
+                    if trace is None and type(operand) is Fail and budget.remaining > 0:
+                        # `f` writes nothing, so it opens no mark; its step runs here
+                        budget.remaining -= 1
                         if failed is not None:
-                            failed.update(out.paths)
+                            failed.add(operand.path)
+                    else:
+                        mark = store.checkpoint()
+                        out = self._eval(operand, ambient, frame)
+                        if out is _SUCCESS:
+                            store.commit()
+                            failed = None
+                        else:
+                            store.rollback(mark)
+                            if failed is not None:
+                                failed.update(out.paths)
                     if union is None:  # that was the last operand
                         break
                     if trace is not None:
@@ -555,7 +582,9 @@ class Evaluator:
                         continue
             else:
                 raise TypeError(f"not a goal: {g!r}")
-            break
+            if then is None or out is not _SUCCESS:
+                break
+            g, then = then, None  # the leaf was a `;`'s first operand: go on to its second
         if trace is not None:
             result = _result_text(out)
             self._close_line(at, rule, head, g, result)
@@ -600,32 +629,72 @@ class Evaluator:
             pretty_print(defn.body, self._spans)
         return defn.body, values, _frame_text(defn.params, values) + " "
 
-    # -- expressions -------------------------------------------------------
+    def _test(self, g: Test, ambient: Failure | None, frame: Frame) -> Outcome:
+        """The test rule: read both operands, then compare them.
 
-    def _expr(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
-        t = type(e)
-        if t is Param:
-            return frame[e.index]
-        if t is Var:
-            name = e.name
-        elif t is IntLit or t is StrLit:
-            return e.value
-        elif t is Binary:
-            # A literal or a parameter operand is read here, without a call.
-            left, right = e.left, e.right
-            if type(left) is IntLit:
-                lv = left.value
-            elif type(left) is Param:
+        Integers compare by every relop, strings only by (in)equality, and
+        any other pair fails the test.  A parameter, variable or integer
+        operand is read here, without a call.
+        """
+        left, right = g.left, g.right
+        try:
+            if type(left) is Param:
                 lv = frame[left.index]
+            elif type(left) is Var:
+                lv = self.store.lookup(left.name)
+            elif type(left) is IntLit:
+                lv = left.value
             else:
                 lv = self._expr(left, ambient, frame)
             if type(right) is IntLit:
                 rv = right.value
             elif type(right) is Param:
                 rv = frame[right.index]
+            elif type(right) is Var:
+                rv = self.store.lookup(right.name)
             else:
                 rv = self._expr(right, ambient, frame)
-            if not (isinstance(lv, int) and isinstance(rv, int)):
+        except _EvalFailure as fail:
+            return fail.out
+        except UnboundVariable:
+            return _FAIL_UNBOUND
+        op = g.relop
+        if type(lv) is int and type(rv) is int or type(lv) is str and type(rv) is str and (op == "==" or op == "!="):
+            return _SUCCESS if _COMPARE[op](lv, rv) else _FAIL_TEST
+        return _FAIL_TEST
+
+    # -- expressions -------------------------------------------------------
+
+    def _expr(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
+        """An expression's value; a failure raises `_EvalFailure`.
+
+        `Binary` and `CallExpr` are tested first: the rules that hold an
+        operand read a leaf operand themselves.
+        """
+        t = type(e)
+        if t is Binary:
+            # A literal, parameter or variable operand is read here, without a call.
+            left, right = e.left, e.right
+            try:
+                if type(left) is IntLit:
+                    lv = left.value
+                elif type(left) is Param:
+                    lv = frame[left.index]
+                elif type(left) is Var:
+                    lv = self.store.lookup(left.name)
+                else:
+                    lv = self._expr(left, ambient, frame)
+                if type(right) is IntLit:
+                    rv = right.value
+                elif type(right) is Param:
+                    rv = frame[right.index]
+                elif type(right) is Var:
+                    rv = self.store.lookup(right.name)
+                else:
+                    rv = self._expr(right, ambient, frame)
+            except UnboundVariable:
+                raise _EvalFailure(_FAIL_UNBOUND) from None
+            if not (type(lv) is int and type(rv) is int):
                 raise _EvalFailure(_FAIL_TEST)
             op = e.op
             if op == "+":
@@ -637,7 +706,7 @@ class Evaluator:
             if rv == 0:
                 raise _EvalFailure(_FAIL_DIV0)
             return _int_div(lv, rv)
-        elif t is CallExpr:
+        if t is CallExpr:
             # No checkpoint of its own: a failure here fails the enclosing
             # goal, and the nearest catch point rolls back what the call did.
             if self.trace is not None:
@@ -652,6 +721,12 @@ class Evaluator:
             if out is not _SUCCESS:
                 raise _EvalFailure(out)
             name = RET_VAR
+        elif t is Param:
+            return frame[e.index]
+        elif t is Var:
+            name = e.name
+        elif t is IntLit or t is StrLit:
+            return e.value
         elif t is Read:
             return self.store.read_input()
         else:

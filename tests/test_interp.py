@@ -746,6 +746,22 @@ class TestCatchPoints:
         else_steps = sum("[rule 10]" in line or "[rule 11]" in line for line in trace)
         assert else_steps == 51 and opened == 1 + else_steps
 
+    def test_untraced_calls_open_one_per_guard_that_holds(self):
+        # sum's guard `n == 0` runs before any mark opens: only the call
+        # where it holds opens one, around `ret = acc`
+        program = parse_program(SUM.replace("3000", "50"))
+        store = CountingStore()
+        out = Evaluator(program, store).run(program.main)
+        assert isinstance(out, Success) and store.bindings["ret"] == 50 * 51 // 2
+        assert store.checkpoints == 2
+
+    def test_untraced_fail_operands_open_no_mark(self):
+        program = parse_program("main (f(a) | x = 1 | f(b) | (y = 2; f(c))) else t")
+        store = CountingStore()
+        assert isinstance(Evaluator(program, store).run(program.main), Success)
+        # the root, the tried operand and the two operands that can edit
+        assert store.checkpoints == 4 and store.bindings == {"x": 1}
+
     def test_outer_mark_undoes_a_successful_eval_goal(self):
         # a run that succeeds commits into the caller's mark, which can still undo it
         program = parse_program('main x = 2; print("hi")')
@@ -757,6 +773,94 @@ class TestCatchPoints:
         assert store.snapshot() == ({"x": 2, "y": 2}, 0, ("hi",))
         store.rollback(mark)
         assert store.snapshot() == ({"x": 1}, 0, ())
+
+
+class TestShallowBacktracking:
+    # An untraced run opens no mark for a guard over leaves or an `f`
+    # operand; these shapes can edit the store before they fail, so each
+    # keeps its mark and a failure leaves the store as it was.
+    def test_a_call_in_a_test_keeps_its_mark(self):
+        out, store, _ = run_main(parse_program("g(n) = ret = n\nmain ret = 1; ((g(5) == 0; t) else t)"))
+        assert isinstance(out, Success) and store.bindings == {"ret": 1}
+
+    def test_a_read_in_a_test_keeps_its_mark(self):
+        program = parse_program("main (read() == 5; t) else x = read()")
+        out, store, _ = run_main(program, input_tokens=(1, 2))
+        assert isinstance(out, Success) and store.bindings == {"x": 1} and store.cursor == 1
+
+    def test_an_assignment_before_the_test_keeps_its_mark(self):
+        out, store, _ = run_main(parse_program("main n = 1; ((x = 1; n == 0; t) else t)"))
+        assert isinstance(out, Success) and store.bindings == {"n": 1}
+
+    def test_a_guard_that_holds_marks_the_rest(self):
+        program = parse_program("main x = 5; ((x == 5; x = 6; print(x); f(g)) else y = x)")
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.snapshot() == ({"x": 5, "y": 5}, 0, ())
+
+    def test_a_failing_guard_is_the_handlers_failure(self):
+        program = parse_program(
+            "main ((u == 1; x = 1) else case Failtree of { /F/sys/unbound: x = 2 });"
+            " ((x > 2; y = 1) else case Failtree of { /F/sys/test: y = 2 })"
+        )
+        out, store, _ = run_main(program)
+        assert isinstance(out, Success) and store.bindings == {"x": 2, "y": 2}
+
+
+# Guard shapes, as procedure bodies and in main: over a parameter, a
+# variable, a string, an unbound variable, chained, with a rest that
+# edits and then fails, and `|` chains of `f` among editing operands;
+# and the shapes that keep their mark (a call, a `read()`, an assignment
+# before the test).
+GUARD_SHAPES = (
+    "p(n) = (n == 0; x = n) else y = n\nmain p(0); p(1); n = 2; ((n < 3; z = n) else w = n)",
+    "p() = (v == 1; x = v) else y = v\nmain v = 1; p(); v = 4; p(); ((v >= 4; z = v) else w = 0)",
+    'p(s) = (s == "a"; x = 1) else x = 2\nmain p("a"); p("b"); s = "c"; ((s != "c"; y = 1) else y = 2)',
+    "p() = (u == 1; x = 1) else case Failtree of { /F/sys/unbound: x = 2 }\n"
+    "main p(); ((u > 0; y = 1) else y = 2); u = 1; p()",
+    "p(n) = (n > 0; n < 5; x = n) else x = 0\nmain p(3); p(7); p(0); m = 2; ((m > 0; m < 5; y = m) else y = 0)",
+    "p(n) = (n == 0; x = 1; f(e)) else case Failtree of { /F/usr/e: y = x }\n"
+    "main x = 5; p(0); ((x == 5; x = 6; print(x); f(g)) else print(x))",
+    "p(n) = f(a) | (x = n; f(b)) | f(c) | y = n | f(d)\n"
+    "main p(1); ((f(e) | f(g) | (z = 1; print(z); f(h))) else t); ((f(i) | f(j)) else case Failtree of { /F/usr/i: w = 1 })",
+    "g(n) = ret = n\n"
+    "main ret = 1; ((g(5) == 0; t) else t); ((read() == 5; t) else x = read()); ((y = 1; ret == 0; t) else t)",
+)
+
+
+class TestUntracedAgreesWithTraced:
+    # A traced run takes the generic rules: every operand in a step of its
+    # own, under a mark wherever a failure is caught.  An untraced run must
+    # end with the same outcome, store and steps used.
+    @staticmethod
+    def agree(program, bindings=None, input_tokens=(), max_steps=None):
+        ends = []
+        for trace in (True, False):
+            store = Store(input_tokens, bindings)
+            budget = Budget() if max_steps is None else Budget(max_steps)
+            out = Evaluator(program, store, budget, trace=trace).run(program.main)
+            ends.append((out, store.snapshot(), budget.used))
+        assert ends[0] == ends[1]
+        return ends[1]
+
+    def test_generated_programs(self):
+        for seed in range(500):
+            program, sv, inp = gen_program(seed)
+            self.agree(program, sv.bindings, inp)
+
+    def test_golden_programs(self, golden_dir):
+        for source in sorted(golden_dir.glob("*.tc")):
+            for data in sorted(golden_dir.glob("*.in")):
+                tokens = [int(token) for token in data.read_text(encoding="utf-8").split()]
+                self.agree(parse_program(source.read_text(encoding="utf-8")), None, tokens)
+
+    @pytest.mark.parametrize("source", GUARD_SHAPES)
+    def test_guard_shapes_at_every_budget(self, source):
+        # the budget runs out at each step in turn: at an `else`, at the
+        # `;` and the test of a guard, and at an `f` operand
+        program = parse_program(source)
+        _, _, needed = self.agree(program, None, (1, 2))
+        for max_steps in range(needed + 1):
+            self.agree(program, None, (1, 2), max_steps)
 
 
 COUNT = "count(n) = (n == 0; ret = 0) else (x = n; count(n - 1))\nmain count(N)"

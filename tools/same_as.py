@@ -26,7 +26,15 @@ message` for a source error) and, for `tci run`, steps used
   prefix), a rooted `f(/F/sys/test)`, keyword segments `f(t/case)`, a
   `case` with no matching arm, which fails with the ambient failure, a
   3,000-segment path, and both spellings of a `/G/x` path, which are
-  parse errors.
+  parse errors;
+- `GUARDS`: an `else` whose tried operand starts with a test over a
+  parameter, a variable, a string or an unbound variable, two such tests
+  chained, a guard that holds before the rest edits, prints and fails,
+  `|` chains of `f` among operands that edit, and the tests that are no
+  guards (a call or a `read()` in an operand, an assignment before the
+  test), each as a procedure body and in main, on the input `1 2`, run
+  at every budget from 0 to the steps it needs, so that the budget runs
+  out at each `else`, `;`, test and `f` operand in turn.
 
 and, run without `--trace` at the default budget and checked, each of
 `RECURSIONS`, sized to finish at the CLI's recursion limit of 20,000
@@ -54,7 +62,7 @@ among them), `-h`, and options given as `--opt=value` and before FILE,
 each compared on exit code, stdout and stderr (a `SystemExit` from
 `cli.main` counts as its exit code).
 
-That is 19,027 calls.  The program files are written once, by this
+That is 19,618 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -81,7 +89,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from tci.interp import Budget, run_main  # noqa: E402
 from tci.oracle import gen_program  # noqa: E402
+from tci.parser import parse_program  # noqa: E402
 from tci.syntax import Assign, IntLit, Program, Seq, StrLit, pretty_program  # noqa: E402
 
 GEN_SEEDS = range(3000)
@@ -151,6 +161,22 @@ FAILURE_PATHS = {
     "unrooted call path": "main f(/G/x)\n",
     "unrooted arm path": "main f else case Failtree of { /G/x: t }\n",
 }
+GUARDS = {
+    "parameter guard": "p(n) = (n == 0; x = n) else y = n\nmain p(0); p(1); n = 2; ((n < 3; z = n) else w = n)\n",
+    "variable guard": "p() = (v == 1; x = v) else y = v\nmain v = 1; p(); v = 4; p(); ((v >= 4; z = v) else w = 0)\n",
+    "string guard": 'p(s) = (s == "a"; x = 1) else x = 2\nmain p("a"); p("b"); s = "c"; ((s != "c"; y = 1) else y = 2)\n',
+    "unbound guard": "p() = (u == 1; x = 1) else case Failtree of { /F/sys/unbound: x = 2 }\n"
+    "main p(); ((u > 0; y = 1) else y = 2); u = 1; p()\n",
+    "chained guards": "p(n) = (n > 0; n < 5; x = n) else x = 0\n"
+    "main p(3); p(7); p(0); m = 2; ((m > 0; m < 5; y = m) else y = 0)\n",
+    "failing rest": "p(n) = (n == 0; x = 1; f(e)) else case Failtree of { /F/usr/e: y = x }\n"
+    "main x = 5; p(0); ((x == 5; x = 6; print(x); f(g)) else print(x))\n",
+    "f operands": "p(n) = f(a) | (x = n; f(b)) | f(c) | y = n | f(d)\n"
+    "main p(1); ((f(e) | f(g) | (z = 1; print(z); f(h))) else t); ((f(i) | f(j)) else case Failtree of { /F/usr/i: w = 1 })\n",
+    "no guard": "g(n) = ret = n\nh() = (g(5) == 0; t) else t\nk() = (read() == 5; t) else x = read()\n"
+    "main ret = 1; h(); ((g(5) == 0; t) else t); k(); ((read() == 5; t) else y = read()); ((z = 1; ret == 0; t) else t)\n",
+}
+GUARD_INPUT = (1, 2)
 # command lines, FILE standing for a three-statement program run in five
 # steps: usage errors, help, and options spelled and placed each way
 COMMAND_LINES = (
@@ -248,6 +274,11 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         add(f"mixed union chain, budget {steps}", UNIONS["mixed"], None, ["--max-steps", str(steps)])
     for name, source in FAILURE_PATHS.items():
         add(f"failure path: {name}", source, None, [])
+    for name, source in GUARDS.items():
+        budget = Budget()
+        run_main(parse_program(source), GUARD_INPUT, budget)
+        for steps in range(budget.used + 1):
+            add(f"{name}, budget {steps}", source, GUARD_INPUT, ["--max-steps", str(steps)])
     for seed in SELFCHECK_SEEDS:
         calls.append((f"selfcheck seed {seed}", ["selfcheck", "--cases", str(SELFCHECK_CASES), "--seed", str(seed)]))
     program = work / "command_line.tc"
