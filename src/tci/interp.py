@@ -315,6 +315,10 @@ class Evaluator:
         self.trace: list[str] | None = [] if trace else None
         self._depth = 0  # traced steps now open: the indent of the next trace line
         self._spans: dict[int, Span] | None = None  # id(node) -> span of its text, while a traced `run` runs
+        # the last failure of several paths a trace line showed, and its text:
+        # a failure that propagates through d steps is rendered once, not d times
+        self._shown_paths: frozenset[str] | None = None
+        self._shown_text = ""
 
     def run(self, goal: Goal) -> Outcome:
         """Evaluate one goal; on failure the store is as `run` found it."""
@@ -337,7 +341,7 @@ class Evaluator:
             if self.trace is not None:
                 del self.trace[entry_lines:]
                 self._depth = 0
-                self._close_line(self._open_line(), "fail", "", goal, _result_text(out))
+                self._close_line(self._open_line(), "fail", "", goal, self._result(out))
                 self._depth = 0
             return out
         finally:
@@ -347,6 +351,18 @@ class Evaluator:
         else:
             store.rollback(mark)
         return out
+
+    def _result(self, out: Outcome) -> str:
+        """`_result_text(out)`; the text of several paths is built again only for other paths than the last such."""
+        if out is _SUCCESS:
+            return "success"
+        if len(out.paths) == 1:
+            return _result_text(out)
+        if out.paths is not self._shown_paths:
+            if out.paths != self._shown_paths:
+                self._shown_text = _result_text(out)
+            self._shown_paths = out.paths  # the next line likely shows this same set
+        return self._shown_text
 
     def _open_line(self) -> int:
         """Reserve the trace line of a step being entered; returns its index."""
@@ -383,10 +399,8 @@ class Evaluator:
         from its own operand on.  The first union's line is left to the
         step's own close.
         """
-        text = _FailureText()
+        text = None  # the failed paths from the line being written on, built only once a line shows them
         ok = rest is _SUCCESS
-        if not ok:
-            text.add(rest.paths)
         while True:
             first = levels.pop()
             union = levels.pop()
@@ -398,9 +412,13 @@ class Evaluator:
                 rule = 8
             else:
                 rule = "fail"
-                text.add(first)
             if not levels:
                 return rule
+            if not ok:
+                if text is None:
+                    text = _FailureText()
+                    text.add(rest.paths)
+                text.add(first)
             self._close_line(line, rule, "", union, "success" if ok else text.text())
             self._depth -= 1
 
@@ -548,7 +566,7 @@ class Evaluator:
                         if failed is not None:
                             failed.add(SYS_DEPTH)
                         if trace is not None:
-                            self._close_line(line, "fail", "", union, _result_text(out))
+                            self._close_line(line, "fail", "", union, self._result(out))
                             self._depth -= 1
                         break
                     budget.remaining -= 1
@@ -586,7 +604,7 @@ class Evaluator:
                 break
             g, then = then, None  # the leaf was a `;`'s first operand: go on to its second
         if trace is not None:
-            result = _result_text(out)
+            result = self._result(out)
             self._close_line(at, rule, head, g, result)
             self._depth -= 1 + len(deferred)
             while deferred:  # popping frees each index as its line is done
@@ -716,7 +734,7 @@ class Evaluator:
                 body, callee_frame, head = out
                 out = self._eval(body, ambient, callee_frame, head)
             if self.trace is not None:
-                self._close_line(at, "call-expr", "", e, _result_text(out))
+                self._close_line(at, "call-expr", "", e, self._result(out))
                 self._depth -= 1
             if out is not _SUCCESS:
                 raise _EvalFailure(out)

@@ -32,17 +32,29 @@ line, and whitespace is space, tab, carriage return and newline.  Any
 other character is a lexical error.
 
 `tokenize` keeps the tokens as two parallel lists, texts and kinds, with
-no object per token.  One `findall` gives the texts; the whitespace
-before a token is one character-class run, and comments are entered
-only at a `//`.  Equal texts then share one string, through a table
-local to the call, for the life of the parse: a name or number used a
-thousand times is held once, and every `Assign`, `Call`, `Def`, `Param`
-or `Var` name taken from it is that one string.  The kinds are learned
-per call, in a table seeded with the keywords and punctuation: a new
-identifier, number or string gets its first character's kind once, and
-every later occurrence costs one lookup, so no Python code runs per
-repeated token.  A token's start offset is found only when an error
-needs its `line:col` span, by matching the source again.
+no object per token.  It reads the source a chunk of a few KB at a time,
+each ending just after a newline, so that no token straddles two
+chunks: one `findall` per chunk gives its texts; the whitespace before a
+token is one character-class run, and comments are entered only at a
+`//`.  Equal texts then share one string, through a table local to the
+call, for the life of the parse: a name or number used a thousand times
+is held once, and every `Assign`, `Call`, `Def`, `Param` or `Var` name
+taken from it is that one string.  A chunk's texts go through the table
+before the next chunk is read, so the unshared strings of only one chunk
+exist at a time.  The kinds are learned per call, in a table seeded with
+the keywords and punctuation: a new identifier, number or string gets
+its first character's kind once, and every later occurrence costs one
+lookup, so no Python code runs per repeated token.  The whole source is
+tokenized before parsing starts, so a lexical error comes first.
+
+The parser releases the tokens it has read: each time it pushes `;`,
+`|` or `else` with more than half of the lists read, it deletes the read
+front of both, and `Tokens.base` counts the tokens deleted.  Each
+release halves the lists at least, so the deletes take linear time in
+all, and a parse holds its tree plus at most twice the tokens it has not
+read yet.  A token's start offset is found only when an error needs its
+`line:col` span, by matching the whole source again, so the span of
+token `base + i` does not depend on what was released.
 
 One parse builds one `Var` or `IntLit` node per distinct name or
 unsigned literal text and shares it wherever that text occurs
@@ -123,28 +135,32 @@ class SourceSpan(Record):
 class Tokens:
     """The tokens of one source as parallel lists of kinds and texts.
 
-    Start offsets are built on first use, for an error's span: the parser
-    itself reads only kinds and texts.
+    A parse deletes the tokens it has read from the front of both lists;
+    `base` counts them, so list index `i` is token `base + i` of the
+    source.  Start offsets are built on first use, for an error's span:
+    the parser itself reads only kinds and texts.
     """
 
     def __init__(self, source: str, kinds: list[str], texts: list[str]):
         self.source = source
         self.kinds = kinds
         self.texts = texts
+        self.base = 0
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.base + len(self.kinds)
 
     @cached_property
     def starts(self) -> list[int]:
-        """The start offset of each token, from a second pass of the regex that found the texts."""
-        return [m.start(1) for m, _ in zip(_TOKEN.finditer(self.source), self.texts)]
+        """The start offset of each token of the source, from a second pass of the regex that found the texts."""
+        return [m.start(1) for m in _TOKEN.finditer(self.source)]
 
     def span(self, i: int) -> SourceSpan:
-        """The `line:col` of token `i`, from the newlines before it: a failed parse needs one span."""
+        """The `line:col` of token `i` of the source, from the newlines before it: a failed parse needs one span."""
         source, offset = self.source, self.starts[i]
         line_start = source.rfind("\n", 0, offset) + 1
-        return SourceSpan(source.count("\n", 0, offset) + 1, offset - line_start + 1, len(self.texts[i]))
+        length = _TOKEN.match(source, offset).end(1) - offset
+        return SourceSpan(source.count("\n", 0, offset) + 1, offset - line_start + 1, length)
 
 
 class SourceError(Exception):
@@ -173,6 +189,10 @@ class MissingMain(ParseError):
     def __init__(self, span: SourceSpan):
         super().__init__(span, "program has no main goal")
 
+
+# Characters of source per `findall` in `tokenize`, at least: a chunk runs on to
+# the end of its line.
+_CHUNK = 4096
 
 _PUNCTUATION = ("==", "!=", "<=", ">=", *"=<>+-*/;|:,(){}")
 
@@ -220,17 +240,27 @@ def tokenize(source: str) -> Tokens:
     Equal texts are one string object, the first found, for as long as the
     tokens or the tree parsed from them live; no table outlives the call.
     """
-    texts = _TOKEN.findall(source)
     seen: dict[str, str] = {}
-    texts = list(map(seen.setdefault, texts, texts))
+    texts: list[str] = []
+    start = 0
+    while True:
+        # a chunk ends just after a newline, which no token holds
+        end = source.find("\n", start + _CHUNK) + 1 or len(source)
+        found = _TOKEN.findall(source, start, end)
+        texts += map(seen.setdefault, found, found)
+        del found
+        if end == len(source):
+            break
+        del texts[-2:]  # the chunk's eof, matched after its last newline and then again, empty
+        start = end
     if len(texts) > 1 and not texts[-2]:
         # eof matched after skipped whitespace or a comment, and then again,
         # empty, at the very end
         del texts[-1]
     kind_of = _Kinds(_KINDS_BY_TEXT)
     kinds = list(map(kind_of.__getitem__, texts))
+    tokens = Tokens(source, kinds, texts)
     if "bad" in map(kind_of.__getitem__, seen):  # one test per distinct text
-        tokens = Tokens(source, kinds, texts)
         i = kinds.index("bad")
         if texts[i] != '"':
             raise LexError(tokens.span(i), f"unrecognized character {texts[i]!r}")
@@ -239,7 +269,7 @@ def tokenize(source: str) -> Tokens:
         end = source.find("\n", start)
         length = (len(source) if end < 0 else end) - start
         raise LexError(SourceSpan(span.line, span.column, length), "unterminated string literal")
-    return Tokens(source, kinds, texts)
+    return tokens
 
 
 # Up to this many digits `int()` is the fastest conversion; its time grows
@@ -322,9 +352,13 @@ class _Parser:
         self.i = 0
         self.leaves = _Leaves()
 
+    def span(self, i: int) -> SourceSpan:
+        """The span of the token at list index `i`."""
+        return self.tokens.span(self.tokens.base + i)
+
     def error(self, i: int, what: str) -> ParseError:
-        """`expected <what>` at token `i`."""
-        return ParseError(self.tokens.span(i), f"expected {what}")
+        """`expected <what>` at the token at list index `i`."""
+        return ParseError(self.span(i), f"expected {what}")
 
     def expect(self, kind: str, what: str | None = None) -> str:
         """The current token's text, stepping past it, if it is of `kind`."""
@@ -337,22 +371,22 @@ class _Parser:
     # -- program -----------------------------------------------------------
 
     def program(self) -> Program:
-        kinds = self.kinds
+        kinds, tokens = self.kinds, self.tokens
         defs: dict[tuple[str, int], Def] = {}
         while kinds[self.i] != "main":
             if kinds[self.i] == "eof":
-                raise MissingMain(self.tokens.span(self.i))
-            name_at = self.i
-            d = self.definition()
+                raise MissingMain(self.span(self.i))
+            name_at = tokens.base + self.i  # absolute: the body's parse may release the name's token
+            d = self.definition(name_at)
             key = (d.name, len(d.params))
             if key in defs:
-                raise DuplicateDefinition(self.tokens.span(name_at), *key)
+                raise DuplicateDefinition(tokens.span(name_at), *key)
             defs[key] = d
         self.i += 1
         return Program(defs, self.goal())
 
-    def definition(self) -> Def:
-        name_at = self.i
+    def definition(self, name_at: int) -> Def:
+        """The definition that starts at the current token, token `name_at` of the source."""
         name = self.expect("ident", "a procedure definition or 'main'")
         self.expect("(")
         params: list[str] = []
@@ -404,9 +438,10 @@ class _Parser:
         the wrong kind points at the first token of the innermost operand
         of a goal operator, context or argument, `start`.
         """
-        kinds, texts, leaves = self.kinds, self.texts, self.leaves
+        kinds, texts, leaves, tokens = self.kinds, self.texts, self.leaves, self.tokens
         stack: list = [None, "goal", 0]
         i = start = self.i
+        half = len(kinds) // 2
         while True:
             # an operand, or a prefix or context that opens before one
             kind = kinds[i]
@@ -496,6 +531,13 @@ class _Parser:
                     if prec < 4:
                         if not isinstance(x, Goal):
                             x = self.statement(x, start)
+                        if i > half:
+                            # release the tokens read: each release deletes at
+                            # least half the lists, so all of them take linear time
+                            del kinds[:i], texts[:i]
+                            tokens.base += i
+                            i = 0
+                            half = len(kinds) // 2
                         start = i + 1
                     stack += x, op, prec
                     i += 1
@@ -580,7 +622,7 @@ class _Parser:
         if not rooted:
             return user_path(segments)
         if segments[0] != "F":
-            raise ParseError(self.tokens.span(start), f"failure path must be rooted at /F: {tuple(segments)!r}")
+            raise ParseError(self.span(start), f"failure path must be rooted at /F: {tuple(segments)!r}")
         return "/" + "/".join(segments)
 
 

@@ -19,6 +19,7 @@ from tci.parser import (
     ParseError,
     SourceError,
     SourceSpan,
+    _CHUNK,
     _Parser,
     parse_goal,
     parse_program,
@@ -390,6 +391,94 @@ class TestSharedTexts:
 
     def test_peak_memory_grows_linearly(self):
         assert self.peak_per_token(10_000) <= 1.1 * self.peak_per_token(5_000)
+
+
+def _across_chunks(*edge_lines: str, last: str) -> str:
+    """A source whose `tokenize` chunks each end just after one of `edge_lines` and its newline, then `last`."""
+    parts = []
+    for line in edge_lines:
+        n, r = divmod(_CHUNK - len(line) - 1, len("x = 1;\n"))
+        parts += "x = 1;\n" * n, "y" * r + "\n", line + "\n"
+    return "".join(parts) + last
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "edge_lines, last",
+        [
+            (["x = 2 // a comment", "// a whole-line comment", "//"], "t"),
+            (['x = "a string"', 's = "a // in a string"', '""'], "t\n"),
+            (['x = "no closing quote', "t"], "t\n"),
+            (["x = 3\r", "y = 4;\r", "\r"], "z = 5\r\n"),
+            (["x = 6;", "y = 7"], "// only a comment\n   \n"),
+            (["x = 6;", "y = 7"], "// only a comment, no newline"),
+            (["x = 8", "y = 9"], "z = 10"),
+            (["x = " + " + ".join(map(str, range(2 * _CHUNK // 5))), "y"], "t"),
+            (["x = 11 ?", "t"], "t\n"),
+        ],
+        ids=["comment", "string", "unterminated-string", "crlf", "comment-only-last-chunk",
+             "comment-only-last-chunk-no-newline", "no-final-newline", "line-longer-than-a-chunk", "bad-character"],
+    )
+    def test_chunk_edges_tokenize_as_the_reference(self, edge_lines, last):
+        source = _across_chunks(*edge_lines, last=last)
+        assert len(source) > len(edge_lines) * _CHUNK
+        assert lexed(tokenized, source) == lexed(reference_tokenize, source)
+
+    def test_spans_after_chunk_edges(self):
+        source = _across_chunks("x = 2 // c", 'y = "s"', "z = 3\r", last="main t")
+        tokens = tokenize(source)
+        for i in range(len(tokens)):
+            span = tokens.span(i)
+            assert source[_offset(source, span):][:span.length] == tokens.texts[i]
+
+
+class TestRelease:
+    @staticmethod
+    def chain(n):
+        """`n` statements over 50 names, one a line."""
+        return ";\n".join(f"  v{i % 50} = w{(i + 1) % 50} + 123 * 45" for i in range(n))
+
+    def test_peak_memory_close_to_the_tree(self):
+        source = "main " + self.chain(5_000) + "\n"
+        tracemalloc.start()
+        try:
+            tree = parse_program(source)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.67 when every token was held until the parse ended
+        assert isinstance(tree.main, Seq)
+        assert peak <= 1.4 * held
+
+    @pytest.mark.parametrize(
+        "source, error, length",
+        [
+            ("main " + chain(3999) + ";\n  v1 = = 2;\n" + chain(1000), "4000:8: expected an expression", 1),
+            ("main " + chain(3000) + ";\n  (((x = 1; (t | y = 2)) }\n", "3001:26: expected ')'", 1),
+            ("dup() = " + chain(3000) + "\ndup() = " + chain(1000) + "\nmain t\n",
+             "3001:1: duplicate definition of dup/0", 3),
+            ("q() = " + chain(3000) + "\nsets(u) = " + chain(1000) + ";\n  u = 1\nmain sets(1)\n",
+             "3001:1: definition of sets assigns to its own parameter(s): u", 4),
+            ("main " + chain(3000) + ";\n  f(/G/x)\n", "3001:5: failure path must be rooted at /F: ('G', 'x')", 1),
+            ("".join(f"p{i}(a) = x = a + {i}; y = x * 2\n" for i in range(500)), "501:1: program has no main goal", 0),
+        ],
+        ids=["bad-token", "unclosed-parenthesis", "duplicate-definition", "assigned-parameter", "unrooted-path",
+             "no-main"],
+    )
+    def test_errors_after_releases_keep_their_spans(self, source, error, length):
+        parser = _Parser(tokenize(source))
+        with pytest.raises(ParseError) as err:
+            parser.program()
+        assert (str(err.value), err.value.span.length) == (error, length)
+        assert parser.tokens.base > 0  # tokens were released before the error
+
+    def test_releases_keep_the_token_count(self):
+        source = "main " + self.chain(2_000)
+        tokens = tokenize(source)
+        n = len(tokens)
+        parser = _Parser(tokens)
+        parser.program()
+        assert tokens.base > n // 2 and len(tokens) == n
 
 
 class TestParameters:

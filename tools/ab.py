@@ -23,7 +23,10 @@ largest ops, each run by `bench/run.py`'s `_PEAK_SCRIPT` in a fresh
 process on that side's `src`.  `--workload all` compares the four
 workloads in turn, printing that block, ratio line included, for each.  Times are raw
 `perf_counter` times of `cli.main`, not scaled to a reference host.
-The exit code is 1 when any call is wrong, else 0.
+The exit code is 1 when any call is wrong, else 0.  It refuses to run
+while either tree's `src/tci` holds a `__pycache__`: a bytecode cache
+has moved `peak_mb` by 2.6% with no change in the code.  It writes no
+bytecode itself, nor do the processes it starts.
 
 An A/A reading, a checkout against itself, shows how far identical code
 reads from 1 on the host at hand: at 5 rounds the same tree has read a
@@ -37,6 +40,7 @@ import argparse
 import gc
 import importlib.util
 import io
+import os
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,16 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
 from run import _PEAK_SCRIPT, MEMORY_OPS, POOL, WARMUP_OPS, write_ops  # noqa: E402
+
+sys.dont_write_bytecode = True  # for the trees' modules, loaded below
+NO_BYTECODE = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # for the processes started
+
+
+def refuse_bytecode(tool: str, *trees: Path) -> None:
+    """Exit when a tree's `src/tci` holds a `__pycache__`, which moves `peak_mb` with no code change."""
+    for tree in trees:
+        for cache in (tree / "src" / "tci").rglob("__pycache__"):
+            sys.exit(f"{tool}: {cache} exists, and a bytecode cache moves peak_mb; delete it first")
 
 
 def load_cli(tree: Path, package: str):
@@ -84,7 +98,7 @@ def peak_mb(tree: Path, ops: list[workloads.Op], argvs: list[list[str]]) -> floa
     peaks = []
     for i in largest:
         done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(tree / "src"), *argvs[i]], cwd=tree,
-                              capture_output=True, text=True, timeout=120, check=True)
+                              env=NO_BYTECODE, capture_output=True, text=True, timeout=120, check=True)
         peaks.append(int(done.stdout) / 2**20)
     return max(peaks)
 
@@ -130,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     trees = {"this": ROOT, "other": args.other.resolve()}
+    refuse_bytecode("ab", *trees.values())
     mains = {side: load_cli(tree, f"tci_{side}").main for side, tree in trees.items()}
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
     wrong = sum(compare(mains, trees, name, args.seed, args.rounds) for name in names)

@@ -10,12 +10,12 @@ its parent.
 The record holds:
 
 - the Python version and the core count;
-- `bench/run.py --workload all --seed S --seconds SECONDS --trace 0`,
-  run `RUNS` times at each seed in `SEEDS`: each run's raw
-  `bench.kernel_ms` lines (per workload, in the order the bench prints
-  them: untraced pass, then the traced pass's two), and per seed the
-  median, 25th and 75th percentile and IQR of each end-to-end metric
-  over the runs;
+- `bench/run.py --workload W --seed S --seconds SECONDS --trace 0` for
+  each workload W, run `RUNS` times at each seed in `SEEDS`: each run's
+  raw `bench.kernel_ms`, one per workload, and per seed the median, 25th
+  and 75th percentile and IQR of each end-to-end metric over the runs.
+  (`--workload all` would also run every workload's traced pass, whose
+  per-layer metrics a record does not keep);
 - with `--against`, `tools/ab.py OTHER --workload all` at each seed,
   with `ROUNDS` rounds, and beside it `tools/ab.py .` (an A/A reading
   of this checkout against itself) at the same seed and rounds: each
@@ -36,7 +36,9 @@ time spent waiting counts nothing.  So they compare two versions of the
 program; they are not a speed.  Bench times are raw, as `bench/run.py`
 reports them, and read only beside an A/A reading taken in the same
 session.  The exit code is 1 when a run is wrong or a count does not
-repeat, else 0.
+repeat, else 0.  Like `tools/ab.py`, it refuses to run while a
+`__pycache__` exists under either tree's `src/tci`, and the processes it
+starts write no bytecode.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
+from ab import NO_BYTECODE, refuse_bytecode  # noqa: E402
 from run import END_TO_END, write_ops  # noqa: E402
 
 SEEDS = (1, 4242)
@@ -119,23 +122,22 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "p25": q1, "p75": q3, "iqr": q3 - q1}
 
 
-def bench_run(seed: int, seconds: float) -> tuple[dict, dict[str, list[float]]]:
-    """One `bench/run.py --workload all --trace 0` run: (its metrics, raw kernel_ms per workload)."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "all", "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    lines = done.stdout.splitlines()
-    result = json.loads(lines[-1])
-    if not result["correct"]:
-        sys.exit(f"record: bench run at seed {seed} was wrong on {result['failed']} ops")
-    kernel: dict[str, list[float]] = {}
-    for line in lines[:-1]:
-        fields = line.split()
-        if len(fields) >= 3 and fields[1] == "bench.kernel_ms":
-            kernel.setdefault(fields[0], []).append(float(fields[2]))
-    return {name: m["value"] for name, m in result["metrics"].items()}, kernel
+def bench_run(seed: int, seconds: float) -> tuple[dict, dict[str, float]]:
+    """One `bench/run.py --workload W --trace 0` run per workload: (their metrics, raw kernel_ms per workload)."""
+    metrics, kernel = {}, {}
+    for name in workloads.WORKLOADS:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", name, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=ROOT, env=NO_BYTECODE, capture_output=True, text=True, check=True,
+        )
+        lines = done.stdout.splitlines()
+        result = json.loads(lines[-1])
+        if not result["correct"]:
+            sys.exit(f"record: bench run of {name} at seed {seed} was wrong on {result['failed']} ops")
+        metrics.update({f"{name}:{m}": v["value"] for m, v in result["metrics"].items()})
+        kernel[name] = next(float(line.split()[2]) for line in lines if " bench.kernel_ms " in line)
+    return metrics, kernel
 
 
 def ab(other: Path, seed: int, rounds: int) -> dict[str, dict]:
@@ -143,7 +145,7 @@ def ab(other: Path, seed: int, rounds: int) -> dict[str, dict]:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(other), "--workload", "all", "--seed", str(seed),
          "--rounds", str(rounds)],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, env=NO_BYTECODE, capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.exit(f"record: tools/ab.py {other} at seed {seed} failed:\n{done.stderr}")
@@ -160,7 +162,7 @@ def ab(other: Path, seed: int, rounds: int) -> dict[str, dict]:
 
 def opcodes(tree: Path, argvs: list[list[str]]) -> list[int]:
     """Each call's opcode count, run by `_OPCODE_SCRIPT` on `tree`'s src."""
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(NO_BYTECODE, PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     done = subprocess.run([sys.executable, "-c", _OPCODE_SCRIPT, str(tree / "src"), json.dumps(argvs)],
                           cwd=tree, env=env, capture_output=True, text=True, check=True)
@@ -187,11 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("out", type=Path, help="the record to write, e.g. BENCH_N.json")
     ap.add_argument("--against", type=Path, help="a checkout to compare with by tools/ab.py and opcode counts")
     args = ap.parse_args(argv)
+    refuse_bytecode("record", *filter(None, (ROOT, args.against)))
 
     record: dict = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
-        "bench": {"command": "bench/run.py --workload all --trace 0", "seconds": SECONDS, "runs": RUNS},
+        "bench": {"command": "bench/run.py --workload W --trace 0", "seconds": SECONDS, "runs": RUNS},
         "kernel_ms": {},
         "end_to_end": {},
     }

@@ -34,7 +34,14 @@ message` for a source error) and, for `tci run`, steps used
   guards (a call or a `read()` in an operand, an assignment before the
   test), each as a procedure body and in main, on the input `1 2`, run
   at every budget from 0 to the steps it needs, so that the budget runs
-  out at each `else`, `;`, test and `f` operand in turn.
+  out at each `else`, `;`, test and `f` operand in turn;
+- `LONG_SOURCES`: sources of many of the tokenizer's chunks, whose parse
+  releases the tokens it has read: a 4,000-statement chain in main and as
+  a body, CRLF line ends with comments, a line longer than a chunk, no
+  final newline, and late errors (a bad token, a bad character, an
+  unclosed parenthesis, a duplicate definition and an assigned parameter
+  after a long body, a `/G/x` path, no `main` after 500 definitions),
+  each run without `--trace` and checked.
 
 and, run without `--trace` at the default budget and checked, each of
 `RECURSIONS`, sized to finish at the CLI's recursion limit of 20,000
@@ -62,7 +69,7 @@ among them), `-h`, and options given as `--opt=value` and before FILE,
 each compared on exit code, stdout and stderr (a `SystemExit` from
 `cli.main` counts as its exit code).
 
-That is 19,618 calls.  The program files are written once, by this
+That is 19,642 calls.  The program files are written once, by this
 checkout.  Each differing call's label and first difference are printed,
 then `N of M calls differ:` and a summary of them: the differing calls
 counted by call kind (the label with its numbers dropped) and by the
@@ -177,6 +184,24 @@ GUARDS = {
     "main ret = 1; h(); ((g(5) == 0; t) else t); k(); ((read() == 5; t) else y = read()); ((z = 1; ret == 0; t) else t)\n",
 }
 GUARD_INPUT = (1, 2)
+# sources of many of the tokenizer's chunks, whose parse releases the tokens
+# it has read before it ends: valid ones, and ones with an error late in them
+_CHAIN = ";\n".join(f"  v{i % 50} = v{(i + 1) % 50} + {i % 7} * 45" for i in range(4000))
+_ZEROS = "; ".join(f"v{i} = 0" for i in range(50))
+LONG_SOURCES = {
+    "long chain": f"main {_ZEROS};\n{_CHAIN}\n",
+    "long body": f"p(n) = {_ZEROS};\n{_CHAIN};\n  ret = v1 + n\nmain p(2); x = ret\n",
+    "CRLF and comments": f"main {_ZEROS};\r\n" + _CHAIN.replace(";\n", "; // c\r\n") + "\r\n// only a comment\r\n",
+    "line longer than a chunk": f"main {_ZEROS};\n  x = " + " + ".join(map(str, range(3000))) + "\n",
+    "no final newline": f"main {_ZEROS};\n{_CHAIN}",
+    "bad token late": f"main {_ZEROS};\n{_CHAIN};\n  v1 = = 2\n",
+    "bad character late": f"main {_ZEROS};\n{_CHAIN};\n  v1 = 2 ? 3\n",
+    "unclosed parenthesis late": f"main {_ZEROS};\n{_CHAIN};\n  (((x = 1; (t | y = 2)) }}\n",
+    "duplicate definition after a long body": f"p() = {_CHAIN}\np() = {_CHAIN}\nmain t\n",
+    "assigned parameter after a long body": f"q() = {_CHAIN}\np(u) = {_CHAIN};\n  u = 1\nmain p(1)\n",
+    "unrooted path late": f"main {_ZEROS};\n{_CHAIN};\n  f(/G/x)\n",
+    "no main after 500 definitions": "".join(f"p{i}(a) = x = a + {i}; y = x * 2\n" for i in range(500)),
+}
 # command lines, FILE standing for a three-statement program run in five
 # steps: usage errors, help, and options spelled and placed each way
 COMMAND_LINES = (
@@ -274,6 +299,8 @@ def write_calls(work: Path) -> list[tuple[str, list[str]]]:
         add(f"mixed union chain, budget {steps}", UNIONS["mixed"], None, ["--max-steps", str(steps)])
     for name, source in FAILURE_PATHS.items():
         add(f"failure path: {name}", source, None, [])
+    for name, source in LONG_SOURCES.items():
+        add(f"long source: {name}", source, None, [], traced=False)
     for name, source in GUARDS.items():
         budget = Budget()
         run_main(parse_program(source), GUARD_INPUT, budget)
