@@ -18,6 +18,7 @@ from .interp import (
     Success,
     eval_goal,
     format_binding,
+    render_trace,
     run_main,
 )
 from .parser import SourceError, decimal_int, parse_program
@@ -40,7 +41,7 @@ _STATUS_CODES = {
 class RunReport:
     def __init__(self, status: str, failtree: Failure | None = None,
                  bindings: dict[str, Value] | None = None, output: list[str] | None = None,
-                 steps_used: int = 0, message: str = "", trace: list[str] | None = None):
+                 steps_used: int = 0, message: str = "", trace: list | None = None):
         self.status = status
         self.failtree = failtree
         self.bindings = bindings
@@ -94,21 +95,21 @@ def cmd_run(path: str, input_path: str | None = None, trace: bool = False,
         except (OSError, ValueError) as err:
             return RunReport(status="parse-error", message=f"bad input file {input_path}: {err}")
     budget = Budget(max_steps)
-    outcome, store, trace_lines = run_main(program, input_tokens, budget=budget, trace=trace)
+    outcome, store, records = run_main(program, input_tokens, budget=budget, trace=trace)
     if isinstance(outcome, Success):
         return RunReport(
             status="success",
             bindings=dict(store.bindings),
             output=list(store.output),
             steps_used=budget.used,
-            trace=trace_lines,
+            trace=records,
         )
-    return RunReport(status="failure", failtree=outcome, steps_used=budget.used, trace=trace_lines)
+    return RunReport(status="failure", failtree=outcome, steps_used=budget.used, trace=records)
 
 
 def _print_report(report: RunReport) -> None:
     if report.trace is not None:
-        print("\n".join(report.trace), file=sys.stderr)
+        render_trace(report.trace, sys.stderr)
     if report.status == "parse-error":
         print(f"error: {report.message}", file=sys.stderr)
     elif report.status == "failure":

@@ -79,43 +79,54 @@ writes the store by name, and a body reads its parameters only through
 
 `G1 | G2` runs both operands in order (the second from the first's result
 state when it succeeded) and succeeds if at least one does.  A chain
-`G1 | ... | Gn` runs its n operands in order in the same way; the paths
-of each operand that fails go into one set as it returns, and nothing
-else of it is kept, and one Failure is built from the set if every
-operand failed.  `G1 else G2` runs the handler only after rolling G1
+`G1 | ... | Gn` runs its n operands in order in the same way.  If every
+operand fails, the chain fails with the first failed operand's Failure
+itself, unless a later operand fails with a path outside it: only then
+are the paths put into one set, from which one Failure is built.  So a
+failure of k paths that propagates through d unions whose other
+operands fail with a subset of its paths (often `/F/sys/test`) is not
+copied d times.  `G1 else G2` runs the handler only after rolling G1
 back, and makes G1's Failure available to `case Failtree of` goals for
 the handler's dynamic extent.
 
-The trace is a flat list of lines in pre-order, one per goal step and
-one per call in expression position, each indented two spaces per
-enclosing step: `[rule R] text => result`.  Indentation stops at
-`MAX_INDENT` (32) levels: a line under more steps is indented 32
-levels and starts with their number, `(40) [rule R] ...`, so a line's
-length does not grow with its depth.  A step reserves its line on
-entry and fills it in on exit, when its rule and result are known.  A
-step that goes on into a tail position (rule 6, 11, `case` or 4) has
-the same result as the last step of its loop: its line is deferred,
-written up to ` => ` when the loop goes on, and its result is appended
-when that last step returns.  Each spine union of a `|` chain keeps
-its own line, reserved when the union is reached, and the chain's lines
-are closed right to left when it ends: a union's result is the chain's
-outcome from its own operand on, and its rule comes from its operand and
-that rest.  Their `failure(...)` texts come from one growing set of
-paths whose smallest are kept as text, so a traced chain takes time
-linear in its width.  A traced run prints each root once, recording
-where the text of each goal and call below it lies (its span): the
-run's goal on entry, and a procedure body on its first call.  A line's
-text is its step's span cut to `TRACE_WIDTH` characters (the
-last three `...` when the span is longer), and only the characters kept
-are copied, so a `;` chain is not printed again for every enclosing
-step.  A `failure(...)` result is cut the same way.  Rule ids: 1
-success of `t`, 4 a procedure call, 5 an assignment, 6 sequencing,
-7/8/9 the three ways a `|` can succeed (both operands, only the second,
-only the first), 10/11 an `else` whose first operand succeeded/failed.
-Tests, case dispatch, calls in expression position, and rule-less
-failures are tagged `test`, `case`, `call-expr`, and `fail`.  The first
-line under a call's line is the procedure body, prefixed once with the
-callee's frame, e.g.
+The trace is a list of lines in pre-order, one per goal step and one
+per call in expression position, each indented two spaces per enclosing
+step: `[rule R] text => result`.  Indentation stops at `MAX_INDENT`
+(32) levels: a line under more steps is indented 32 levels and starts
+with their number, `(40) [rule R] ...`, so a line's length does not
+grow with its depth.  A traced run keeps each line as a record of five
+slots in one flat list, `Evaluator.trace`: its level (the steps open
+around it), its rule, its head (a call's frame, or ""), its step's
+span and its result text; `trace_lines` makes the text of records, and
+`render_trace` writes them a batch at a time when the run ends, so
+the text of the whole trace is never held at once.  (The lines cannot
+be written as the run goes: a step's line comes before its sub-steps'
+lines, and its rule and result are known only when it exits.)  A step reserves its record on entry
+and fills it in on exit, when its rule and result are known.  A step
+that goes on into a tail position (rule 6, 11, `case` or 4) has the
+same result as the last step of its loop: its record is filled in with
+an empty result when the loop goes on, and the result is stored into
+its last slot when that last step returns.  Each spine union of a `|`
+chain keeps its own record, reserved when the union is reached, and the
+chain's records are closed right to left when it ends: a union's result
+is the chain's outcome from its own operand on, and its rule comes from
+its operand and that rest.  Their `failure(...)` texts come from one
+growing set of paths whose smallest are kept as text, so a traced chain
+takes time linear in its width.  A traced run prints each root once,
+recording where the text of each goal and call below it lies (its span):
+the run's goal on entry, and a procedure body on its first call.  The
+table of spans is dropped when `run` returns; the records keep the
+spans they show, and with them the printed text.  A line's text is its
+step's span cut to `TRACE_WIDTH` characters (the last three `...` when
+the span is longer), and only the characters kept are copied, so a `;`
+chain is not printed again for every enclosing step.  A `failure(...)`
+result is cut the same way.  Rule ids: 1 success of `t`, 4 a procedure
+call, 5 an assignment, 6 sequencing, 7/8/9 the three ways a `|` can
+succeed (both operands, only the second, only the first), 10/11 an
+`else` whose first operand succeeded/failed.  Tests, case dispatch,
+calls in expression position, and rule-less failures are tagged `test`,
+`case`, `call-expr`, and `fail`.  The first line under a call's line is
+the procedure body, prefixed once with the callee's frame, e.g.
 `[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
 """
 
@@ -173,6 +184,16 @@ PRINT_BUILTIN = "print"
 
 # A trace line shows at most this many characters of its goal's text.
 TRACE_WIDTH = 160
+
+# The indentation of a trace line at each level up to MAX_INDENT.
+_INDENTS = tuple("  " * level for level in range(MAX_INDENT + 1))
+
+# A trace record as `_open_line` reserves it: level, rule, head, span, result.
+_RESERVED = (0, "", "", None, "")
+
+# Trace lines made and written at a time: a batch's text stays small
+# beside the records still waiting.
+TRACE_BATCH = 64
 
 # The running call's argument values, by parameter position; a `Param` reads its slot.
 Frame = Sequence[Value]
@@ -312,7 +333,8 @@ class Evaluator:
         self.program = program
         self.store = store
         self.budget = budget if budget is not None else Budget()
-        self.trace: list[str] | None = [] if trace else None
+        # the trace records, five slots per line (see the module docstring)
+        self.trace: list | None = [] if trace else None
         self._depth = 0  # traced steps now open: the indent of the next trace line
         self._spans: dict[int, Span] | None = None  # id(node) -> span of its text, while a traced `run` runs
         # the last failure of several paths a trace line showed, and its text:
@@ -365,27 +387,21 @@ class Evaluator:
         return self._shown_text
 
     def _open_line(self) -> int:
-        """Reserve the trace line of a step being entered; returns its index."""
-        self.trace.append("")
+        """Reserve the trace record of a step being entered; returns the index of its first slot."""
+        trace = self.trace
+        at = len(trace)
+        trace += _RESERVED
         self._depth += 1
-        return len(self.trace) - 1
+        return at
 
     def _close_line(self, at: int, rule: int | str, head: str, node: Goal | Expr, result: str) -> None:
-        """Write a step's line: `head`, its node's text cut to `TRACE_WIDTH`, then `result`.
+        """Fill in a step's record: its level, `rule`, `head`, its node's span, and `result`.
 
-        The line is indented by the steps open around it, not counting its
-        own, up to `MAX_INDENT` levels.  A deferred tail step is written
-        with an empty `result`, and its result is appended when its loop's
-        last step returns.
+        The level counts the steps open around the step, not its own.  A
+        deferred tail step is filled in with an empty `result`, and its
+        result is stored when its loop's last step returns.
         """
-        start, end, printed = self._spans[id(node)]
-        if end - start <= TRACE_WIDTH:
-            text = printed[0][start:end]
-        else:
-            text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
-        level = self._depth - 1
-        indent = "  " * level if level <= MAX_INDENT else f"{'  ' * MAX_INDENT}({level}) "
-        self.trace[at] = f"{indent}[rule {rule}] {head}{text} => {result}"
+        self.trace[at:at + 5] = self._depth - 1, rule, head, self._spans[id(node)], result
 
     def _close_spine(self, levels: list, rest: Outcome) -> int | str:
         """Write the lines of a `|` chain's spine unions, right to left; returns the first one's rule.
@@ -528,7 +544,12 @@ class Evaluator:
                 # `g` spends a step when it is reached, after the operand
                 # before it.
                 store = self.store
-                failed: set[str] | None = set()  # the failed operands' paths; None once one succeeded
+                # The chain's outcome so far: None before an operand has run, the
+                # first failed operand's Failure while every operand failed, and
+                # _SUCCESS once one succeeded.  `more` holds every failed path
+                # once an operand adds one outside that Failure.
+                whole: Outcome | None = None
+                more: set[str] | None = None
                 if trace is not None:
                     levels = []  # per spine union: its line, itself, its first operand's paths or None
                     line = at
@@ -538,18 +559,26 @@ class Evaluator:
                     if trace is None and type(operand) is Fail and budget.remaining > 0:
                         # `f` writes nothing, so it opens no mark; its step runs here
                         budget.remaining -= 1
-                        if failed is not None:
-                            failed.add(operand.path)
+                        if more is not None:
+                            more.add(operand.path)
+                        elif whole is None:
+                            whole = throw(operand.path)
+                        elif whole is not _SUCCESS and operand.path not in whole.paths:
+                            more = {*whole.paths, operand.path}
                     else:
                         mark = store.checkpoint()
                         out = self._eval(operand, ambient, frame)
                         if out is _SUCCESS:
                             store.commit()
-                            failed = None
+                            whole, more = _SUCCESS, None
                         else:
                             store.rollback(mark)
-                            if failed is not None:
-                                failed.update(out.paths)
+                            if more is not None:
+                                more |= out.paths
+                            elif whole is None:
+                                whole = out
+                            elif whole is not _SUCCESS and not out.paths <= whole.paths:
+                                more = {*whole.paths, *out.paths}
                     if union is None:  # that was the last operand
                         break
                     if trace is not None:
@@ -563,8 +592,10 @@ class Evaluator:
                         line = self._open_line()
                     if budget.remaining <= 0:
                         out = _FAIL_DEPTH
-                        if failed is not None:
-                            failed.add(SYS_DEPTH)
+                        if more is not None:
+                            more.add(SYS_DEPTH)
+                        elif whole is not _SUCCESS and SYS_DEPTH not in whole.paths:
+                            more = {*whole.paths, SYS_DEPTH}
                         if trace is not None:
                             self._close_line(line, "fail", "", union, self._result(out))
                             self._depth -= 1
@@ -573,7 +604,7 @@ class Evaluator:
                     operand = union.first
                 if trace is not None:
                     rule = self._close_spine(levels, out)
-                out = _SUCCESS if failed is None else Failure(failed)
+                out = whole if more is None else Failure(more)
             elif t is TrueGoal:
                 rule = 1
                 out = _SUCCESS
@@ -608,7 +639,7 @@ class Evaluator:
             self._close_line(at, rule, head, g, result)
             self._depth -= 1 + len(deferred)
             while deferred:  # popping frees each index as its line is done
-                trace[deferred.pop()] += result
+                trace[deferred.pop() + 4] = result
         return out
 
     def _enter(
@@ -760,13 +791,45 @@ def eval_goal(program: Program, store: Store, goal: Goal, budget: Budget | None 
     return Evaluator(program, store, budget).run(goal)
 
 
+def trace_lines(records: list) -> list[str]:
+    """The text lines of trace records, in order: `[rule R] head text => result`, indented by level.
+
+    A line's text is its span cut to `TRACE_WIDTH` characters, and only
+    the characters kept are copied.
+    """
+    lines = []
+    deepest = _INDENTS[MAX_INDENT]
+    for level, rule, head, (start, end, printed), result in zip(*[iter(records)] * 5):
+        if end - start <= TRACE_WIDTH:
+            text = printed[0][start:end]
+        else:
+            text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
+        indent = _INDENTS[level] if level <= MAX_INDENT else f"{deepest}({level}) "
+        lines.append(f"{indent}[rule {rule}] {head}{text} => {result}")
+    return lines
+
+
+def render_trace(records: list, stream) -> None:
+    """Write the lines of trace records to `stream`, `TRACE_BATCH` at a time, emptying `records`.
+
+    The records are taken from the front, so the text written and the
+    records still waiting are never both held whole.
+    """
+    records.reverse()
+    slots = 5 * TRACE_BATCH
+    while records:
+        batch = records[:-slots - 1:-1]  # the next batch's slots, back in order
+        del records[-slots:]
+        stream.write("\n".join(trace_lines(batch)) + "\n")
+
+
 def run_main(
     program: Program,
     input_tokens=(),
     budget: Budget | None = None,
     trace: bool = False,
-) -> tuple[Outcome, Store, list[str] | None]:
-    """Run a program's main goal on a fresh store; returns (outcome, final store, trace lines).
+) -> tuple[Outcome, Store, list | None]:
+    """Run a program's main goal on a fresh store; returns (outcome, final store, trace records).
 
     Output is buffered in the store and kept only when main succeeds; a
     failing run is rolled back to the empty store, so it observably did

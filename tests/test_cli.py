@@ -1,7 +1,10 @@
+import io
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -16,8 +19,11 @@ from tci.cli import (
     cmd_run,
     cmd_selfcheck,
     main,
+    render_trace,
     _print_report,
 )
+from tci.interp import TRACE_BATCH, run_main, trace_lines
+from tci.parser import parse_program
 
 
 def write(tmp_path, name, text):
@@ -405,6 +411,71 @@ class TestUsage:
             results.append((main(argv), capsys.readouterr()))
         assert results[0] == results[1] == results[2] == (EXIT_FAILURE, ("F\n└─ sys\n   └─ depth\n", ""))
         assert results[3] == (EXIT_SUCCESS, ("x = 1\ny = 2\nz = 3\n", ""))
+
+
+class Sink:
+    """A stream that counts the lines and the writes it is given, and keeps nothing."""
+
+    def __init__(self):
+        self.lines = self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        self.writes += 1
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestTraceOutput:
+    # a traced run holds each line as a record of a few slots, not as its
+    # text, and writes the text a batch at a time
+
+    @staticmethod
+    def peak_per_line(tmp_path, source: str) -> float:
+        """The tracemalloc peak of a traced `tci run`, above the parsed tree, per trace line."""
+        path = write(tmp_path, "p.tc", source)
+        tracemalloc.start()
+        try:
+            tree = parse_program(source)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del tree
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Sink()), redirect_stderr(sink):
+                assert main(["run", path, "--trace"]) == EXIT_SUCCESS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - size) / sink.lines
+
+    def test_peak_per_line_of_a_chain(self, tmp_path):
+        # 425 B a line when every line was held as text and then joined
+        source = "main " + "; ".join(["v0 = 0", *(f"v{(i + 1) % 4} = v{i % 4} + 1" for i in range(4_999))])
+        assert self.peak_per_line(tmp_path, source) <= 340
+
+    def test_peak_per_line_of_a_tail_recursion(self, tmp_path):
+        # every level's lines of rule 4 and 11 wait for the last step's
+        # result; 311 B a line when every line was held as text
+        source = "sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum(3000, 0)"
+        assert self.peak_per_line(tmp_path, source) <= 220
+
+    @pytest.mark.parametrize("count", [1, TRACE_BATCH, 3 * TRACE_BATCH + 1])
+    def test_batches_write_every_line_once(self, count):
+        # the records of the first `count` lines of a traced chain
+        _, _, records = run_main(parse_program("main " + "; ".join(f"x{i} = {i}" for i in range(200))), trace=True)
+        del records[5 * count:]
+        lines = trace_lines(records)
+        assert len(lines) == count
+        text, sink = io.StringIO(), Sink()
+        render_trace(list(records), text)
+        render_trace(records, sink)
+        assert text.getvalue() == "\n".join(lines) + "\n"
+        assert records == [] and sink.lines == count and sink.writes == -(-count // TRACE_BATCH)
 
 
 class TestImports:

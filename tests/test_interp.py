@@ -19,7 +19,7 @@ from tci.failure import (
     Failure,
     throw,
 )
-from tci.interp import Budget, Evaluator, Success, eval_goal, run_main
+from tci.interp import Budget, Evaluator, Success, eval_goal, run_main, trace_lines
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
@@ -283,8 +283,8 @@ class TestFrames:
 
     def test_trace_prefixes_each_body_with_its_frame(self):
         program = parse_program('show(s, k) = print(s)\nid(n) = ret = n\nmain x = id(2); show("a", x)')
-        _, _, lines = run_main(program, trace=True)
-        assert lines == [
+        _, _, records = run_main(program, trace=True)
+        assert trace_lines(records) == [
             '[rule 6] x = id(2); show("a", x) => success',
             "  [rule 5] x = id(2) => success",
             "    [rule call-expr] id(2) => success",
@@ -329,10 +329,10 @@ class TestTraceText:
             "g(k) = ret = k\n"
             "main x = 1; g(1); y = g(1) + fib(2); x = 1"
         )
-        out, store, lines = run_main(program, trace=True)
+        out, store, records = run_main(program, trace=True)
         assert isinstance(out, Success) and store.bindings["y"] == 2
         body = "(n < 2; ret = n) else ret = fib(n - 1) + fib(n - 2)"
-        assert lines == [
+        assert trace_lines(records) == [
             "[rule 6] x = 1; g(1); y = g(1) + fib(2); x = 1 => success",
             "  [rule 5] x = 1 => success",
             "  [rule 6] g(1); y = g(1) + fib(2); x = 1 => success",
@@ -365,28 +365,27 @@ class TestTraceText:
         # cut to the trace width; a deferred tail step's line is finished
         # with the result of its last child
         original = Evaluator._close_line
-        closed = []
-        deferred = {}  # line index -> the line as written, up to its result
+        closed = []  # (line index, node, rule, head, level, result) as each line closes
 
-        def checking(self, at, rule, head, node, result):
+        def noting(self, at, rule, head, node, result):
             original(self, at, rule, head, node, result)
-            text = capped(recursive_pretty(node))
-            assert self.trace[at] == f"{'  ' * (self._depth - 1)}[rule {rule}] {head}{text} => {result}"
-            closed.append(at)
-            if not result:
-                deferred[at] = self.trace[at]
+            closed.append((at // 5, node, rule, head, self._depth - 1, result))
 
-        monkeypatch.setattr(Evaluator, "_close_line", checking)
+        monkeypatch.setattr(Evaluator, "_close_line", noting)
         for seed in range(300):
             program, sv, inp = gen_program(seed, 8)
             ev = Evaluator(program, Store(inp, dict(sv.bindings)), Budget(5000), trace=True)
             ev.run(program.main)
-            assert sorted(closed) == list(range(len(ev.trace)))
-            for at, written in deferred.items():
-                tail = ev.trace[last_child(ev.trace, at)]
-                assert ev.trace[at] == written + tail[tail.rindex(" => ") + 4:]
+            lines = trace_lines(ev.trace)
+            assert sorted(at for at, *_ in closed) == list(range(len(lines)))
+            for at, node, rule, head, level, result in closed:
+                written = f"{'  ' * level}[rule {rule}] {head}{capped(recursive_pretty(node))} => "
+                if result:
+                    assert lines[at] == written + result
+                else:
+                    tail = lines[last_child(lines, at)]
+                    assert lines[at] == written + tail[tail.rindex(" => ") + 4:]
             closed.clear()
-            deferred.clear()
 
     def test_long_goal_texts_are_cut(self, tmp_path, capsys):
         # a 4,000-statement chain: without the cut its trace would hold
@@ -484,7 +483,7 @@ class TestRuleIds:
             budget = Budget(steps) if steps is not None else None
             ev = Evaluator(program, Store(), budget, trace=True)
             ev.run(program.main)
-            assert line in ev.trace, (goal, ev.trace)
+            assert line in trace_lines(ev.trace), (goal, trace_lines(ev.trace))
 
 
 class TestBudget:
@@ -663,8 +662,8 @@ class TestStackExhaustion:
         assert store.snapshot() == ({}, 0, ())
 
     def test_trace_is_one_fail_line(self, default_recursion_limit):
-        _, _, lines = run_main(parse_program(NON_TAIL), trace=True)
-        assert lines == ["[rule fail] p(3000) => failure(/F/sys/depth)"]
+        _, _, records = run_main(parse_program(NON_TAIL), trace=True)
+        assert trace_lines(records) == ["[rule fail] p(3000) => failure(/F/sys/depth)"]
 
     def test_eval_goal_keeps_an_outer_checkpoint_open(self, default_recursion_limit):
         # the caller's mark still undoes the caller's edits after a failure from the host stack
@@ -723,7 +722,7 @@ class TestCatchPoints:
         ev = Evaluator(program, store, trace=True)
         out = ev.run(program.main)
         assert isinstance(out, Success)
-        return store.checkpoints, ev.trace
+        return store.checkpoints, trace_lines(ev.trace)
 
     def test_seq_chain_opens_only_the_root(self):
         assert self.checkpoints("main x = 1; y = 2; z = 3")[0] == 1
@@ -941,7 +940,7 @@ class TestTailPositions:
         def recording(self, at, rule, head, node, result):
             original(self, at, rule, head, node, result)
             if not result:
-                deferred.append(at)
+                deferred.append(at // 5)
 
         monkeypatch.setattr(Evaluator, "_close_line", recording)
         program = parse_program(TAIL_POSITIONS)
@@ -958,13 +957,13 @@ class TestTailPositions:
             out, ev, _ = self.traced(monkeypatch, max_steps)
             result = "success" if isinstance(out, Success) else ", ".join(sorted(out.paths))
             texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
-            texts.extend(line + "\n" for line in ev.trace)
+            texts.extend(line + "\n" for line in trace_lines(ev.trace))
         assert "".join(texts) == (golden_dir / "tail_positions.trace").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("max_steps", BUDGETS)
     def test_deferred_lines(self, monkeypatch, max_steps):
         out, ev, deferred = self.traced(monkeypatch, max_steps)
-        lines = ev.trace
+        lines = trace_lines(ev.trace)
         rules = {line.split("] ", 1)[0].lstrip() for line in map(lines.__getitem__, deferred)}
         assert rules == {"[rule 6", "[rule 11", "[rule case", "[rule 4"}
         exhausted = False
@@ -1006,6 +1005,29 @@ class TestUnionChains:
     # with one that runs out at a chain's last operand (17).
     BUDGETS = (None, 2, 9, 15, 17, 22, 100, 118)
 
+    def test_a_propagated_failure_is_not_copied(self, monkeypatch):
+        # each level's first operand fails with the failure from below, and
+        # its second with /F/sys/test, which that failure holds already:
+        # the chain hands the first operand's Failure on, so a failure is
+        # built only where `w()`'s paths meet the first /F/sys/test
+        built = []
+
+        class Counted(Failure):
+            __slots__ = ()
+
+            def __init__(self, paths):
+                built.append(len(paths))
+                super().__init__(paths)
+
+        monkeypatch.setattr(interp, "Failure", Counted)
+        w = " | ".join(f"f(a{i})" for i in range(50))
+        for n in (100, 200):
+            program = parse_program(f"w() = {w}\np(n) = (n > 0; p(n - 1); t) | (n == 0; w())\nmain p({n})")
+            out, _, _ = run_main(program)
+            assert out.paths == {SYS_TEST, *(f"/F/usr/a{i}" for i in range(50))}
+            assert built == [50, 51]
+            built.clear()
+
     def test_trace_text_is_unchanged(self, golden_dir):
         # pinned from the evaluator before a chain ran in one loop, when
         # each spine union ran its second operand one host frame deeper
@@ -1016,6 +1038,6 @@ class TestUnionChains:
             out = ev.run(program.main)
             result = "success" if isinstance(out, Success) else ", ".join(sorted(out.paths))
             texts.append(f"== budget {max_steps}: {result} in {ev.budget.used} steps\n")
-            texts.extend(line + "\n" for line in ev.trace)
+            texts.extend(line + "\n" for line in trace_lines(ev.trace))
             assert ev._depth == 0
         assert "".join(texts) == (golden_dir / "union_chain.trace").read_text(encoding="utf-8")

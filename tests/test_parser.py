@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tci.failure import ROOT
-from tci.interp import Evaluator
+from tci.interp import Evaluator, trace_lines
 from tci.oracle import gen_program
 from tci.parser import (
     KEYWORDS,
@@ -354,7 +354,7 @@ class TestSharedLeaves:
         for g in (shared, unshared):
             evaluator = Evaluator(Program({}, g), Store((), {"a": 3}), trace=True)
             evaluator.run(g)
-            traces.append(evaluator.trace)
+            traces.append(trace_lines(evaluator.trace))
         assert traces[0] == traces[1] and len(traces[0]) == 3
 
 

@@ -72,6 +72,7 @@ SHAPES = {
     "union": (4_000, union, False),
     "union-traced": (4_000, union, True),
     "chain-traced": (8_000, lambda n: chain(n, 4), True),
+    "sum-traced": (10_000, lambda n: f"sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum({n}, 0)", True),
     "deep-path": (20_000, lambda n: "main f(" + "/".join(["a"] * n) + ")", False),
 }
 
