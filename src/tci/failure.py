@@ -11,7 +11,7 @@ or below it, segment by segment, so /F/usr catches /F/usr/EOF but not
 
 from __future__ import annotations
 
-from .record import Record, set_field
+from .record import Record, field_setters
 
 ROOT = "/F"
 
@@ -38,7 +38,10 @@ class Failure(Record):
         paths = frozenset(paths)
         if not paths:
             raise ValueError("a failure carries at least one path")
-        set_field(self, "paths", paths)
+        _set_failure_paths(self, paths)
+
+
+(_set_failure_paths,) = field_setters(Failure)
 
 
 def throw(path: str) -> Failure:

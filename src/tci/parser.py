@@ -31,9 +31,9 @@ Lexical classes are ASCII: an INT is `[0-9]+`, unsigned, an IDENT is
 line, and whitespace is space, tab, carriage return and newline.  Any
 other character is a lexical error.
 
-`tokenize` keeps the tokens as two parallel lists, texts and kinds, with
-no object per token.  It reads the source a chunk of a few KB at a time,
-each ending just after a newline, so that no token straddles two
+`tokenize` keeps the tokens as a list of texts and a string of kinds,
+with no object per token.  It reads the source a chunk of a few KB at a
+time, each ending just after a newline, so that no token straddles two
 chunks: one `findall` per chunk gives its texts; the whitespace before a
 token is one character-class run, and comments are entered only at a
 `//`.  Equal texts then share one string, through a table local to the
@@ -41,20 +41,31 @@ call, for the life of the parse: a name or number used a thousand times
 is held once, and every `Assign`, `Call`, `Def`, `Param` or `Var` name
 taken from it is that one string.  A chunk's texts go through the table
 before the next chunk is read, so the unshared strings of only one chunk
-exist at a time.  The kinds are learned per call, in a table seeded with
-the keywords and punctuation: a new identifier, number or string gets
-its first character's kind once, and every later occurrence costs one
-lookup, so no Python code runs per repeated token.  The whole source is
-tokenized before parsing starts, so a lexical error comes first.
+exist at a time.  A token's kind is one ASCII character (`KIND_CHARS`):
+punctuation, `t`, `f` and `_` are their own character, and each other
+kind (ident, int, str, eof, bad, the other keywords and the two-character
+operators) has one of its own.  So the kinds of a source are one `str`
+of a byte a token, where a list would take a pointer.  They are learned
+per call, as code points, in a table seeded with the keywords and
+punctuation: a new identifier, number or string gets its first
+character's kind once, and every later occurrence costs one lookup, so
+no Python code runs per repeated token.  The whole source is tokenized
+before parsing starts, so a lexical error comes first.
 
 The parser releases the tokens it has read: each time it pushes `;`,
-`|` or `else` with more than half of the lists read, it deletes the read
-front of both, and `Tokens.base` counts the tokens deleted.  Each
-release halves the lists at least, so the deletes take linear time in
-all, and a parse holds its tree plus at most twice the tokens it has not
-read yet.  A token's start offset is found only when an error needs its
-`line:col` span, by matching the whole source again, so the span of
-token `base + i` does not depend on what was released.
+`|` or `else` with more than half of the tokens read, it deletes the
+read front of the texts, replaces the kinds by a copy of their unread
+rest, and `Tokens.base` counts the tokens released.  Each release halves
+the tokens at least, so the releases take linear time in all, and a
+parse holds its tree plus at most twice the tokens it has not read yet.
+At 9 bytes a token (a text pointer and a kind), that is less than the
+part of the tree still to be built, so a parse peaks at its end, at the
+tree and the leaf table: with a list slot a kind, it peaked at the
+first release, where half the tree is built while both lists, which
+CPython shrinks only once they are less than half full, are still
+allocated in full.  A token's start offset is found only when an error
+needs its `line:col` span, by matching the whole source again, so the
+span of token `base + i` does not depend on what was released.
 
 One parse builds one `Var` or `IntLit` node per distinct name or
 unsigned literal text and shares it wherever that text occurs
@@ -91,7 +102,7 @@ import re
 from functools import cached_property
 
 from .failure import user_path
-from .record import Record, set_field
+from .record import Record, field_setters
 from .syntax import (
     Assign,
     Binary,
@@ -124,24 +135,28 @@ class SourceSpan(Record):
     __slots__ = ("line", "column", "length")
 
     def __init__(self, line: int, column: int, length: int):
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-        set_field(self, "length", length)
+        _set_span_line(self, line)
+        _set_span_column(self, column)
+        _set_span_length(self, length)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-class Tokens:
-    """The tokens of one source as parallel lists of kinds and texts.
+_set_span_line, _set_span_column, _set_span_length = field_setters(SourceSpan)
 
-    A parse deletes the tokens it has read from the front of both lists;
-    `base` counts them, so list index `i` is token `base + i` of the
-    source.  Start offsets are built on first use, for an error's span:
-    the parser itself reads only kinds and texts.
+
+class Tokens:
+    """The tokens of one source: their kinds as one string, a character a
+    token (`KIND_CHARS`), and their texts as a list.
+
+    A parse releases the tokens it has read from the front of both; `base`
+    counts them, so index `i` is token `base + i` of the source.  Start
+    offsets are built on first use, for an error's span: the parser itself
+    reads only kinds and texts.
     """
 
-    def __init__(self, source: str, kinds: list[str], texts: list[str]):
+    def __init__(self, source: str, kinds: str, texts: list[str]):
         self.source = source
         self.kinds = kinds
         self.texts = texts
@@ -213,14 +228,27 @@ _TOKEN = re.compile(
     r"|.)"
 )
 
-# A token's kind is its text's entry here, if it has one, or else its first
-# character's entry; any other character is a lexical error.
-_KINDS_BY_TEXT = {**{text: text for text in (*KEYWORDS, "_", *_PUNCTUATION)}, '"': "bad"}
+# The kind of each token as one ASCII character, so that a source's kinds are
+# one `str` of a byte a token: punctuation, `t`, `f` and `_` are their own
+# character, and each other kind has a letter or sign of its own.
+KIND_CHARS = {
+    "ident": "i", "int": "0", "str": '"', "eof": "$", "bad": "?",
+    "else": "e", "case": "c", "of": "o", "main": "m", "Failtree": "F",
+    "==": "E", "!=": "N", "<=": "L", ">=": "G",
+    **{text: text for text in ("t", "f", "_", *"=<>+-*/;|:,(){}")},
+}
+KIND_NAMES = {char: name for name, char in KIND_CHARS.items()}
+
+# A token's kind, as the code point of its character, is its text's entry
+# here, if it has one, or else its first character's entry; any other
+# character is a lexical error.
+_BAD = ord(KIND_CHARS["bad"])
+_KINDS_BY_TEXT = {**{text: ord(KIND_CHARS[text]) for text in (*KEYWORDS, "_", *_PUNCTUATION)}, '"': _BAD}
 _KINDS_BY_FIRST_CHAR = {
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
-    **dict.fromkeys("0123456789", "int"),
-    '"': "str",
-    "": "eof",
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", ord(KIND_CHARS["ident"])),
+    **dict.fromkeys("0123456789", ord(KIND_CHARS["int"])),
+    '"': ord(KIND_CHARS["str"]),
+    "": ord(KIND_CHARS["eof"]),
 }
 
 
@@ -229,13 +257,13 @@ class _Kinds(dict):
     not yet seen gets its first character's kind, so a repeated name costs
     one lookup."""
 
-    def __missing__(self, text: str) -> str:
-        kind = self[text] = _KINDS_BY_FIRST_CHAR.get(text[:1], "bad")
+    def __missing__(self, text: str) -> int:
+        kind = self[text] = _KINDS_BY_FIRST_CHAR.get(text[:1], _BAD)
         return kind
 
 
 def tokenize(source: str) -> Tokens:
-    """The tokens of `source`, the last of kind "eof"; a bad character raises `LexError`.
+    """The tokens of `source`, the last of kind eof; a bad character raises `LexError`.
 
     Equal texts are one string object, the first found, for as long as the
     tokens or the tree parsed from them live; no table outlives the call.
@@ -258,10 +286,11 @@ def tokenize(source: str) -> Tokens:
         # empty, at the very end
         del texts[-1]
     kind_of = _Kinds(_KINDS_BY_TEXT)
-    kinds = list(map(kind_of.__getitem__, texts))
+    # a byte a token from the start: a list or a join would first hold a pointer a token
+    kinds = bytes(map(kind_of.__getitem__, texts)).decode("ascii")
     tokens = Tokens(source, kinds, texts)
-    if "bad" in map(kind_of.__getitem__, seen):  # one test per distinct text
-        i = kinds.index("bad")
+    if _BAD in map(kind_of.__getitem__, seen):  # one test per distinct text
+        i = kinds.index(KIND_CHARS["bad"])
         if texts[i] != '"':
             raise LexError(tokens.span(i), f"unrecognized character {texts[i]!r}")
         # the string runs to the end of its line
@@ -303,10 +332,10 @@ def decimal_int(text: str) -> int:
 
 # tokens that can begin an atomic goal; a `;` not followed by one of these
 # separates case arms instead of sequencing
-_ATOM_STARTS = frozenset({"t", "f", "case", "ident", "int", "str", "(", "-"})
+_ATOM_STARTS = frozenset(map(KIND_CHARS.get, ("t", "f", "case", "ident", "int", "str", "(", "-")))
 
 # tokens that can be a segment of a failure path
-_NAMES = frozenset({"ident", "_", *KEYWORDS})
+_NAMES = frozenset(map(KIND_CHARS.get, ("ident", "_", *KEYWORDS)))
 
 # Operators by token, as (threshold, precedence, node or operator text),
 # loosest to tightest: `else` < `|` < `;` < prefix `IDENT =` (4) <
@@ -317,10 +346,10 @@ _NAMES = frozenset({"ident", "_", *KEYWORDS})
 # that an `=` or a test before it is reduced to the goal it cannot follow.
 # Any other token ends the innermost context (threshold 0).
 _OPS = {
-    "else": (1, 1, Else),
+    KIND_CHARS["else"]: (1, 1, Else),
     "|": (2, 2, Union),
     ";": (3, 3, Seq),
-    **{op: (3, 5, op) for op in RELOPS},
+    **{KIND_CHARS[op]: (3, 5, op) for op in RELOPS},
     **{op: (4 + prec, 5 + prec, op) for op, prec in PRECEDENCE.items()},
 }
 _END = (0, 0, None)
@@ -347,8 +376,6 @@ class _Parser:
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.kinds = tokens.kinds
-        self.texts = tokens.texts
         self.i = 0
         self.leaves = _Leaves()
 
@@ -361,20 +388,21 @@ class _Parser:
         return ParseError(self.span(i), f"expected {what}")
 
     def expect(self, kind: str, what: str | None = None) -> str:
-        """The current token's text, stepping past it, if it is of `kind`."""
-        i = self.i
-        if self.kinds[i] != kind:
+        """The current token's text, stepping past it, if it is of the kind named `kind`."""
+        i, tokens = self.i, self.tokens
+        if tokens.kinds[i] != KIND_CHARS[kind]:
             raise self.error(i, what or f"'{kind}'")
         self.i = i + 1
-        return self.texts[i]
+        return tokens.texts[i]
 
     # -- program -----------------------------------------------------------
 
     def program(self) -> Program:
-        kinds, tokens = self.kinds, self.tokens
+        tokens = self.tokens
         defs: dict[tuple[str, int], Def] = {}
-        while kinds[self.i] != "main":
-            if kinds[self.i] == "eof":
+        # `tokens.kinds` read afresh: a release replaces the string
+        while tokens.kinds[self.i] != "m":  # main
+            if tokens.kinds[self.i] == "$":  # eof
                 raise MissingMain(self.span(self.i))
             name_at = tokens.base + self.i  # absolute: the body's parse may release the name's token
             d = self.definition(name_at)
@@ -390,9 +418,9 @@ class _Parser:
         name = self.expect("ident", "a procedure definition or 'main'")
         self.expect("(")
         params: list[str] = []
-        if self.kinds[self.i] != ")":
+        if self.tokens.kinds[self.i] != ")":
             params.append(self.expect("ident", "a parameter name"))
-            while self.kinds[self.i] == ",":
+            while self.tokens.kinds[self.i] == ",":
                 self.i += 1
                 params.append(self.expect("ident", "a parameter name"))
         self.expect(")")
@@ -438,14 +466,15 @@ class _Parser:
         the wrong kind points at the first token of the innermost operand
         of a goal operator, context or argument, `start`.
         """
-        kinds, texts, leaves, tokens = self.kinds, self.texts, self.leaves, self.tokens
+        tokens, leaves = self.tokens, self.leaves
+        kinds, texts = tokens.kinds, tokens.texts
         stack: list = [None, "goal", 0]
         i = start = self.i
         half = len(kinds) // 2
         while True:
             # an operand, or a prefix or context that opens before one
             kind = kinds[i]
-            if kind == "ident":
+            if kind == "i":  # ident
                 if kinds[i + 1] == "(":
                     name = texts[i]
                     if kinds[i + 2] == ")":
@@ -467,17 +496,17 @@ class _Parser:
                 else:
                     x = leaves[texts[i]]
                     i += 1
-            elif kind == "int":
+            elif kind == "0":  # int
                 x = leaves[texts[i]]
                 i += 1
             elif kind == "(":
                 stack += None, "(", 0
                 i = start = i + 1
                 continue
-            elif kind == "str":
+            elif kind == '"':  # str
                 x = StrLit(texts[i][1:-1])
                 i += 1
-            elif kind == "-" and kinds[i + 1] == "int":
+            elif kind == "-" and kinds[i + 1] == "0":  # a negative int
                 x = IntLit(-decimal_int(texts[i + 1]))
                 i += 2
             elif kind == "t" and 0 <= stack[-1] < 4:
@@ -492,7 +521,7 @@ class _Parser:
                 else:
                     x = Fail()
                     i += 1
-            elif kind == "case" and 0 <= stack[-1] < 4:
+            elif kind == "c" and 0 <= stack[-1] < 4:  # case
                 self.i = i + 1
                 self.expect("Failtree")
                 self.expect("of")
@@ -533,8 +562,10 @@ class _Parser:
                             x = self.statement(x, start)
                         if i > half:
                             # release the tokens read: each release deletes at
-                            # least half the lists, so all of them take linear time
-                            del kinds[:i], texts[:i]
+                            # least half the tokens, so all of them take linear
+                            # time; the kinds left are copied to a new string
+                            del texts[:i]
+                            kinds = tokens.kinds = kinds[i:]
                             tokens.base += i
                             i = 0
                             half = len(kinds) // 2
@@ -598,7 +629,7 @@ class _Parser:
 
     def case_arm(self) -> str:
         """An arm's path, which starts with `/`, stepping past it and its `:`."""
-        if self.kinds[self.i] != "/":
+        if self.tokens.kinds[self.i] != "/":
             raise self.error(self.i, "a failure path")
         path = self.fail_path("a failure path")
         self.expect(":")
@@ -606,7 +637,7 @@ class _Parser:
 
     def fail_path(self, what: str) -> str:
         """`["/"] NAME {"/" NAME}` as a path's text, stepping past it: rooted at /F with the `/`, else under /F/usr."""
-        kinds, texts = self.kinds, self.texts
+        kinds, texts = self.tokens.kinds, self.tokens.texts
         start = i = self.i
         rooted = kinds[i] == "/"
         if rooted:

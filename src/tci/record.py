@@ -3,7 +3,8 @@
 A `Record` behaves like a frozen dataclass without importing `dataclasses`
 (which loads `inspect`, `ast` and more) or generating code for each class
 at import.  A subclass names its fields in `__slots__` and sets each one
-once in its own `__init__` through `set_field`; after that, setting or
+once in its own `__init__` through the setters `field_setters` gives for
+the class, bound to module names after it; after that, setting or
 deleting an attribute raises `AttributeError`.  Equality (same type and
 equal fields), hashing, `repr`, positional `match` patterns, `copy` and
 `pickle` all follow the field order of `__slots__`.
@@ -11,8 +12,12 @@ equal fields), hashing, `repr`, positional `match` patterns, `copy` and
 
 from operator import attrgetter
 
-# How a record's `__init__` sets a field, past `Record.__setattr__`.
-set_field = object.__setattr__
+
+def field_setters(cls: type) -> tuple:
+    """How a record class's `__init__` sets each field, past `Record.__setattr__`:
+    the `__set__` of each slot's member descriptor, in `__slots__` order,
+    called as `set(record, value)`."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 def _values_getter(names: tuple[str, ...]):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .failure import ROOT
-from .record import Record, set_field
+from .record import Record, field_setters
 
 RELOPS = ("==", "!=", "<", "<=", ">", ">=")
 # arithmetic operators, all left-associative, by precedence (tightest highest)
@@ -52,21 +52,30 @@ class IntLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        set_field(self, "value", value)
+        _set_int_lit_value(self, value)
+
+
+(_set_int_lit_value,) = field_setters(IntLit)
 
 
 class StrLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        set_field(self, "value", value)
+        _set_str_lit_value(self, value)
+
+
+(_set_str_lit_value,) = field_setters(StrLit)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        set_field(self, "name", name)
+        _set_var_name(self, name)
+
+
+(_set_var_name,) = field_setters(Var)
 
 
 class Param(Expr):
@@ -75,25 +84,34 @@ class Param(Expr):
     __slots__ = ("name", "index")
 
     def __init__(self, name: str, index: int):
-        set_field(self, "name", name)
-        set_field(self, "index", index)
+        _set_param_name(self, name)
+        _set_param_index(self, index)
+
+
+_set_param_name, _set_param_index = field_setters(Param)
 
 
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
+        _set_binary_op(self, op)
+        _set_binary_left(self, left)
+        _set_binary_right(self, right)
+
+
+_set_binary_op, _set_binary_left, _set_binary_right = field_setters(Binary)
 
 
 class CallExpr(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple[Expr, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "args", tuple(args))
+        _set_call_expr_name(self, name)
+        _set_call_expr_args(self, tuple(args))
+
+
+_set_call_expr_name, _set_call_expr_args = field_setters(CallExpr)
 
 
 class Read(Expr):
@@ -114,32 +132,44 @@ class Fail(Goal):
     __slots__ = ("path",)
 
     def __init__(self, path: str = ROOT):
-        set_field(self, "path", path)
+        _set_fail_path(self, path)
+
+
+(_set_fail_path,) = field_setters(Fail)
 
 
 class Assign(Goal):
     __slots__ = ("var", "expr")
 
     def __init__(self, var: str, expr: Expr):
-        set_field(self, "var", var)
-        set_field(self, "expr", expr)
+        _set_assign_var(self, var)
+        _set_assign_expr(self, expr)
+
+
+_set_assign_var, _set_assign_expr = field_setters(Assign)
 
 
 class Test(Goal):
     __slots__ = ("left", "relop", "right")
 
     def __init__(self, left: Expr, relop: str, right: Expr):
-        set_field(self, "left", left)
-        set_field(self, "relop", relop)
-        set_field(self, "right", right)
+        _set_test_left(self, left)
+        _set_test_relop(self, relop)
+        _set_test_right(self, right)
+
+
+_set_test_left, _set_test_relop, _set_test_right = field_setters(Test)
 
 
 class Seq(Goal):
     __slots__ = ("first", "second")
 
     def __init__(self, first: Goal, second: Goal):
-        set_field(self, "first", first)
-        set_field(self, "second", second)
+        _set_seq_first(self, first)
+        _set_seq_second(self, second)
+
+
+_set_seq_first, _set_seq_second = field_setters(Seq)
 
 
 class Union(Goal):
@@ -148,8 +178,11 @@ class Union(Goal):
     __slots__ = ("first", "second")
 
     def __init__(self, first: Goal, second: Goal):
-        set_field(self, "first", first)
-        set_field(self, "second", second)
+        _set_union_first(self, first)
+        _set_union_second(self, second)
+
+
+_set_union_first, _set_union_second = field_setters(Union)
 
 
 class Else(Goal):
@@ -158,8 +191,11 @@ class Else(Goal):
     __slots__ = ("tried", "handler")
 
     def __init__(self, tried: Goal, handler: Goal):
-        set_field(self, "tried", tried)
-        set_field(self, "handler", handler)
+        _set_else_tried(self, tried)
+        _set_else_handler(self, handler)
+
+
+_set_else_tried, _set_else_handler = field_setters(Else)
 
 
 class Case(Goal):
@@ -171,16 +207,22 @@ class Case(Goal):
         arms = tuple((p, g) for p, g in arms)
         if not arms:
             raise ValueError("a case goal needs at least one arm")
-        set_field(self, "arms", arms)
-        set_field(self, "default", default)
+        _set_case_arms(self, arms)
+        _set_case_default(self, default)
+
+
+_set_case_arms, _set_case_default = field_setters(Case)
 
 
 class Call(Goal):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple[Expr, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "args", tuple(args))
+        _set_call_name(self, name)
+        _set_call_args(self, tuple(args))
+
+
+_set_call_name, _set_call_args = field_setters(Call)
 
 
 TRUE = TrueGoal()
@@ -200,17 +242,23 @@ class Def(Record):
     __slots__ = ("name", "params", "body")
 
     def __init__(self, name: str, params: tuple[str, ...], body: Goal):
-        set_field(self, "name", name)
-        set_field(self, "params", tuple(params))
-        set_field(self, "body", body)
+        _set_def_name(self, name)
+        _set_def_params(self, tuple(params))
+        _set_def_body(self, body)
+
+
+_set_def_name, _set_def_params, _set_def_body = field_setters(Def)
 
 
 class Program(Record):
     __slots__ = ("defs", "main")
 
     def __init__(self, defs: dict[tuple[str, int], Def], main: Goal):
-        set_field(self, "defs", defs)
-        set_field(self, "main", main)
+        _set_program_defs(self, defs)
+        _set_program_main(self, main)
+
+
+_set_program_defs, _set_program_main = field_setters(Program)
 
 
 def _children(node: Goal | Expr) -> tuple[Goal | Expr, ...]:

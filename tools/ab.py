@@ -3,6 +3,7 @@
     python3 tools/ab.py OTHER_CHECKOUT --workload parse --seed 1 --rounds 3
     python3 tools/ab.py OTHER_CHECKOUT --workload all --seed 4242
     python3 tools/ab.py . --workload all --seed 4242     # A/A: this checkout against itself
+    python3 tools/ab.py OTHER_CHECKOUT --workload all --seed 1 --rounds 5 --processes 8
 
 Whole-process bench runs of one tree spread widely from run to run on
 a shared host, so two trees are compared here in pairs of calls
@@ -32,6 +33,15 @@ An A/A reading, a checkout against itself, shows how far identical code
 reads from 1 on the host at hand: at 5 rounds the same tree has read a
 median of up to 1.008.  Report one, at the same seed and rounds, beside
 every A/B ratio; a ratio within the A/A spread is no difference.
+
+One process's median also moves from one process to the next (the same
+tree has read 0.978-1.016 at 5 rounds), so `--processes K` runs this
+tool K times against OTHER and K times against this checkout (A/A),
+alternating, each in a fresh process with the same workload, seed and
+rounds.  For each workload it prints the median of the K per-process
+median ratios, with their minimum and maximum, for A/B and for A/A.
+It stops, with exit code 1, at the first process that fails or reports
+a wrong call.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import gc
 import importlib.util
 import io
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -135,16 +146,66 @@ def compare(mains: dict, trees: dict, workload: str, seed: int, rounds: int) -> 
     return wrong
 
 
+# This tool's output: a workload's header, its ratio line and its peak line.
+_HEADER = re.compile(r"^(\w+) seed \d+: (\d+) pairs, (\d+) wrong calls$")
+_RATIO = re.compile(r"ratio this/other: median ([\d.]+) \(p25-p75 ([\d.]+)-([\d.]+)\); this won (\d+)% of pairs")
+_PEAK = re.compile(r"peak_mb this ([\d.]+), other ([\d.]+)")
+
+
+def fresh_reading(other: Path, workload: str, seed: int, rounds: int) -> dict[str, dict]:
+    """This tool against `other` in a fresh process, parsed: per workload, its ratio and peaks.
+
+    Exits when the process fails or reports a wrong call.
+    """
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), str(other), "--workload", workload, "--seed", str(seed),
+         "--rounds", str(rounds)],
+        cwd=ROOT, env=NO_BYTECODE, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        sys.exit(f"ab: tools/ab.py {other} --workload {workload} at seed {seed} failed:\n{done.stderr}")
+    found: dict[str, dict] = {}
+    for line in done.stdout.splitlines():
+        if m := _HEADER.match(line):
+            reading = found.setdefault(m[1], {"pairs": int(m[2])})
+        elif m := _RATIO.search(line):
+            reading.update(median=float(m[1]), p25=float(m[2]), p75=float(m[3]), won=int(m[4]) / 100)
+        elif m := _PEAK.search(line):
+            reading["peak_mb"] = {"this": float(m[1]), "other": float(m[2])}
+    return found
+
+
+def across_processes(other: Path, workload: str, seed: int, rounds: int, processes: int) -> None:
+    """Print, per workload, the median (min-max) of `processes` fresh A/B and A/A readings' median ratios."""
+    medians: dict[str, dict[str, list[float]]] = {"A/B": {}, "A/A": {}}
+    for _ in range(processes):
+        for label, tree in (("A/B", other), ("A/A", ROOT)):
+            for name, reading in fresh_reading(tree, workload, seed, rounds).items():
+                medians[label].setdefault(name, []).append(reading["median"])
+
+    def summary(values: list[float]) -> str:
+        return f"{statistics.median(values):.3f} ({min(values):.3f}-{max(values):.3f})"
+
+    print(f"seed {seed}, {rounds} rounds: median (min-max) of {processes} per-process median ratios this/other")
+    for name, ab_medians in medians["A/B"].items():
+        print(f"  {name:8} A/B {summary(ab_medians)}  A/A {summary(medians['A/A'][name])}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", type=Path, help="the checkout to compare against")
     ap.add_argument("--workload", choices=(*workloads.WORKLOADS, "all"), default="parse")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--processes", type=int, default=0, metavar="K",
+                    help="run K fresh A/B and K fresh A/A processes, alternating, and summarize their medians")
     args = ap.parse_args(argv)
 
     trees = {"this": ROOT, "other": args.other.resolve()}
     refuse_bytecode("ab", *trees.values())
+    if args.processes > 0:
+        across_processes(trees["other"], args.workload, args.seed, args.rounds, args.processes)
+        return 0
     mains = {side: load_cli(tree, f"tci_{side}").main for side, tree in trees.items()}
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
     wrong = sum(compare(mains, trees, name, args.seed, args.rounds) for name in names)

@@ -47,7 +47,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -58,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from ab import NO_BYTECODE, refuse_bytecode  # noqa: E402
+from ab import NO_BYTECODE, fresh_reading, refuse_bytecode  # noqa: E402
 from run import END_TO_END, write_ops  # noqa: E402
 
 SEEDS = (1, 4242)
@@ -110,11 +109,6 @@ for argv in argvs:
 print(json.dumps(counts))
 """
 
-# `tools/ab.py` output: a workload's header, its ratio line and its peak line.
-_AB_HEADER = re.compile(r"^(\w+) seed \d+: (\d+) pairs, (\d+) wrong calls$")
-_AB_RATIO = re.compile(r"ratio this/other: median ([\d.]+) \(p25-p75 ([\d.]+)-([\d.]+)\); this won (\d+)% of pairs")
-_AB_PEAK = re.compile(r"peak_mb this ([\d.]+), other ([\d.]+)")
-
 
 def quartiles(values: list[float]) -> dict[str, float]:
     """Median, 25th and 75th percentile (inclusive method) and their distance."""
@@ -138,26 +132,6 @@ def bench_run(seed: int, seconds: float) -> tuple[dict, dict[str, float]]:
         metrics.update({f"{name}:{m}": v["value"] for m, v in result["metrics"].items()})
         kernel[name] = next(float(line.split()[2]) for line in lines if " bench.kernel_ms " in line)
     return metrics, kernel
-
-
-def ab(other: Path, seed: int, rounds: int) -> dict[str, dict]:
-    """`tools/ab.py OTHER --workload all` at one seed, parsed: per workload, its ratio and peaks."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab.py"), str(other), "--workload", "all", "--seed", str(seed),
-         "--rounds", str(rounds)],
-        cwd=ROOT, env=NO_BYTECODE, capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        sys.exit(f"record: tools/ab.py {other} at seed {seed} failed:\n{done.stderr}")
-    found: dict[str, dict] = {}
-    for line in done.stdout.splitlines():
-        if m := _AB_HEADER.match(line):
-            workload = found.setdefault(m[1], {"pairs": int(m[2])})
-        elif m := _AB_RATIO.search(line):
-            workload.update(median=float(m[1]), p25=float(m[2]), p75=float(m[3]), won=int(m[4]) / 100)
-        elif m := _AB_PEAK.search(line):
-            workload["peak_mb"] = {"this": float(m[1]), "other": float(m[2])}
-    return found
 
 
 def opcodes(tree: Path, argvs: list[list[str]]) -> list[int]:
@@ -217,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         record["ab"] = {
             "against": other.name,
             "rounds": ROUNDS,
-            "seeds": {str(seed): {"this/other": ab(other, seed, ROUNDS), "A/A": ab(ROOT, seed, ROUNDS)}
+            "seeds": {str(seed): {"this/other": fresh_reading(other, "all", seed, ROUNDS),
+                                  "A/A": fresh_reading(ROOT, "all", seed, ROUNDS)}
                       for seed in SEEDS},
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
