@@ -24,49 +24,64 @@ So an n-operand chain opens at most n marks.  A host-stack overflow
 ends a run with every mark its descent opened still open: `run` rolls
 back to its own mark, which ends them all.
 
-An untraced run opens no mark where nothing can be undone (shallow
+A run takes one of two loops, chosen once by `run`: the traced loop
+(`_eval`, with `_expr` for expressions and `_enter` to start a call)
+when it keeps a trace, else the untraced loop (`_run`, with `_value`).
+Both apply the same rules and end with the same outcome, store and
+`Budget.used`.  One step is one iteration of a loop: it spends a unit of
+the budget, picks the goal's rule by testing `type(goal) is ...`, most
+frequent types first, and runs it in the same host frame; expressions
+are dispatched the same way.  A step in a tail position, where nothing
+is left to do after it, replaces the step that reached it and the loop
+goes on.  The tail positions are a `;`'s second operand once the first
+has succeeded, an `else`'s handler after the rollback, the chosen `case`
+arm or default, and the body of a call in goal position, under the
+callee's frame.  So tail recursion runs in constant host stack.  A `|`
+chain's step walks the spine in one loop, each spine union spending its
+step when it is reached, so a chain of any width takes constant host
+stack and is bounded only by the budget.  Outcomes are immutable, so
+they are shared: one Success, and one Failure for each fixed /F/sys path
+the machine throws, built at import; an `else` hands its tried operand's
+Failure on as the ambient failure that `case` reads, and a `case` with
+no matching arm fails with that same object.
+
+The traced loop is the reference: it holds the generic rules only, and
+every step has its trace line.  Every operand that is not in a tail
+position (a `;`'s first, an `else`'s tried operand, each `|` operand,
+arguments, calls in expression position) is run by a nested call of
+`_eval` or `_expr`, one host frame deeper, and a call's arguments by
+`_enter`, which returns the body to run and its trace head.
+
+The untraced loop holds no trace code, and three fast paths.  A leaf
+operand runs in the frame of the step that holds it, and spends its own
+step there: a `;`'s first operand when it is a test or an assignment
+runs as the loop's next step, and the guard of an `else` and the `;`
+around it, and an `f` operand of a `|`, are spent inline by the `else`
+and `|` rules.  Such a fast path is taken only when the budget covers
+every step it spends inline, so `Budget.used` and the step where
+`/F/sys/depth` fires are as the generic rules give them.  The guard and
+`f` paths also open no mark where nothing can be undone (shallow
 backtracking, after Carlsson, ICLP 1989), decided by node types at the
 step.  An `f` operand of a `|` opens none.  Nor does the guard `G` of
 an `else` whose tried operand is `(G; rest)`, when `G` is a test whose
-operands are parameters, variables or literals: the guard is evaluated
-first, and if it fails the handler runs at once, with the guard's own
-failure as the ambient failure; only a guard that holds opens the mark,
-around `rest`.  A guard over leaves reads the store but never writes
-it, and `f` writes nothing, so the marks skipped would have had nothing
-to undo, and outcomes and stores are as the generic rules leave them.
-A test with a call or `read()` in an operand can edit the store (the
-callee's assignments, the input cursor) before it fails, and so can an
-assignment before the test; both keep their mark.
-
-One step is one iteration of the loop in `_eval`: it spends a unit of
-the budget, picks the goal's rule by testing `type(goal) is ...`, most
-frequent types first, and runs it in the same host frame; expressions
-are dispatched the same way by `_expr`.  A step in a tail position,
-where nothing is left to do after it, replaces the step that reached it
-and the loop goes on.  The tail positions are a `;`'s second operand
-once the first has succeeded, an `else`'s handler after the rollback,
-the chosen `case` arm or default, and the body of a call in goal
-position, under the callee's frame.  So tail recursion runs in constant
-host stack.  In an untraced run a leaf operand runs in the frame of the
-step that holds it, and spends its own step there: a `;`'s first
-operand when it is a test or an assignment runs as the loop's next
-step, and the guard and the `;` around it, and an `f` operand of a `|`,
-are spent inline by the `else` and `|` rules.  Such a fast path is
-taken only when the budget covers every step it spends inline, so
-`Budget.used` and the step where `/F/sys/depth` fires are as the
-generic rules give them.  Every other operand (a `;`'s first, an
-`else`'s tried operand, each `|` operand, arguments, calls in
-expression position) is run by a nested call of `_eval` or `_expr`, one
-host frame deeper.  A traced run takes the generic rules everywhere, so
-its trace shows every step in its own line, and it may take more host
-frames than the same run untraced.  A `|` chain's step walks the spine
-in one loop, each spine union spending its step when it is reached, so
-a chain of any width takes constant host stack and is bounded only by
-the budget.  Outcomes are immutable, so they are shared: one Success,
-and one Failure for each fixed /F/sys path the machine throws, built at
-import; an `else` hands its tried operand's Failure on as the ambient
-failure that `case` reads, and a `case` with no matching arm fails with
-that same object.
+operands are parameters, variables or literals: the `else` rule reads
+and compares them itself, and if the guard fails the handler runs at
+once, with the guard's own failure as the ambient failure; only a guard
+that holds opens the mark, around `rest`.  A guard over leaves reads the
+store but never writes it, and `f` writes nothing, so the marks skipped
+would have had nothing to undo, and outcomes and stores are as the
+generic rules leave them.  A test with a call or `read()` in an operand
+can edit the store (the callee's assignments, the input cursor) before
+it fails, and so can an assignment before the test; both keep their
+mark.  `_enter` is inline in the untraced `Call` rule, so a goal-position
+call evaluates its arguments, finds its definition and goes on into the
+body in the same frame, and in `_value`'s `CallExpr` rule, so a call
+nested in an argument takes one host frame, not two.  So an untraced
+non-tail level such as `p(n) = (n == 0; ret = 0) else ret = 1 + p(n -
+1)` takes three host frames (`_run` for the assignment, `_value` for the
+sum and for the call), as it does traced, and each call nested in an
+argument, as in `g(g(...))`, takes one, where a traced run takes two
+(`_expr` and `_enter`).
 
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged with the list of those values as its frame.
@@ -221,8 +236,8 @@ _FAIL_CASE = throw(SYS_CASE)
 class Budget:
     """Step allowance, one unit per goal evaluated; exhaustion fails with /F/sys/depth.
 
-    `Evaluator._eval` spends from `remaining` inline, one test and one
-    decrement per step.
+    Each of `Evaluator`'s loops spends from `remaining` inline, one test
+    and one decrement per step.
     """
 
     def __init__(self, max_steps: int = DEFAULT_MAX_STEPS):
@@ -343,25 +358,25 @@ class Evaluator:
         self._shown_text = ""
 
     def run(self, goal: Goal) -> Outcome:
-        """Evaluate one goal; on failure the store is as `run` found it."""
-        store = self.store
-        entry_lines = len(self.trace) if self.trace is not None else 0
-        if self.trace is not None:
+        """Evaluate one goal, by the traced loop or the untraced one; on failure the store is as `run` found it."""
+        store, trace = self.store, self.trace
+        if trace is not None:
+            entry_lines = len(trace)
             # Every node this run prints is alive until it returns (the
             # program and `goal`), so no id in the table is reused.
             self._spans = {}
             pretty_print(goal, self._spans)
         mark = store.checkpoint()
         try:
-            out = self._eval(goal, None, ())
+            out = self._run(goal, None, ()) if trace is None else self._eval(goal, None, ())
         except RecursionError:
             # The object program out-recursed the host stack before the step
             # budget fired; report it as the same depth failure, after undoing
             # every edit the aborted descent made, whatever marks it left open.
             store.rollback(mark)
             out = _FAIL_DEPTH
-            if self.trace is not None:
-                del self.trace[entry_lines:]
+            if trace is not None:
+                del trace[entry_lines:]
                 self._depth = 0
                 self._close_line(self._open_line(), "fail", "", goal, self._result(out))
                 self._depth = 0
@@ -373,6 +388,266 @@ class Evaluator:
         else:
             store.rollback(mark)
         return out
+
+    # -- the untraced loop ---------------------------------------------------
+
+    def _run(self, g: Goal, ambient: Failure | None, frame: Frame) -> Outcome:
+        """Untraced steps from `g` on: `_eval`'s rules, with the fast paths and `_enter` inline.
+
+        `g`, `ambient` and `frame` are as in `_eval`; a step in a tail
+        position replaces them and loops.  The `is` chain tests the most
+        frequent goal types first: a test comes after an `else` here,
+        since the guards run inline.
+        """
+        budget = self.budget
+        store = self.store
+        defs = self.program.defs
+        then = None  # the `;`'s second operand, while its leaf first operand runs
+        while True:
+            if budget.remaining <= 0:
+                return _FAIL_DEPTH
+            budget.remaining -= 1
+            t = type(g)
+            if t is Seq:
+                first = g.first
+                if type(first) is Assign or type(first) is Test:
+                    # the leaf runs as this loop's next step, and `then` holds the rest
+                    g, then = first, g.second
+                    continue
+                out = self._run(first, ambient, frame)
+                if out is _SUCCESS:
+                    g = g.second
+                    continue
+            elif t is Assign:
+                try:
+                    value = self._value(g.expr, ambient, frame)
+                except _EvalFailure as fail:
+                    out = fail.out
+                else:
+                    store.bind(g.var, value)
+                    out = _SUCCESS
+            elif t is Call:
+                # `_enter`, inline: the body goes on in this frame
+                values = []
+                try:
+                    for a in g.args:
+                        if type(a) is Param:
+                            values.append(frame[a.index])
+                        elif type(a) is IntLit:
+                            values.append(a.value)
+                        else:
+                            values.append(self._value(a, ambient, frame))
+                except _EvalFailure as fail:
+                    out = fail.out
+                else:
+                    defn = defs.get((g.name, len(values)))
+                    if defn is not None:
+                        g, frame = defn.body, values
+                        continue
+                    if g.name == PRINT_BUILTIN and len(values) == 1:
+                        store.emit_output(format_value(values[0]))
+                        out = _SUCCESS
+                    else:
+                        out = _FAIL_UNDEF
+            elif t is Else:
+                tried = g.tried
+                if type(tried) is Seq and type(tried.first) is Test and budget.remaining >= 2:
+                    # A guard over leaves reads the store and never writes it, so
+                    # it runs here before any mark opens, spending the `;`'s step
+                    # and its own.  An unbound variable reads as None.
+                    guard = tried.first
+                    left, right = guard.left, guard.right
+                    lt, rt = type(left), type(right)
+                    if (lt is Param or lt is Var or lt is IntLit or lt is StrLit) and (
+                        rt is IntLit or rt is Param or rt is Var or rt is StrLit
+                    ):
+                        budget.remaining -= 2
+                        if lt is Param:
+                            lv = frame[left.index]
+                        elif lt is Var:
+                            lv = store.bindings.get(left.name)
+                        else:
+                            lv = left.value
+                        if rt is IntLit or rt is StrLit:
+                            rv = right.value
+                        elif rt is Param:
+                            rv = frame[right.index]
+                        else:
+                            rv = store.bindings.get(right.name)
+                        op = guard.relop
+                        if lv is None or rv is None:
+                            out = _FAIL_UNBOUND
+                        elif type(lv) is int and type(rv) is int or (
+                            type(lv) is str and type(rv) is str and (op == "==" or op == "!=")
+                        ):
+                            out = _SUCCESS if _COMPARE[op](lv, rv) else _FAIL_TEST
+                        else:
+                            out = _FAIL_TEST
+                        if out is not _SUCCESS:
+                            g, ambient = g.handler, out
+                            continue
+                        tried = tried.second
+                mark = store.checkpoint()
+                out = self._run(tried, ambient, frame)
+                if out is _SUCCESS:
+                    store.commit()
+                else:
+                    store.rollback(mark)
+                    g, ambient = g.handler, out
+                    continue
+            elif t is Test:
+                out = self._test(g, ambient, frame, self._value)
+            elif t is Union:
+                # `_eval`'s chain walk, where an `f` operand writes nothing, so
+                # it opens no mark; its step runs here.
+                whole: Outcome | None = None
+                more: set[str] | None = None
+                union = g
+                operand = g.first
+                while True:
+                    if type(operand) is Fail and budget.remaining > 0:
+                        budget.remaining -= 1
+                        if more is not None:
+                            more.add(operand.path)
+                        elif whole is None:
+                            whole = throw(operand.path)
+                        elif whole is not _SUCCESS and operand.path not in whole.paths:
+                            more = {*whole.paths, operand.path}
+                    else:
+                        mark = store.checkpoint()
+                        out = self._run(operand, ambient, frame)
+                        if out is _SUCCESS:
+                            store.commit()
+                            whole, more = _SUCCESS, None
+                        else:
+                            store.rollback(mark)
+                            if more is not None:
+                                more |= out.paths
+                            elif whole is None:
+                                whole = out
+                            elif whole is not _SUCCESS and not out.paths <= whole.paths:
+                                more = {*whole.paths, *out.paths}
+                    if union is None:
+                        break
+                    operand = union.second
+                    if type(operand) is not Union:
+                        union = None
+                        continue
+                    union = operand
+                    if budget.remaining <= 0:
+                        if more is not None:
+                            more.add(SYS_DEPTH)
+                        elif whole is not _SUCCESS and SYS_DEPTH not in whole.paths:
+                            more = {*whole.paths, SYS_DEPTH}
+                        break
+                    budget.remaining -= 1
+                    operand = union.first
+                out = whole if more is None else Failure(more)
+            elif t is TrueGoal:
+                out = _SUCCESS
+            elif t is Fail:
+                out = throw(g.path)
+            elif t is Case:
+                if ambient is None:
+                    out = _FAIL_CASE
+                else:
+                    for pattern, body in g.arms:
+                        if matches(pattern, ambient):
+                            break
+                    else:
+                        body = g.default
+                    if body is None:
+                        out = ambient
+                    else:
+                        g, ambient = body, None
+                        continue
+            else:
+                raise TypeError(f"not a goal: {g!r}")
+            if then is None or out is not _SUCCESS:
+                return out
+            g, then = then, None  # the leaf was a `;`'s first operand: go on to its second
+
+    def _value(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
+        """An expression's value in an untraced run; a failure raises `_EvalFailure`.
+
+        `_expr`'s rules, with `_enter` inline in the `CallExpr` rule, so a
+        nested call in an argument takes one host frame.
+        """
+        t = type(e)
+        if t is Binary:
+            # A literal, parameter or variable operand is read here, without a call.
+            left, right = e.left, e.right
+            lt, rt = type(left), type(right)
+            try:
+                if lt is Param:
+                    lv = frame[left.index]
+                elif lt is IntLit:
+                    lv = left.value
+                elif lt is Var:
+                    lv = self.store.lookup(left.name)
+                else:
+                    lv = self._value(left, ambient, frame)
+                if rt is IntLit:
+                    rv = right.value
+                elif rt is Param:
+                    rv = frame[right.index]
+                elif rt is Var:
+                    rv = self.store.lookup(right.name)
+                else:
+                    rv = self._value(right, ambient, frame)
+            except UnboundVariable:
+                raise _EvalFailure(_FAIL_UNBOUND) from None
+            if not (type(lv) is int and type(rv) is int):
+                raise _EvalFailure(_FAIL_TEST)
+            op = e.op
+            if op == "+":
+                return lv + rv
+            if op == "-":
+                return lv - rv
+            if op == "*":
+                return lv * rv
+            if rv == 0:
+                raise _EvalFailure(_FAIL_DIV0)
+            return _int_div(lv, rv)
+        if t is CallExpr:
+            # `_enter`, inline.  No checkpoint of its own: a failure here fails
+            # the enclosing goal, and the nearest catch point rolls back what
+            # the call did.
+            values = []
+            for a in e.args:
+                if type(a) is Param:
+                    values.append(frame[a.index])
+                elif type(a) is IntLit:
+                    values.append(a.value)
+                else:
+                    values.append(self._value(a, ambient, frame))
+            defn = self.program.defs.get((e.name, len(values)))
+            if defn is not None:
+                out = self._run(defn.body, ambient, values)
+                if out is not _SUCCESS:
+                    raise _EvalFailure(out)
+            elif e.name == PRINT_BUILTIN and len(values) == 1:
+                self.store.emit_output(format_value(values[0]))
+            else:
+                raise _EvalFailure(_FAIL_UNDEF)
+            name = RET_VAR
+        elif t is Param:
+            return frame[e.index]
+        elif t is Var:
+            name = e.name
+        elif t is IntLit or t is StrLit:
+            return e.value
+        elif t is Read:
+            return self.store.read_input()
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        # a variable, or the result of a call
+        try:
+            return self.store.lookup(name)
+        except UnboundVariable:
+            raise _EvalFailure(_FAIL_UNBOUND) from None
+
+    # -- the traced loop -----------------------------------------------------
 
     def _result(self, out: Outcome) -> str:
         """`_result_text(out)`; the text of several paths is built again only for other paths than the last such."""
@@ -438,32 +713,25 @@ class Evaluator:
             self._close_line(line, rule, "", union, "success" if ok else text.text())
             self._depth -= 1
 
-    # -- goals -------------------------------------------------------------
-
     def _eval(self, g: Goal, ambient: Failure | None, frame: Frame, head: str = "") -> Outcome:
-        """Steps from `g` on: each spends a unit of the budget, then runs the rule of its goal's type.
+        """Traced steps from `g` on: each spends a unit of the budget, then runs the rule of its goal's type.
 
         A step in a tail position replaces `g`, `ambient`, `frame` and
         `head` and loops; the steps it replaces get its outcome, and their
         trace lines stay open until it returns.  Only the `|` and `else`
         rules take store checkpoints, around the operands whose failure
-        they catch and that can edit the store before they fail; every
-        other rule leaves a failure's partial edits to the nearest such
-        catch point (or `run`).
+        they catch; every other rule leaves a failure's partial edits to
+        the nearest such catch point (or `run`).
 
         `frame` is the running call's argument list, which the `Param`
         reads of its body index (empty for the run's root goal).  `head`
-        prefixes the step's trace text.  The `is` chain tests the most
-        frequent goal types first.
+        prefixes the step's trace text.
         """
         trace = self.trace
-        if trace is not None:
-            deferred: list[int] = []  # the lines of the tail steps this loop went through
+        deferred: list[int] = []  # the lines of the tail steps this loop went through
         budget = self.budget
-        then = None  # untraced: the `;`'s second operand, while its leaf first operand runs
         while True:
-            if trace is not None:
-                at = self._open_line()
+            at = self._open_line()
             if budget.remaining <= 0:
                 rule: int | str = "fail"
                 out: Outcome = _FAIL_DEPTH
@@ -472,16 +740,10 @@ class Evaluator:
             t = type(g)
             if t is Seq:
                 rule = 6
-                first = g.first
-                if trace is None and (type(first) is Assign or type(first) is Test):
-                    # the leaf runs as this loop's next step, and `then` holds the rest
-                    g, then = first, g.second
-                    continue
-                out = self._eval(first, ambient, frame)
+                out = self._eval(g.first, ambient, frame)
                 if out is _SUCCESS:
-                    if trace is not None:
-                        self._close_line(at, rule, head, g, "")
-                        deferred.append(at)
+                    self._close_line(at, rule, head, g, "")
+                    deferred.append(at)
                     g, head = g.second, ""
                     continue
             elif t is Assign:
@@ -497,52 +759,33 @@ class Evaluator:
                 rule = 4
                 out = self._enter(g.name, g.args, ambient, frame)
                 if type(out) is tuple:
-                    if trace is not None:
-                        self._close_line(at, rule, head, g, "")
-                        deferred.append(at)
+                    self._close_line(at, rule, head, g, "")
+                    deferred.append(at)
                     g, frame, head = out
                     continue
             elif t is Test:
                 rule = "test"
-                out = self._test(g, ambient, frame)
+                out = self._test(g, ambient, frame, self._expr)
             elif t is Else:
                 store = self.store
-                tried = g.tried
-                if trace is None and type(tried) is Seq and type(tried.first) is Test and budget.remaining >= 2:
-                    # A guard over leaves reads the store and never writes it, so
-                    # it runs here before any mark opens, spending the `;`'s step
-                    # and its own.
-                    guard = tried.first
-                    left, right = type(guard.left), type(guard.right)
-                    if (left is Param or left is Var or left is IntLit or left is StrLit) and (
-                        right is IntLit or right is Param or right is Var or right is StrLit
-                    ):
-                        budget.remaining -= 2
-                        out = self._test(guard, ambient, frame)
-                        if out is not _SUCCESS:
-                            g, ambient = g.handler, out
-                            continue
-                        tried = tried.second
                 mark = store.checkpoint()
-                out = self._eval(tried, ambient, frame)
+                out = self._eval(g.tried, ambient, frame)
                 if out is _SUCCESS:
                     store.commit()
                     rule = 10
                 else:
                     store.rollback(mark)
                     rule = 11
-                    if trace is not None:
-                        self._close_line(at, rule, head, g, "")
-                        deferred.append(at)
+                    self._close_line(at, rule, head, g, "")
+                    deferred.append(at)
                     g, ambient, head = g.handler, out, ""
                     continue
             elif t is Union:
                 # A chain `G1 | G2 | ... | Gn` runs as one step, walking its
                 # spine (`g` and each `Union` that is the second operand of
                 # the one before) in one loop.  Each operand runs under its
-                # own mark, but for an untraced `f`; each spine union after
-                # `g` spends a step when it is reached, after the operand
-                # before it.
+                # own mark; each spine union after `g` spends a step when it
+                # is reached, after the operand before it.
                 store = self.store
                 # The chain's outcome so far: None before an operand has run, the
                 # first failed operand's Failure while every operand failed, and
@@ -550,60 +793,45 @@ class Evaluator:
                 # once an operand adds one outside that Failure.
                 whole: Outcome | None = None
                 more: set[str] | None = None
-                if trace is not None:
-                    levels = []  # per spine union: its line, itself, its first operand's paths or None
-                    line = at
+                levels = []  # per spine union: its line, itself, its first operand's paths or None
+                line = at
                 union = g
                 operand = g.first
                 while True:
-                    if trace is None and type(operand) is Fail and budget.remaining > 0:
-                        # `f` writes nothing, so it opens no mark; its step runs here
-                        budget.remaining -= 1
-                        if more is not None:
-                            more.add(operand.path)
-                        elif whole is None:
-                            whole = throw(operand.path)
-                        elif whole is not _SUCCESS and operand.path not in whole.paths:
-                            more = {*whole.paths, operand.path}
+                    mark = store.checkpoint()
+                    out = self._eval(operand, ambient, frame)
+                    if out is _SUCCESS:
+                        store.commit()
+                        whole, more = _SUCCESS, None
                     else:
-                        mark = store.checkpoint()
-                        out = self._eval(operand, ambient, frame)
-                        if out is _SUCCESS:
-                            store.commit()
-                            whole, more = _SUCCESS, None
-                        else:
-                            store.rollback(mark)
-                            if more is not None:
-                                more |= out.paths
-                            elif whole is None:
-                                whole = out
-                            elif whole is not _SUCCESS and not out.paths <= whole.paths:
-                                more = {*whole.paths, *out.paths}
+                        store.rollback(mark)
+                        if more is not None:
+                            more |= out.paths
+                        elif whole is None:
+                            whole = out
+                        elif whole is not _SUCCESS and not out.paths <= whole.paths:
+                            more = {*whole.paths, *out.paths}
                     if union is None:  # that was the last operand
                         break
-                    if trace is not None:
-                        levels += line, union, None if out is _SUCCESS else out.paths
+                    levels += line, union, None if out is _SUCCESS else out.paths
                     operand = union.second
                     if type(operand) is not Union:
                         union = None
                         continue
                     union = operand
-                    if trace is not None:
-                        line = self._open_line()
+                    line = self._open_line()
                     if budget.remaining <= 0:
                         out = _FAIL_DEPTH
                         if more is not None:
                             more.add(SYS_DEPTH)
                         elif whole is not _SUCCESS and SYS_DEPTH not in whole.paths:
                             more = {*whole.paths, SYS_DEPTH}
-                        if trace is not None:
-                            self._close_line(line, "fail", "", union, self._result(out))
-                            self._depth -= 1
+                        self._close_line(line, "fail", "", union, self._result(out))
+                        self._depth -= 1
                         break
                     budget.remaining -= 1
                     operand = union.first
-                if trace is not None:
-                    rule = self._close_spine(levels, out)
+                rule = self._close_spine(levels, out)
                 out = whole if more is None else Failure(more)
             elif t is TrueGoal:
                 rule = 1
@@ -624,33 +852,29 @@ class Evaluator:
                     if body is None:
                         out = ambient
                     else:
-                        if trace is not None:
-                            self._close_line(at, rule, head, g, "")
-                            deferred.append(at)
+                        self._close_line(at, rule, head, g, "")
+                        deferred.append(at)
                         g, ambient, head = body, None, ""
                         continue
             else:
                 raise TypeError(f"not a goal: {g!r}")
-            if then is None or out is not _SUCCESS:
-                break
-            g, then = then, None  # the leaf was a `;`'s first operand: go on to its second
-        if trace is not None:
-            result = self._result(out)
-            self._close_line(at, rule, head, g, result)
-            self._depth -= 1 + len(deferred)
-            while deferred:  # popping frees each index as its line is done
-                trace[deferred.pop() + 4] = result
+            break
+        result = self._result(out)
+        self._close_line(at, rule, head, g, result)
+        self._depth -= 1 + len(deferred)
+        while deferred:  # popping frees each index as its line is done
+            trace[deferred.pop() + 4] = result
         return out
 
     def _enter(
         self, name: str, args: tuple[Expr, ...], ambient: Failure | None, frame: Frame
     ) -> Outcome | tuple[Goal, Frame, str]:
-        """Start a call: its outcome if it ends here, else (body, callee frame, body's trace head).
+        """Start a traced call: its outcome if it ends here, else (body, callee frame, body's trace head).
 
         The arguments are evaluated in the caller's frame, and their list
         is the callee's frame; a failing argument, the `print` builtin and
-        an undefined procedure end the call here.  The trace head, which
-        names each parameter, is built only for a traced call.
+        an undefined procedure end the call here.  The trace head names
+        each parameter.
         """
         # A loop, not a comprehension: before Python 3.12 a comprehension
         # runs in a function frame of its own.  A parameter or an integer
@@ -672,18 +896,17 @@ class Evaluator:
                 self.store.emit_output(format_value(values[0]))
                 return _SUCCESS
             return _FAIL_UNDEF
-        if self.trace is None:
-            return defn.body, values, ""
         if id(defn.body) not in self._spans:
             pretty_print(defn.body, self._spans)
         return defn.body, values, _frame_text(defn.params, values) + " "
 
-    def _test(self, g: Test, ambient: Failure | None, frame: Frame) -> Outcome:
+    def _test(self, g: Test, ambient: Failure | None, frame: Frame, value) -> Outcome:
         """The test rule: read both operands, then compare them.
 
         Integers compare by every relop, strings only by (in)equality, and
         any other pair fails the test.  A parameter, variable or integer
-        operand is read here, without a call.
+        operand is read here, without a call; any other is evaluated by
+        `value`, the loop's expression evaluator (`_value` or `_expr`).
         """
         left, right = g.left, g.right
         try:
@@ -694,7 +917,7 @@ class Evaluator:
             elif type(left) is IntLit:
                 lv = left.value
             else:
-                lv = self._expr(left, ambient, frame)
+                lv = value(left, ambient, frame)
             if type(right) is IntLit:
                 rv = right.value
             elif type(right) is Param:
@@ -702,7 +925,7 @@ class Evaluator:
             elif type(right) is Var:
                 rv = self.store.lookup(right.name)
             else:
-                rv = self._expr(right, ambient, frame)
+                rv = value(right, ambient, frame)
         except _EvalFailure as fail:
             return fail.out
         except UnboundVariable:
@@ -712,10 +935,8 @@ class Evaluator:
             return _SUCCESS if _COMPARE[op](lv, rv) else _FAIL_TEST
         return _FAIL_TEST
 
-    # -- expressions -------------------------------------------------------
-
     def _expr(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
-        """An expression's value; a failure raises `_EvalFailure`.
+        """An expression's value in a traced run; a failure raises `_EvalFailure`.
 
         `Binary` and `CallExpr` are tested first: the rules that hold an
         operand read a leaf operand themselves.
@@ -758,15 +979,13 @@ class Evaluator:
         if t is CallExpr:
             # No checkpoint of its own: a failure here fails the enclosing
             # goal, and the nearest catch point rolls back what the call did.
-            if self.trace is not None:
-                at = self._open_line()
+            at = self._open_line()
             out = self._enter(e.name, e.args, ambient, frame)
             if type(out) is tuple:
                 body, callee_frame, head = out
                 out = self._eval(body, ambient, callee_frame, head)
-            if self.trace is not None:
-                self._close_line(at, "call-expr", "", e, self._result(out))
-                self._depth -= 1
+            self._close_line(at, "call-expr", "", e, self._result(out))
+            self._depth -= 1
             if out is not _SUCCESS:
                 raise _EvalFailure(out)
             name = RET_VAR

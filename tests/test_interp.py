@@ -1,10 +1,13 @@
+import dis
+import inspect
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
 
-from conftest import EMPTY_PROGRAM, make_store, recursive_pretty, run
+from conftest import EMPTY_PROGRAM, GOLDEN_DIR, make_store, recursive_pretty, run
 
 from tci import interp, syntax
 from tci.cli import main
@@ -809,7 +812,11 @@ class TestShallowBacktracking:
 # variable, a string, an unbound variable, chained, with a rest that
 # edits and then fails, and `|` chains of `f` among editing operands;
 # and the shapes that keep their mark (a call, a `read()`, an assignment
-# before the test).
+# before the test).  Then literals on the left and leaves of each kind on
+# the right, strings ordered and compared with integers, handlers whose
+# `case` matches no arm, with and without a default, a `case` with no
+# failure to read, a `|` whose `f` operands throw one path, and a chain
+# whose first operand can run out of budget.
 GUARD_SHAPES = (
     "p(n) = (n == 0; x = n) else y = n\nmain p(0); p(1); n = 2; ((n < 3; z = n) else w = n)",
     "p() = (v == 1; x = v) else y = v\nmain v = 1; p(); v = 4; p(); ((v >= 4; z = v) else w = 0)",
@@ -823,7 +830,48 @@ GUARD_SHAPES = (
     "main p(1); ((f(e) | f(g) | (z = 1; print(z); f(h))) else t); ((f(i) | f(j)) else case Failtree of { /F/usr/i: w = 1 })",
     "g(n) = ret = n\n"
     "main ret = 1; ((g(5) == 0; t) else t); ((read() == 5; t) else x = read()); ((y = 1; ret == 0; t) else t)",
+    'p(s, n) = ("a" == s; 1 < n; x = n) else case Failtree of { /F/usr/b: t; _: x = 0 }\n'
+    'main p("a", 2); p("b", 2); (("b" < "c"; y = 1) else y = 2); ((1 == "a"; z = 1) else z = 2);'
+    ' (("a" == 1; w = 1) else w = 2); ((0 < m; v = 1) else v = 2); ((3 > v; r = 1) else r = 2)',
+    "p(n) = (n == 0; x = 1) else case Failtree of { /F/usr/b: t }\n"
+    "main (p(1) else y = 1); (case Failtree of { /F/usr/a: t } | c = 1); ((f(i) | f(i)) else t);"
+    " ((x = 1; y = 2) | f(a) | f(b)) else t",
 )
+
+# Calls in expression position: in a test's operand (a guard's, on
+# either side), in an argument, in a `;`'s leaf assignment, with
+# parameter arguments; `print` and an undefined procedure in goal and in
+# expression position; arguments that fail (unbound, `/ 0`, a string in
+# arithmetic), in a goal call and nested in an expression call; and a
+# callee that edits and prints before it fails, under an `else` and a `|`.
+CALL_SHAPES = (
+    "g(n) = ret = n * 2\nh(a, b) = ret = a - b\nk(n) = h(n, 1); ret = g(n) / 2\n"
+    "main x = g(1) + 1; ((g(x) == 6; y = h(g(x), g(g(1)))) else y = 0); g(y) > 0;"
+    " ((g(2) < x; z = 1) else z = h(x, 1)); h(g(z), 1); u = ret; ((x == g(1); v = 1) else v = x + k(x))",
+    'main print(1); print("a"); (x = print(2) else x = 0); ret = 5; y = print(3);'
+    " (u(1) else v = 1); (z = u(1) else w = 1); (print(1, 2) | s = 1); (r = print(1, 2) else r = 1)",
+    "p(a) = x = a; ret = a\n"
+    'main (p(zz) else y = 1); (p(1 / 0) | (p("s" + 1) else z = 2)); (p(2 - "s") | w = p(3) + 1);'
+    " (q = p(p(zz)) else q = 0); (m = 1 + zz else m = zz + 1 else m = 0)",
+    "bad(n) = x = n; print(x); f(oops)\n"
+    "main (bad(1) else y = 1); (bad(2) | z = 1); ((w = bad(3) + 1) else case Failtree of { /F/usr/oops: v = 1 });"
+    " ((bad(4) | f(h)) else case Failtree of { /F/usr/h: u = 1 })",
+)
+
+
+def run_corpus_untraced():
+    """Run, untraced, the golden programs on each golden input, and each guard and call shape at every budget."""
+    for source in sorted(GOLDEN_DIR.glob("*.tc")):
+        for data in sorted(GOLDEN_DIR.glob("*.in")):
+            tokens = [int(token) for token in data.read_text(encoding="utf-8").split()]
+            program = parse_program(source.read_text(encoding="utf-8"))
+            Evaluator(program, Store(tokens)).run(program.main)
+    for source in GUARD_SHAPES + CALL_SHAPES:
+        program = parse_program(source)
+        budget = Budget()
+        Evaluator(program, Store((1, 2)), budget).run(program.main)
+        for max_steps in range(budget.used):
+            Evaluator(program, Store((1, 2)), Budget(max_steps)).run(program.main)
 
 
 class TestUntracedAgreesWithTraced:
@@ -852,14 +900,106 @@ class TestUntracedAgreesWithTraced:
                 tokens = [int(token) for token in data.read_text(encoding="utf-8").split()]
                 self.agree(parse_program(source.read_text(encoding="utf-8")), None, tokens)
 
-    @pytest.mark.parametrize("source", GUARD_SHAPES)
-    def test_guard_shapes_at_every_budget(self, source):
-        # the budget runs out at each step in turn: at an `else`, at the
-        # `;` and the test of a guard, and at an `f` operand
+    def agree_at_every_budget(self, source):
         program = parse_program(source)
         _, _, needed = self.agree(program, None, (1, 2))
         for max_steps in range(needed + 1):
             self.agree(program, None, (1, 2), max_steps)
+
+    @pytest.mark.parametrize("source", GUARD_SHAPES)
+    def test_guard_shapes_at_every_budget(self, source):
+        # the budget runs out at each step in turn: at an `else`, at the
+        # `;` and the test of a guard, and at an `f` operand
+        self.agree_at_every_budget(source)
+
+    @pytest.mark.parametrize("source", CALL_SHAPES)
+    def test_call_shapes_at_every_budget(self, source):
+        # the budget runs out at each step in turn: at a call, in an
+        # argument's callee, and in a callee that edits before it fails
+        self.agree_at_every_budget(source)
+
+
+def conditional_jumps(code) -> dict[int, tuple[int, int]]:
+    """Each conditional jump of `code`: {offset its opcode event has: (offset it falls through to, line)}.
+
+    A jump after `EXTENDED_ARG`s has its event at the first of them.
+    """
+    instructions = list(dis.get_instructions(code))
+    line_of = {at: line for start, end, line in code.co_lines() for at in range(start, end, 2)}
+    jumps = {}
+    for i, instruction in enumerate(instructions):
+        if "IF" in instruction.opname or instruction.opname == "FOR_ITER":
+            first = i
+            while first and instructions[first - 1].opname == "EXTENDED_ARG":
+                first -= 1
+            jumps[instructions[first].offset] = (instructions[i + 1].offset, line_of[instruction.offset])
+    return jumps
+
+
+def branches_not_taken(functions, work) -> set[tuple[str, str, str]]:
+    """The ways of each conditional jump in `functions` that `work()` never took: (function, line text, way).
+
+    `sys.settrace` follows the functions' frames opcode by opcode, and a
+    jump's way is whether the next opcode is the one it falls through to.
+    """
+    jumps = {f.__code__: conditional_jumps(f.__code__) for f in functions}
+    taken = set()
+
+    def enter(frame, event, arg):
+        code_jumps = jumps.get(frame.f_code)
+        if code_jumps is None:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        last = None
+
+        def step(frame, event, arg):
+            nonlocal last
+            if event == "opcode":
+                at = frame.f_lasti
+                if last in code_jumps:
+                    taken.add((frame.f_code, last, at == code_jumps[last][0]))
+                last = at
+            return step
+
+        return step
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        work()
+    finally:
+        sys.settrace(previous)
+    lines, first = inspect.getsourcelines(Evaluator)
+    missing = set()
+    for code, code_jumps in jumps.items():
+        for at, (_, line) in code_jumps.items():
+            for falls in (True, False):
+                if (code, at, falls) not in taken:
+                    missing.add((code.co_name, lines[line - first].strip(), "falls through" if falls else "jumps"))
+    return missing
+
+
+class TestUntracedLoop:
+    # The untraced loop (`_run`, `_value`) is checked against the traced
+    # reference above; these show that the corpus reaches all of it, and
+    # that it reaches no traced-only code.
+    def test_no_untraced_step_reaches_traced_code(self, monkeypatch):
+        def traced_only(*args, **kwargs):
+            raise AssertionError("an untraced run reached traced-only code")
+
+        for name in ("_eval", "_expr", "_enter", "_open_line", "_close_line", "_close_spine", "_result"):
+            monkeypatch.setattr(Evaluator, name, traced_only)
+        run_corpus_untraced()
+
+    def test_the_corpus_takes_every_branch(self):
+        # Every conditional jump of `_run` and `_value` goes both ways,
+        # but for an `except` that meets another exception type and the
+        # last type test before each `raise TypeError`, which no program
+        # the parser builds reaches.
+        missing = branches_not_taken((Evaluator._run, Evaluator._value), run_corpus_untraced)
+        other_exceptions = {way for way in missing if way[1].startswith("except ") and way[2] == "jumps"}
+        assert missing - other_exceptions == {("_run", "elif t is Case:", "jumps"), ("_value", "elif t is Read:", "jumps")}
 
 
 COUNT = "count(n) = (n == 0; ret = 0) else (x = n; count(n - 1))\nmain count(N)"
@@ -901,6 +1041,21 @@ class TestHostFrames:
         # run at the default recursion limit, under the step budget
         out, store, _ = run_main(parse_program(SUM.replace("3000", "20000")))
         assert isinstance(out, Success) and store.bindings["ret"] == 20000 * 20001 // 2
+
+    def test_an_untraced_non_tail_level_takes_three_host_frames(self, default_recursion_limit):
+        # a level holds `_run` (the handler's assignment) and `_value` for
+        # the sum and for the call: 300 levels take 900 frames, and would
+        # take 1,200 at four a level
+        source = "p(n) = (n == 0; ret = 0) else ret = 1 + p(n - 1)\nmain x = p(300)"
+        out, store, _ = run_main(parse_program(source))
+        assert isinstance(out, Success) and store.bindings["x"] == 300
+
+    def test_an_untraced_nested_argument_call_takes_one_host_frame(self, default_recursion_limit):
+        # `_value` evaluates a call's arguments and enters its body in one
+        # frame: 900 nested calls take 900 frames, and would take 1,800 at two
+        source = "g(a) = ret = a\nmain x = " + "g(" * 900 + "1" + ")" * 900
+        out, store, _ = run_main(parse_program(source))
+        assert isinstance(out, Success) and store.bindings["x"] == 1
 
     def test_a_wide_union_takes_no_host_frame_per_operand(self, default_recursion_limit, tmp_path, capsys):
         # the chain's operands run one at a time from one loop, so its

@@ -175,20 +175,25 @@ def fresh_reading(other: Path, workload: str, seed: int, rounds: int) -> dict[st
     return found
 
 
-def across_processes(other: Path, workload: str, seed: int, rounds: int, processes: int) -> None:
-    """Print, per workload, the median (min-max) of `processes` fresh A/B and A/A readings' median ratios."""
-    medians: dict[str, dict[str, list[float]]] = {"A/B": {}, "A/A": {}}
+def across_processes(other: Path, workload: str, seed: int, rounds: int, processes: int) -> dict[str, dict]:
+    """`processes` fresh A/B and A/A readings, alternating: {"A/B" or "A/A": {workload: [reading, ...]}}.
+
+    Prints, per workload, the median (min-max) of each side's per-process median ratios.
+    """
+    readings: dict[str, dict[str, list[dict]]] = {"A/B": {}, "A/A": {}}
     for _ in range(processes):
         for label, tree in (("A/B", other), ("A/A", ROOT)):
             for name, reading in fresh_reading(tree, workload, seed, rounds).items():
-                medians[label].setdefault(name, []).append(reading["median"])
+                readings[label].setdefault(name, []).append(reading)
 
-    def summary(values: list[float]) -> str:
-        return f"{statistics.median(values):.3f} ({min(values):.3f}-{max(values):.3f})"
+    def summary(name: str, label: str) -> str:
+        medians = [reading["median"] for reading in readings[label][name]]
+        return f"{statistics.median(medians):.3f} ({min(medians):.3f}-{max(medians):.3f})"
 
     print(f"seed {seed}, {rounds} rounds: median (min-max) of {processes} per-process median ratios this/other")
-    for name, ab_medians in medians["A/B"].items():
-        print(f"  {name:8} A/B {summary(ab_medians)}  A/A {summary(medians['A/A'][name])}")
+    for name in readings["A/B"]:
+        print(f"  {name:8} A/B {summary(name, 'A/B')}  A/A {summary(name, 'A/A')}")
+    return readings
 
 
 def main(argv: list[str] | None = None) -> int:

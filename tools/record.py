@@ -1,6 +1,7 @@
 """Write a benchmark record: repeated bench runs, A/B ratios and opcode counts, as one JSON file.
 
     python3 tools/record.py BENCH_N.json --against ../parent-checkout
+    python3 tools/record.py BENCH_N.json --against ../parent-checkout --processes 4
     python3 tools/record.py BENCH_N.json
 
 The committed records are the `BENCH_*.json` files at the root of the
@@ -16,12 +17,13 @@ The record holds:
   and 75th percentile and IQR of each end-to-end metric over the runs.
   (`--workload all` would also run every workload's traced pass, whose
   per-layer metrics a record does not keep);
-- with `--against`, `tools/ab.py OTHER --workload all` at each seed,
-  with `ROUNDS` rounds, and beside it `tools/ab.py .` (an A/A reading
-  of this checkout against itself) at the same seed and rounds: each
-  workload's median per-op ratio this/other with its 25th-75th
-  percentile range, the share of pairs this checkout won, and both
-  sides' `peak_mb`;
+- with `--against`, `tools/ab.py OTHER --workload all --processes K`
+  at each seed, with `ROUNDS` rounds: K fresh processes against OTHER
+  and K fresh A/A processes (this checkout against itself), alternating
+  (K is `--processes`, 8 by default).  For each workload, side and
+  seed it keeps the K per-process median ratios this/other, their
+  median, minimum and maximum, and both sides' `peak_mb` as the first
+  process read them;
 - opcodes per op: the Python bytecode instructions `cli.main` executes
   per op, averaged over the first `OPCODE_OPS` ops of each workload at
   seed 1 (after one untraced warm-up call), counted with `sys.settrace`
@@ -57,13 +59,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from ab import NO_BYTECODE, fresh_reading, refuse_bytecode  # noqa: E402
+from ab import NO_BYTECODE, across_processes, refuse_bytecode  # noqa: E402
 from run import END_TO_END, write_ops  # noqa: E402
 
 SEEDS = (1, 4242)
 RUNS = 3  # bench runs per seed: the fewest that give a median and an IQR
 SECONDS = 2.0  # each bench run's timed pass per workload and mode
 ROUNDS = 5  # tools/ab.py rounds: at 3, readings of nearly the same code moved by up to 1.7%
+PROCESSES = 8  # tools/ab.py processes per side: min-max of 8 medians holds their true median with p ~ 0.99
 OPCODE_SEED = 1
 OPCODE_OPS = 8
 
@@ -158,10 +161,19 @@ def opcodes_per_op(tree: Path) -> dict[str, float]:
     return per_op
 
 
+def process_medians(readings: list[dict]) -> dict:
+    """One side's per-process readings of a workload: their median ratios, summarized, and the first `peak_mb`."""
+    medians = [reading["median"] for reading in readings]
+    return {"medians": medians, "median": statistics.median(medians), "min": min(medians), "max": max(medians),
+            "peak_mb": readings[0]["peak_mb"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="the record to write, e.g. BENCH_N.json")
     ap.add_argument("--against", type=Path, help="a checkout to compare with by tools/ab.py and opcode counts")
+    ap.add_argument("--processes", type=int, default=PROCESSES, metavar="K",
+                    help="tools/ab.py processes per side and seed (default %(default)s)")
     args = ap.parse_args(argv)
     refuse_bytecode("record", *filter(None, (ROOT, args.against)))
 
@@ -188,13 +200,13 @@ def main(argv: list[str] | None = None) -> int:
         record["opcodes_per_op"]["this/other"] = {
             name: count / theirs[name] for name, count in record["opcodes_per_op"]["this"].items()
         }
-        record["ab"] = {
-            "against": other.name,
-            "rounds": ROUNDS,
-            "seeds": {str(seed): {"this/other": fresh_reading(other, "all", seed, ROUNDS),
-                                  "A/A": fresh_reading(ROOT, "all", seed, ROUNDS)}
-                      for seed in SEEDS},
-        }
+        record["ab"] = {"against": other.name, "rounds": ROUNDS, "processes": args.processes, "seeds": {}}
+        for seed in SEEDS:
+            readings = across_processes(other, "all", seed, ROUNDS, args.processes)
+            record["ab"]["seeds"][str(seed)] = {
+                label: {name: process_medians(side[name]) for name in side}
+                for label, side in (("this/other", readings["A/B"]), ("A/A", readings["A/A"]))
+            }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"record: wrote {args.out}")
     return 0
