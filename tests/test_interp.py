@@ -992,6 +992,9 @@ class TestUntracedLoop:
             monkeypatch.setattr(Evaluator, name, traced_only)
         run_corpus_untraced()
 
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the untaken jumps below are those of CPython 3.11's bytecode; "
+                               "another version's compiler emits other jumps")
     def test_the_corpus_takes_every_branch(self):
         # Every conditional jump of `_run` and `_value` goes both ways,
         # but for an `except` that meets another exception type and the

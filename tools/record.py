@@ -1,7 +1,6 @@
 """Write a benchmark record: repeated bench runs, A/B ratios and opcode counts, as one JSON file.
 
     python3 tools/record.py BENCH_N.json --against ../parent-checkout
-    python3 tools/record.py BENCH_N.json --against ../parent-checkout --processes 4
     python3 tools/record.py BENCH_N.json
 
 The committed records are the `BENCH_*.json` files at the root of the
@@ -18,12 +17,12 @@ The record holds:
   (`--workload all` would also run every workload's traced pass, whose
   per-layer metrics a record does not keep);
 - with `--against`, `tools/ab.py OTHER --workload all --processes K`
-  at each seed, with `ROUNDS` rounds: K fresh processes against OTHER
-  and K fresh A/A processes (this checkout against itself), alternating
-  (K is `--processes`, 8 by default).  For each workload, side and
-  seed it keeps the K per-process median ratios this/other, their
-  median, minimum and maximum, and both sides' `peak_mb` as the first
-  process read them;
+  at each seed, with `ROUNDS` rounds and K = `PROCESSES`: K fresh
+  processes against OTHER and K fresh A/A processes (this checkout
+  against itself), alternating.  For each workload, side and seed it
+  keeps each process's reading (pairs, median ratio this/other, its
+  25th and 75th percentile, the share of pairs won, both sides'
+  `peak_mb`) and the median, minimum and maximum of their medians;
 - opcodes per op: the Python bytecode instructions `cli.main` executes
   per op, averaged over the first `OPCODE_OPS` ops of each workload at
   seed 1 (after one untraced warm-up call), counted with `sys.settrace`
@@ -162,18 +161,15 @@ def opcodes_per_op(tree: Path) -> dict[str, float]:
 
 
 def process_medians(readings: list[dict]) -> dict:
-    """One side's per-process readings of a workload: their median ratios, summarized, and the first `peak_mb`."""
+    """One side's per-process readings of a workload, with the median, minimum and maximum of their medians."""
     medians = [reading["median"] for reading in readings]
-    return {"medians": medians, "median": statistics.median(medians), "min": min(medians), "max": max(medians),
-            "peak_mb": readings[0]["peak_mb"]}
+    return {"readings": readings, "median": statistics.median(medians), "min": min(medians), "max": max(medians)}
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="the record to write, e.g. BENCH_N.json")
     ap.add_argument("--against", type=Path, help="a checkout to compare with by tools/ab.py and opcode counts")
-    ap.add_argument("--processes", type=int, default=PROCESSES, metavar="K",
-                    help="tools/ab.py processes per side and seed (default %(default)s)")
     args = ap.parse_args(argv)
     refuse_bytecode("record", *filter(None, (ROOT, args.against)))
 
@@ -200,9 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         record["opcodes_per_op"]["this/other"] = {
             name: count / theirs[name] for name, count in record["opcodes_per_op"]["this"].items()
         }
-        record["ab"] = {"against": other.name, "rounds": ROUNDS, "processes": args.processes, "seeds": {}}
+        record["ab"] = {"against": other.name, "rounds": ROUNDS, "processes": PROCESSES, "seeds": {}}
         for seed in SEEDS:
-            readings = across_processes(other, "all", seed, ROUNDS, args.processes)
+            readings = across_processes(other, "all", seed, ROUNDS, PROCESSES)
             record["ab"]["seeds"][str(seed)] = {
                 label: {name: process_medians(side[name]) for name in side}
                 for label, side in (("this/other", readings["A/B"]), ("A/A", readings["A/A"]))
