@@ -116,33 +116,40 @@ span and its result text; `trace_lines` makes the text of records, and
 `render_trace` writes them a batch at a time when the run ends, so
 the text of the whole trace is never held at once.  (The lines cannot
 be written as the run goes: a step's line comes before its sub-steps'
-lines, and its rule and result are known only when it exits.)  A step reserves its record on entry
-and fills it in on exit, when its rule and result are known.  A step
-that goes on into a tail position (rule 6, 11, `case` or 4) has the
-same result as the last step of its loop: its record is filled in with
-an empty result when the loop goes on, and the result is stored into
-its last slot when that last step returns.  Each spine union of a `|`
-chain keeps its own record, reserved when the union is reached, and the
-chain's records are closed right to left when it ends: a union's result
-is the chain's outcome from its own operand on, and its rule comes from
-its operand and that rest.  Their `failure(...)` texts come from one
-growing set of paths whose smallest are kept as text, so a traced chain
-takes time linear in its width.  A traced run prints each root once,
-recording where the text of each goal and call below it lies (its span):
-the run's goal on entry, and a procedure body on its first call.  The
-table of spans is dropped when `run` returns; the records keep the
-spans they show, and with them the printed text.  A line's text is its
-step's span cut to `TRACE_WIDTH` characters (the last three `...` when
-the span is longer), and only the characters kept are copied, so a `;`
-chain is not printed again for every enclosing step.  A `failure(...)`
-result is cut the same way.  Rule ids: 1 success of `t`, 4 a procedure
+lines, and its rule and result are known only when it exits.)  A step
+of `_eval` reserves its record in place at the top of the loop (a spine
+union and a call in expression position, by `_open_line`), and
+`_close_line`, the one method that fills a record in, does so on exit,
+when its rule and result are known; a success's result is the constant
+`"success"`.  A step that goes on into a tail position (rule 6, 11,
+`case` or 4) has the same result as the last step of its loop: its
+record is filled in with an empty result when the loop goes on, and the
+result is stored into its last slot when that last step returns.  Each
+spine union of a `|` chain keeps its own record, reserved when the union
+is reached, and the chain's records are closed right to left when it
+ends: a union's result is the chain's outcome from its own operand on,
+and its rule comes from its operand and that rest.  Their
+`failure(...)` texts come from one growing set of paths whose smallest
+are kept as text, so a traced chain takes time linear in its width.  A
+traced run prints each root once, recording where the text of each goal
+and call below it lies (its span): the run's goal on entry, and a
+procedure body on its first call.  The table of spans is dropped when
+`run` returns; the records keep the spans they show, and with them the
+printed text.  A line's text is its step's span cut to `TRACE_WIDTH`
+characters (the last three `...` when the span is longer), and only
+the characters kept are copied, so a `;` chain is not printed again
+for every enclosing step.  A `failure(...)` result is cut the same
+way.  Rule ids: 1 success of `t`, 4 a procedure
 call, 5 an assignment, 6 sequencing, 7/8/9 the three ways a `|` can
 succeed (both operands, only the second, only the first), 10/11 an
 `else` whose first operand succeeded/failed.  Tests, case dispatch,
 calls in expression position, and rule-less failures are tagged `test`,
 `case`, `call-expr`, and `fail`.  The first line under a call's line is
 the procedure body, prefixed once with the callee's frame, e.g.
-`[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.
+`[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.  A frame's
+text is cut to `TRACE_WIDTH` characters as a goal's text is, so a line's
+length does not grow with the values computed; its integers are still
+converted to text whole, once per call.
 """
 
 from __future__ import annotations
@@ -203,7 +210,7 @@ TRACE_WIDTH = 160
 # The indentation of a trace line at each level up to MAX_INDENT.
 _INDENTS = tuple("  " * level for level in range(MAX_INDENT + 1))
 
-# A trace record as `_open_line` reserves it: level, rule, head, span, result.
+# A trace record as a step reserves it: level, rule, head, span, result.
 _RESERVED = (0, "", "", None, "")
 
 # Trace lines made and written at a time: a batch's text stays small
@@ -283,8 +290,9 @@ def format_binding(name: str, v: Value) -> str:
 
 
 def _frame_text(params: tuple[str, ...], frame: Frame) -> str:
-    """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`."""
-    return "{" + ", ".join(format_binding(name, v) for name, v in zip(params, frame)) + "}"
+    """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`, cut to `TRACE_WIDTH` as a goal's text is."""
+    text = "{" + ", ".join(format_binding(name, v) for name, v in zip(params, frame)) + "}"
+    return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
 
 
 def _result_text(out: Outcome) -> str:
@@ -731,7 +739,10 @@ class Evaluator:
         deferred: list[int] = []  # the lines of the tail steps this loop went through
         budget = self.budget
         while True:
-            at = self._open_line()
+            # `_open_line`, inline: one call less a step
+            at = len(trace)
+            trace += _RESERVED
+            self._depth += 1
             if budget.remaining <= 0:
                 rule: int | str = "fail"
                 out: Outcome = _FAIL_DEPTH
@@ -859,7 +870,7 @@ class Evaluator:
             else:
                 raise TypeError(f"not a goal: {g!r}")
             break
-        result = self._result(out)
+        result = "success" if out is _SUCCESS else self._result(out)
         self._close_line(at, rule, head, g, result)
         self._depth -= 1 + len(deferred)
         while deferred:  # popping frees each index as its line is done

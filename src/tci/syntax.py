@@ -20,12 +20,11 @@ form of a dataclass.
 
 `_children` is the one list of each node type's sub-nodes.  The walks
 (`iter_goals`, the variable sets, the `|` lint) read the tree only
-through it, each on its own stack.  The printer lays each node out as
-literal pieces and sub-nodes (`_parts`) and emits them from a stack of
-its own, recording where each goal's and call's text lies in the
-printed text (its span).  `PRECEDENCE` is the arithmetic operators'
-binding strength, which the printer uses to drop parentheses and the
-parser to reduce expressions.
+through it, each on its own stack.  The printer writes a goal's text
+in one pass, from a stack of its own, and records where each goal's
+and call's text lies in the printed text (its span).  `PRECEDENCE` is
+the arithmetic operators' binding strength, which the printer uses to
+drop parentheses and the parser to reduce expressions.
 """
 
 from __future__ import annotations
@@ -383,84 +382,18 @@ def _fail_text(path: str) -> str:
 # reads it the same way without.
 _COMPOUND = frozenset({Binary, Seq, Union, Else})
 
-
-def _atom(node: Goal | Expr, parens: bool = True) -> tuple:
-    """An operand's parts: a compound one in parentheses (if `parens`), so reading it
-    back cannot re-associate it, and a literal or variable as its text, which
-    saves the printer a round on its stack.
-    """
-    t = type(node)
-    if t is IntLit:
-        return (int_text(node.value),)
-    if t is Var or t is Param:
-        return (node.name,)
-    return ("(", node, ")") if parens and t in _COMPOUND else (node,)
-
-
-def _chain(left: Goal, sep: str, right: Goal, t: type) -> tuple:
-    """`left sep right` for a right-associative `;`, `|` or `else` node of type `t`."""
-    head = ("(", left, ")" + sep) if type(left) in _COMPOUND else (left, sep)
-    return head + ((right,) if type(right) is t else _atom(right))
-
-
-def _parts(node: Goal | Expr) -> tuple:
-    """One node's text as literal pieces and sub-nodes, in order; the most frequent types first.
-
-    A literal or variable reaches it only as the root of a print: as an
-    operand, `_atom` has already turned it into its text.
-    """
-    t = type(node)
-    if t is Seq:
-        return _chain(node.first, "; ", node.second, Seq)
-    if t is Assign:
-        return (node.var + " = ",) + _atom(node.expr, parens=False)
-    if t is Binary:
-        left, op = node.left, node.op
-        bare = type(left) is Binary and PRECEDENCE[left.op] >= PRECEDENCE[op]
-        return ((left,) if bare else _atom(left)) + (f" {op} ",) + _atom(node.right)
-    if t is Test:
-        return _atom(node.left) + (f" {node.relop} ",) + _atom(node.right)
-    if t is Call or t is CallExpr:
-        parts = [node.name + "("]
-        for i, arg in enumerate(node.args):
-            if i:
-                parts.append(", ")
-            parts += _atom(arg, parens=False)
-        parts.append(")")
-        return tuple(parts)
-    if t is Union:
-        return _chain(node.first, " | ", node.second, Union)
-    if t is Else:
-        return _chain(node.tried, " else ", node.handler, Else)
-    if t is TrueGoal:
-        return ("t",)
-    if t is Fail:
-        return (_fail_text(node.path),)
-    if t is StrLit:
-        return (f'"{node.value}"',)
-    if t is IntLit or t is Var or t is Param:
-        return _atom(node)
-    if t is Read:
-        return ("read()",)
-    if t is Case:
-        parts = ["case Failtree of { "]
-        arms = list(node.arms)
-        if node.default is not None:
-            arms.append(("_", node.default))
-        for i, (label, body) in enumerate(arms):
-            parts.append(("; " if i else "") + label + ": ")
-            parts += _atom(body)
-        parts.append(" }")
-        return tuple(parts)
-    raise TypeError(f"not a goal or expression: {node!r}")
-
-
 # A span: where a node's text lies in the text of the root it was printed
 # under, as (start, end, printed), with `printed[0]` the root's text.
 Span = tuple[int, int, list[str]]
 
 # Expressions other than calls get no span: no trace line shows them.
 _SPANLESS = frozenset({IntLit, Var, Param, Binary, StrLit, Read})
+
+# An operand of one of these types is written as its text where it occurs.
+_LEAVES = frozenset({IntLit, Var, Param})
+
+# Nodes written as their left operand, a separator and their right operand.
+_OPERATORS = frozenset({Binary, Test, Seq, Union, Else})
 
 
 def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
@@ -473,33 +406,131 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
     as tightly (`a + b - c`, `a * b + c`; but `a - (b - c)`).  A node's
     text is therefore one contiguous piece of its parent's text.
 
-    The text is emitted piece by piece from one explicit stack, which
-    holds literal pieces, nodes still to print and, for each node being
-    printed that gets a span, its `(id, start)`, popped where its text
-    ends.  So a goal of any depth prints in linear time without host
-    recursion.  With `spans`, the walk records `spans[id(node)] =
-    (start, end, printed)` for the goal and every goal and call below
-    it: once the call returns, `printed[0]` is the goal's text and
-    `printed[0][start:end]` the node's.  A node that occurs twice keeps
-    the span of one occurrence; both texts are the same.  The caller
-    keeps every node in `spans` alive while it reads them, so that no
-    `id` is reused.
+    The text is written in one pass (after Oppen, TOPLAS 1980).  The
+    node at hand writes its text up to its first sub-node at once and
+    goes on into that sub-node; what follows it is pushed on one
+    explicit stack: literal text, the other sub-nodes, and the `id` of
+    each node whose span ends there.  A literal, variable or parameter
+    operand is written as its text and never reaches the stack.  So a
+    goal of any depth prints in linear time without host recursion.
+    With `spans`, the walk records `spans[id(node)] = (start, end,
+    printed)` for the goal and every goal and call below it (holding
+    the start alone while the node is open): once the call returns,
+    `printed[0]` is the goal's text and `printed[0][start:end]` the
+    node's.  A node that occurs twice keeps the span of its last
+    occurrence; both texts are the same.  The caller keeps every node
+    in `spans` alive while it reads them, so that no `id` is reused.
     """
+    if spans is None:
+        spans = {}
     pieces: list[str] = []
     printed: list[str] = []
     pos = 0
-    stack: list = [g]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            pieces.append(item)
-            pos += len(item)
-        elif type(item) is tuple:
-            spans[item[0]] = (item[1], pos, printed)
+    stack: list = []
+    push = stack.append
+    node = g
+    while True:
+        t = type(node)
+        if t not in _SPANLESS:
+            key = id(node)
+            spans[key] = pos
+            push(key)
+        # `text` runs up to the node's first sub-node `sub` (or to its end),
+        # and what follows `sub` is pushed, last first.
+        sub = None
+        if t in _OPERATORS:
+            if t is Binary or t is Test:
+                sub, right = node.left, node.right
+                op = node.op if t is Binary else node.relop
+                sep = " " + op + " "
+                ts, tr = type(sub), type(right)
+                wrap = ts is Binary and (t is Test or PRECEDENCE[sub.op] < PRECEDENCE[op])
+                if tr is Binary:
+                    push(")")
+                    sep += "("
+            else:
+                if t is Seq:
+                    sub, sep, right = node.first, "; ", node.second
+                elif t is Union:
+                    sub, sep, right = node.first, " | ", node.second
+                else:
+                    sub, sep, right = node.tried, " else ", node.handler
+                ts, tr = type(sub), type(right)
+                wrap = ts in _COMPOUND
+                if tr is not t and tr in _COMPOUND:
+                    push(")")
+                    sep += "("
+            if tr in _LEAVES:
+                sep += int_text(right.value) if tr is IntLit else right.name
+                right = None
+            if ts in _LEAVES:
+                text = (int_text(sub.value) if ts is IntLit else sub.name) + sep
+                sub = right
+            else:
+                if right is not None:
+                    push(right)
+                text = "(" if wrap else ""
+                push(")" + sep if wrap else sep)
+        elif t is Assign:
+            sub = node.expr
+            text = node.var + " = "
+            ts = type(sub)
+            if ts in _LEAVES:
+                text += int_text(sub.value) if ts is IntLit else sub.name
+                sub = None
+        elif t is Call or t is CallExpr:
+            # the arguments from the last, each leaf's text put before what follows it
+            after, sep = ")", ""
+            for arg in reversed(node.args):
+                ta = type(arg)
+                if ta in _LEAVES:
+                    after = (int_text(arg.value) if ta is IntLit else arg.name) + sep + after
+                else:
+                    if sub is not None:
+                        push(sub)
+                    push(sep + after)
+                    sub, after = arg, ""
+                sep = ", "
+            text = node.name + "(" + after
+        elif t is TrueGoal:
+            text = "t"
+        elif t is Fail:
+            text = _fail_text(node.path)
+        elif t is Case:
+            # every arm body is pushed, the first last, and the stack hands it on
+            after = " }"
+            arms = node.arms if node.default is None else node.arms + (("_", node.default),)
+            for label, body in reversed(arms):
+                wrap = type(body) in _COMPOUND
+                push(")" + after if wrap else after)
+                push(body)
+                after = "; " + label + (": (" if wrap else ": ")
+            text = "case Failtree of { " + after[2:]
+        elif t in _LEAVES:
+            text = int_text(node.value) if t is IntLit else node.name
+        elif t is StrLit:
+            text = f'"{node.value}"'
+        elif t is Read:
+            text = "read()"
         else:
-            if spans is not None and type(item) not in _SPANLESS:
-                stack.append((id(item), pos))
-            stack += reversed(_parts(item))
+            raise TypeError(f"not a goal or expression: {node!r}")
+        pieces.append(text)
+        pos += len(text)
+        if sub is not None:
+            node = sub
+            continue
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                pieces.append(item)
+                pos += len(item)
+            elif type(item) is int:
+                spans[item] = (spans[item], pos, printed)
+            else:
+                node = item
+                break
+        else:  # the stack is empty: the whole goal is written
+            break
     printed.append("".join(pieces))
     return printed[0]
 

@@ -22,8 +22,9 @@ from tci.cli import (
     render_trace,
     _print_report,
 )
-from tci.interp import TRACE_BATCH, run_main, trace_lines
+from tci.interp import TRACE_BATCH, TRACE_WIDTH, run_main, trace_lines
 from tci.parser import parse_program
+from tci.syntax import int_text
 
 
 def write(tmp_path, name, text):
@@ -118,6 +119,24 @@ class TestRun:
             assert main(["run", path, "--trace"]) == EXIT_SUCCESS
             sizes.append(len(capsys.readouterr().err.encode("utf-8")))
         assert sizes[1] <= 2.2 * sizes[0]
+
+    def test_long_call_heads_are_cut(self, tmp_path, capsys):
+        # `x` holds 7 ** 2 ** 16, 55,385 digits: with each of the 201 call
+        # heads whole, the trace's longest line held them all and the
+        # trace took 11.2 MB
+        squarings = "; ".join(["x = x * x"] * 16)
+        path = write(tmp_path, "p.tc", "p(n, k) = (k == 0; ret = 0) else p(n, k - 1)\n"
+                                       f"main x = 7; {squarings}; p(x, 200)")
+        assert main(["run", path, "--trace"]) == EXIT_SUCCESS
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 839
+        head = "{n = " + int_text(7 ** 2 ** 16)[:TRACE_WIDTH - 8] + "... "
+        assert sum(head in line for line in lines) == 201
+        # an indent of 32 levels and a level, then the rule, and a head,
+        # a text and a result of at most TRACE_WIDTH characters each
+        assert max(map(len, lines)) <= 64 + len("(839) [rule call-expr] ") + 3 * TRACE_WIDTH + len("  => ")
+        assert len(err.encode("utf-8")) <= 200_000
 
     def test_deep_failure_path_is_drawn(self, tmp_path, capsys, default_recursion_limit):
         # The tree is drawn without host recursion, at the recursion limit

@@ -300,29 +300,36 @@ class TestFrames:
 
 class TestTraceText:
     @staticmethod
-    def laid_out_nodes(monkeypatch, n):
-        """The nodes the printer visits during a traced run of an n-statement chain
-        and of three calls of an n-statement body."""
-        visited = []
-        original = syntax._parts
-
-        def counting(node):
-            visited.append(node)
-            return original(node)
-
-        monkeypatch.setattr(syntax, "_parts", counting)
+    def printer_lines(n):
+        """The number of lines of `tci/syntax.py` executed in a traced run of an
+        n-statement chain followed by n + 1 calls of a body that holds an n-statement chain."""
         chain = "; ".join(f"x{i} = {i}" for i in range(n))
-        program = parse_program(f"p() = {chain}\nmain {chain}; p(); p(); p()")
-        run_main(program, trace=True)
-        monkeypatch.undo()
-        return visited
+        # the chain of the body is in an operand that never runs
+        program = parse_program(f"p(k) = (k == 0; ret = 0) else p(k - 1) else ({chain})\nmain {chain}; p({n})")
+        syntax_file = syntax.pretty_print.__code__.co_filename
+        lines = 0
 
-    def test_each_node_is_printed_once_per_root(self, monkeypatch):
-        small, large = (self.laid_out_nodes(monkeypatch, n) for n in (200, 400))
-        assert len(large) <= 2 * len(small) + 10
-        # each Seq and Assign of main and of the body once (a literal is
-        # laid out by its Assign), and main's Seq of the calls and each call
-        assert len(large) == len({id(node) for node in large}) == 2 * (2 * 400 - 1) + 3 + 3
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count
+
+        def enter(frame, event, arg):
+            return count if frame.f_code.co_filename == syntax_file else None
+
+        previous = sys.gettrace()
+        sys.settrace(enter)
+        try:
+            run_main(program, trace=True)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_each_node_is_printed_once_per_root(self):
+        # printing the body again at each call would take n * n lines
+        small, large = (self.printer_lines(n) for n in (200, 400))
+        assert large <= 2 * small + 10
 
     def test_body_text_under_each_frame(self):
         # one body runs under five frames; equal-but-distinct goal and

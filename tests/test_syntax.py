@@ -21,8 +21,11 @@ from tci.syntax import (
     Fail,
     Goal,
     IntLit,
+    Param,
     Program,
+    Read,
     Seq,
+    StrLit,
     Test as RelopTest,
     TrueGoal,
     Union,
@@ -134,6 +137,43 @@ class TestPrettyPrint:
         for node in (g, Seq(g, g), Seq(Seq(a, TrueGoal()), a)):
             assert pretty_print(node) == recursive_pretty(node)
             assert_spans(node)
+
+    def test_each_case_of_the_printer(self):
+        a, b, c, n = Var("a"), Var("b"), Var("c"), Param("n", 0)
+        one, two = IntLit(1), IntLit(2)
+        sum_ab, product = Binary("+", a, b), Binary("*", n, two)  # leaf operands only
+        call = CallExpr("g", (Binary("-", n, one),))
+        shared = Assign("x", call)
+        goals = [
+            # a leaf-only `Binary` on either side of another operator
+            Assign("x", Binary("*", sum_ab, c)),
+            Assign("x", Binary("-", c, sum_ab)),
+            Assign("x", Binary("+", product, Binary("/", a, product))),
+            RelopTest(sum_ab, "<", product),
+            # a `Binary` left operand of equal and of lower precedence
+            Assign("x", Binary("-", Binary("-", a, b), c)),
+            Assign("x", Binary("/", Binary("*", a, b), c)),
+            Assign("x", Binary("*", Binary("-", a, one), Binary("+", b, two))),
+            # a compound right operand of a `Binary` and of a test
+            Assign("x", Binary("-", one, Binary("*", call, Binary("+", a, call)))),
+            RelopTest(one, "==", Binary("-", a, Binary("-", b, c))),
+            RelopTest(call, ">=", Binary("+", call, n)),
+            RelopTest(StrLit("s"), "!=", Read()),
+            # a compound `case` arm body and default
+            Case((("/F/usr/a", Seq(shared, TrueGoal())), ("/F/sys", Fail("/F/usr/b"))), Union(TrueGoal(), Fail())),
+            Case((("/F", Else(Fail(), shared)),), Seq(TrueGoal(), TrueGoal())),
+            Else(Case((("/F/usr/a", TrueGoal()),)), Case((("/F", Union(shared, shared)),), TrueGoal())),
+            # a call with leaf, compound and call arguments
+            Call("p", ()),
+            Call("p", (one, a, n)),
+            Call("p", (sum_ab, one, call, a, Binary("*", sum_ab, two), StrLit("s"), Read())),
+            Call("p", (call, CallExpr("h", (call, one, CallExpr("h", ()))), b)),
+            Assign("x", CallExpr("h", (one, sum_ab, n))),
+            # a node shared at two places in one tree
+            Seq(shared, Union(Call("p", (call, call)), Else(shared, Seq(shared, shared)))),
+        ]
+        for g in goals:
+            assert_spans(g)
 
     @staticmethod
     def chain(n: int) -> Goal:

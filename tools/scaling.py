@@ -10,13 +10,14 @@ fresh process on the checkout's `src`: once without tracemalloc, for
 the wall time (best of `REPEAT` runs in that process) and the bytes
 written to stdout and stderr, and once by `bench/run.py`'s
 `_PEAK_SCRIPT`, for the tracemalloc peak.  For each shape it prints the
-three at both sizes and the 2n/n ratio of each: about 2 for a shape
-that grows linearly, about 4 for a quadratic one (the log2 of a ratio
-is an empirical growth exponent; Goldsmith, Aiken & Wilkerson, FSE
-2007).  Times are raw `perf_counter` seconds of `cli.main`.  The sizes
-keep each run under about 2 s on a 2-core host with Python 3.11, and
-each timed run over about 30 ms, so that a ratio is not noise; a
-checkout where a shape is still quadratic takes longer.
+three at both sizes and the 2n/n ratio of each: a ratio of 1 means
+the size does not grow with n, about 2 that it grows linearly, about 4
+that it is quadratic (the log2 of a ratio is an empirical growth
+exponent; Goldsmith, Aiken & Wilkerson, FSE 2007).  Times are raw
+`perf_counter` seconds of `cli.main`.  The sizes keep each run under
+about 2 s on a 2-core host with Python 3.11, and each timed run over
+about 30 ms, so that a ratio is not noise; a checkout where a shape is
+still quadratic takes longer.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ SHAPES = {
     "union-traced": (4_000, union, True),
     "chain-traced": (8_000, lambda n: chain(n, 4), True),
     "sum-traced": (10_000, lambda n: f"sum(n, acc) = (n == 0; ret = acc) else sum(n - 1, acc + n)\nmain sum({n}, 0)", True),
+    # 201 traced calls whose frame holds an n-digit integer; each call head is cut to the trace width
+    "frame-traced": (10_000, lambda n: f"p(n, k) = (k == 0; ret = 0) else p(n, k - 1)\nmain x = {'1234567890' * (n // 10)}; p(x, 200)", True),
     "deep-path": (20_000, lambda n: "main f(" + "/".join(["a"] * n) + ")", False),
 }
 
