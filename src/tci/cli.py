@@ -23,7 +23,7 @@ from .interp import (
 )
 from .parser import SourceError, decimal_int, parse_program
 from .store import Store, Value
-from .syntax import Program, Span, pretty_program, pretty_print, shared_union_vars
+from .syntax import Program, Span, pretty_program, pretty_print, shared_union_vars, span_bounds
 
 EXIT_SUCCESS = 0
 EXIT_FAILURE = 1
@@ -134,12 +134,10 @@ def cmd_check(path: str) -> tuple[int, list[str]]:
             continue
         # Flagged `|`s nest: the body is printed once, and each one's text is a slice of it.
         spans: dict[int, Span] = {}
-        pretty_print(goal, spans)
+        text = pretty_print(goal, spans)
         for node, names in found:
-            start, end, printed = spans[id(node)]
-            diagnostics.append(
-                f"warning: '|' branches share variables: {', '.join(names)} (in: {printed[0][start:end]})"
-            )
+            start, end = span_bounds(spans[id(node)])
+            diagnostics.append(f"warning: '|' branches share variables: {', '.join(names)} (in: {text[start:end]})")
     return EXIT_SUCCESS, diagnostics
 
 

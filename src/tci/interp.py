@@ -133,12 +133,17 @@ and its rule comes from its operand and that rest.  Their
 are kept as text, so a traced chain takes time linear in its width.  A
 traced run prints each root once, recording where the text of each goal
 and call below it lies (its span): the run's goal on entry, and a
-procedure body on its first call.  The table of spans is dropped when
-`run` returns; the records keep the spans they show, and with them the
-printed text.  A line's text is its step's span cut to `TRACE_WIDTH`
-characters (the last three `...` when the span is longer), and only
-the characters kept are copied, so a `;` chain is not printed again
-for every enclosing step.  A `failure(...)` result is cut the same
+procedure body on its first call.  The roots' texts are kept in
+`Trace.texts`, in the order printed, and are one text in effect: a span
+is one integer, `start << SPAN_SHIFT | end`, of two offsets into their
+concatenation, so a span costs one int, not a tuple of two ints and a
+reference to its root's text.  The table of spans is dropped when `run`
+returns; the records keep the spans they show, and the trace keeps the
+texts.  The texts are joined when the lines are made (a lone root's text
+is not copied).  A line's text is its step's span cut to `TRACE_WIDTH`
+characters (the last three `...` when the span is longer), and only the
+characters kept are copied, so a `;` chain is not printed again for
+every enclosing step.  A `failure(...)` result is cut the same
 way.  Rule ids: 1 success of `t`, 4 a procedure
 call, 5 an assignment, 6 sequencing, 7/8/9 the three ways a `|` can
 succeed (both operands, only the second, only the first), 10/11 an
@@ -148,8 +153,9 @@ calls in expression position, and rule-less failures are tagged `test`,
 the procedure body, prefixed once with the callee's frame, e.g.
 `[rule 11] {n = 1} (n == 0; ret = 1) else (...) => success`.  A frame's
 text is cut to `TRACE_WIDTH` characters as a goal's text is, so a line's
-length does not grow with the values computed; its integers are still
-converted to text whole, once per call.
+length does not grow with the values computed.  An integer too long to
+show whole is converted once while the evaluator keeps it in a small
+table, not at each call that shows it (`Evaluator._frame_text`).
 """
 
 from __future__ import annotations
@@ -185,6 +191,7 @@ from .syntax import (
     Param,
     Program,
     Read,
+    SPAN_SHIFT,
     Seq,
     Span,
     StrLit,
@@ -212,6 +219,15 @@ _INDENTS = tuple("  " * level for level in range(MAX_INDENT + 1))
 
 # A trace record as a step reserves it: level, rule, head, span, result.
 _RESERVED = (0, "", "", None, "")
+
+# A frame value of at most this many bits has at most 155 digits, so its
+# text, sign included, fits in TRACE_WIDTH characters.
+_SHORT_BITS = 512
+
+# The longer frame values whose cut text a traced run keeps at most: the
+# table is emptied when full, so it keeps alive few values the run has
+# dropped.
+_LONG_VALUES = 8
 
 # Trace lines made and written at a time: a batch's text stays small
 # beside the records still waiting.
@@ -289,12 +305,6 @@ def format_binding(name: str, v: Value) -> str:
     return f'{name} = "{v}"' if isinstance(v, str) else f"{name} = {int_text(v)}"
 
 
-def _frame_text(params: tuple[str, ...], frame: Frame) -> str:
-    """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`, cut to `TRACE_WIDTH` as a goal's text is."""
-    text = "{" + ", ".join(format_binding(name, v) for name, v in zip(params, frame)) + "}"
-    return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
-
-
 def _result_text(out: Outcome) -> str:
     """A step's result as its trace line shows it, cut to `TRACE_WIDTH` as a goal's text is."""
     if isinstance(out, Success):
@@ -349,15 +359,36 @@ class _FailureText:
         return ("failure(" + ", ".join(self.head))[:TRACE_WIDTH - 3] + "..."
 
 
+class Trace(list):
+    """A traced evaluator's records, five slots a line (see the module docstring), and `texts`.
+
+    `texts` holds the text of each root its runs printed, in order.  The
+    span in a record is an int of two offsets into their concatenation,
+    which is made when the lines are.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self):
+        super().__init__()
+        self.texts: list[str] = []
+
+
 class Evaluator:
     """One evaluation run over one store.  Not shared between threads."""
+
+    # the length of the texts in `trace.texts`
+    _printed = 0
+    # While a traced `run` runs, and until the next: id(value) -> (value, its
+    # cut text), for the longer integers a call head shows (`_frame_text`).
+    _long_texts: dict[int, tuple[int, str]] | None = None
 
     def __init__(self, program: Program, store: Store, budget: Budget | None = None, trace: bool = False):
         self.program = program
         self.store = store
         self.budget = budget if budget is not None else Budget()
         # the trace records, five slots per line (see the module docstring)
-        self.trace: list | None = [] if trace else None
+        self.trace: Trace | None = Trace() if trace else None
         self._depth = 0  # traced steps now open: the indent of the next trace line
         self._spans: dict[int, Span] | None = None  # id(node) -> span of its text, while a traced `run` runs
         # the last failure of several paths a trace line showed, and its text:
@@ -372,8 +403,8 @@ class Evaluator:
             entry_lines = len(trace)
             # Every node this run prints is alive until it returns (the
             # program and `goal`), so no id in the table is reused.
-            self._spans = {}
-            pretty_print(goal, self._spans)
+            self._spans, self._long_texts = {}, {}
+            self._print_root(goal)
         mark = store.checkpoint()
         try:
             out = self._run(goal, None, ()) if trace is None else self._eval(goal, None, ())
@@ -669,6 +700,37 @@ class Evaluator:
             self._shown_paths = out.paths  # the next line likely shows this same set
         return self._shown_text
 
+    def _print_root(self, g: Goal) -> None:
+        """Print a root, its spans into the table, and append its text to the trace's."""
+        text = pretty_print(g, self._spans, self._printed)
+        self.trace.texts.append(text)
+        self._printed += len(text)
+
+    def _frame_text(self, params: tuple[str, ...], frame: Frame) -> str:
+        """A call's parameter bindings as its trace line shows them, e.g. `{n = 1, s = "a"}`, cut to `TRACE_WIDTH` as a goal's text is.
+
+        An integer of more than `_SHORT_BITS` bits shows at most its first
+        `TRACE_WIDTH` characters, so only those are kept: each such value
+        is converted once, and its cut text kept in `_long_texts` beside
+        the value, so that its `id` is not reused while the entry lasts.
+        """
+        parts = []
+        for name, v in zip(params, frame):
+            if type(v) is str:
+                parts.append(f'{name} = "{v}"')
+            elif v.bit_length() <= _SHORT_BITS:
+                parts.append(f"{name} = {v}")
+            else:
+                long_texts = self._long_texts
+                kept = long_texts.get(id(v))
+                if kept is None:
+                    if len(long_texts) == _LONG_VALUES:
+                        long_texts.clear()
+                    kept = long_texts[id(v)] = v, int_text(v)[:TRACE_WIDTH]
+                parts.append(f"{name} = {kept[1]}")
+        text = "{" + ", ".join(parts) + "}"
+        return text if len(text) <= TRACE_WIDTH else text[:TRACE_WIDTH - 3] + "..."
+
     def _open_line(self) -> int:
         """Reserve the trace record of a step being entered; returns the index of its first slot."""
         trace = self.trace
@@ -908,8 +970,8 @@ class Evaluator:
                 return _SUCCESS
             return _FAIL_UNDEF
         if id(defn.body) not in self._spans:
-            pretty_print(defn.body, self._spans)
-        return defn.body, values, _frame_text(defn.params, values) + " "
+            self._print_root(defn.body)
+        return defn.body, values, self._frame_text(defn.params, values) + " "
 
     def _test(self, g: Test, ambient: Failure | None, frame: Frame, value) -> Outcome:
         """The test rule: read both operands, then compare them.
@@ -1021,36 +1083,45 @@ def eval_goal(program: Program, store: Store, goal: Goal, budget: Budget | None 
     return Evaluator(program, store, budget).run(goal)
 
 
-def trace_lines(records: list) -> list[str]:
-    """The text lines of trace records, in order: `[rule R] head text => result`, indented by level.
+def trace_lines(records: Trace) -> list[str]:
+    """The text lines of trace records, in order: `[rule R] head text => result`, indented by level."""
+    return _lines(records, "".join(records.texts))
+
+
+def _lines(records: list, printed: str) -> list[str]:
+    """`trace_lines` of records whose spans point into `printed`.
 
     A line's text is its span cut to `TRACE_WIDTH` characters, and only
     the characters kept are copied.
     """
     lines = []
     deepest = _INDENTS[MAX_INDENT]
-    for level, rule, head, (start, end, printed), result in zip(*[iter(records)] * 5):
+    shift, mask = SPAN_SHIFT, (1 << SPAN_SHIFT) - 1
+    for level, rule, head, span, result in zip(*[iter(records)] * 5):
+        start = span >> shift
+        end = span & mask
         if end - start <= TRACE_WIDTH:
-            text = printed[0][start:end]
+            text = printed[start:end]
         else:
-            text = printed[0][start:start + TRACE_WIDTH - 3] + "..."
+            text = printed[start:start + TRACE_WIDTH - 3] + "..."
         indent = _INDENTS[level] if level <= MAX_INDENT else f"{deepest}({level}) "
         lines.append(f"{indent}[rule {rule}] {head}{text} => {result}")
     return lines
 
 
-def render_trace(records: list, stream) -> None:
+def render_trace(records: Trace, stream) -> None:
     """Write the lines of trace records to `stream`, `TRACE_BATCH` at a time, emptying `records`.
 
     The records are taken from the front, so the text written and the
     records still waiting are never both held whole.
     """
+    printed = "".join(records.texts)  # a lone root's text is not copied
     records.reverse()
     slots = 5 * TRACE_BATCH
     while records:
         batch = records[:-slots - 1:-1]  # the next batch's slots, back in order
         del records[-slots:]
-        stream.write("\n".join(trace_lines(batch)) + "\n")
+        stream.write("\n".join(_lines(batch, printed)) + "\n")
 
 
 def run_main(
@@ -1058,7 +1129,7 @@ def run_main(
     input_tokens=(),
     budget: Budget | None = None,
     trace: bool = False,
-) -> tuple[Outcome, Store, list | None]:
+) -> tuple[Outcome, Store, Trace | None]:
     """Run a program's main goal on a fresh store; returns (outcome, final store, trace records).
 
     Output is buffered in the store and kept only when main succeeds; a

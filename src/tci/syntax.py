@@ -22,9 +22,10 @@ form of a dataclass.
 (`iter_goals`, the variable sets, the `|` lint) read the tree only
 through it, each on its own stack.  The printer writes a goal's text
 in one pass, from a stack of its own, and records where each goal's
-and call's text lies in the printed text (its span).  `PRECEDENCE` is
-the arithmetic operators' binding strength, which the printer uses to
-drop parentheses and the parser to reduce expressions.
+and call's text lies in the printed text (its span), as one integer
+that holds both offsets.  `PRECEDENCE` is the arithmetic operators'
+binding strength, which the printer uses to drop parentheses and the
+parser to reduce expressions.
 """
 
 from __future__ import annotations
@@ -382,9 +383,13 @@ def _fail_text(path: str) -> str:
 # reads it the same way without.
 _COMPOUND = frozenset({Binary, Seq, Union, Else})
 
-# A span: where a node's text lies in the text of the root it was printed
-# under, as (start, end, printed), with `printed[0]` the root's text.
-Span = tuple[int, int, list[str]]
+# A span: where a node's text lies in the printed text, as one int,
+# `start << SPAN_SHIFT | end`, which `span_bounds` takes apart.  Offsets
+# are below 2**32, so a span is an int of two 30-bit digits while its
+# start is below 2**28.
+Span = int
+SPAN_SHIFT = 32
+_SPAN_MASK = (1 << SPAN_SHIFT) - 1
 
 # Expressions other than calls get no span: no trace line shows them.
 _SPANLESS = frozenset({IntLit, Var, Param, Binary, StrLit, Read})
@@ -396,7 +401,12 @@ _LEAVES = frozenset({IntLit, Var, Param})
 _OPERATORS = frozenset({Binary, Test, Seq, Union, Else})
 
 
-def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
+def span_bounds(span: Span) -> tuple[int, int]:
+    """A span's (start, end) offsets."""
+    return span >> SPAN_SHIFT, span & _SPAN_MASK
+
+
+def pretty_print(g: Goal, spans: dict[int, Span] | None = None, offset: int = 0) -> str:
     """Concrete syntax for a goal; parses back to the same tree.
 
     A compound operand is parenthesized, except where the grammar reads
@@ -411,21 +421,25 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
     goes on into that sub-node; what follows it is pushed on one
     explicit stack: literal text, the other sub-nodes, and the `id` of
     each node whose span ends there.  A literal, variable or parameter
-    operand is written as its text and never reaches the stack.  So a
-    goal of any depth prints in linear time without host recursion.
-    With `spans`, the walk records `spans[id(node)] = (start, end,
-    printed)` for the goal and every goal and call below it (holding
-    the start alone while the node is open): once the call returns,
-    `printed[0]` is the goal's text and `printed[0][start:end]` the
-    node's.  A node that occurs twice keeps the span of its last
-    occurrence; both texts are the same.  The caller keeps every node
-    in `spans` alive while it reads them, so that no `id` is reused.
+    operand is written as its text and never reaches the stack (a
+    literal short enough for `str` by `str` there, `int_text`'s first
+    case without its call).  So a goal of any depth prints in linear
+    time without host recursion.
+    With `spans`, the walk records `spans[id(node)]`, the span of the
+    node's text, for the goal and every goal and call below it (holding
+    the start alone while the node is open).  Its offsets count from
+    `offset`: the text is meant to follow `offset` characters of other
+    text, as a traced run appends each root it prints to one text.  So
+    with `offset` 0, `text[start:end]` is the node's text, where `text`
+    is the goal's and `start, end = span_bounds(spans[id(node)])`.  A
+    node that occurs twice keeps the span of its last occurrence; both
+    texts are the same.  The caller keeps every node in `spans` alive
+    while it reads them, so that no `id` is reused.
     """
     if spans is None:
         spans = {}
     pieces: list[str] = []
-    printed: list[str] = []
-    pos = 0
+    pos = offset
     stack: list = []
     push = stack.append
     node = g
@@ -461,10 +475,18 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
                     push(")")
                     sep += "("
             if tr in _LEAVES:
-                sep += int_text(right.value) if tr is IntLit else right.name
+                if tr is IntLit:
+                    v = right.value
+                    sep += str(v) if v.bit_length() <= _PLAIN_BITS else int_text(v)
+                else:
+                    sep += right.name
                 right = None
             if ts in _LEAVES:
-                text = (int_text(sub.value) if ts is IntLit else sub.name) + sep
+                if ts is IntLit:
+                    v = sub.value
+                    text = (str(v) if v.bit_length() <= _PLAIN_BITS else int_text(v)) + sep
+                else:
+                    text = sub.name + sep
                 sub = right
             else:
                 if right is not None:
@@ -476,15 +498,22 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
             text = node.var + " = "
             ts = type(sub)
             if ts in _LEAVES:
-                text += int_text(sub.value) if ts is IntLit else sub.name
+                if ts is IntLit:
+                    v = sub.value
+                    text += str(v) if v.bit_length() <= _PLAIN_BITS else int_text(v)
+                else:
+                    text += sub.name
                 sub = None
         elif t is Call or t is CallExpr:
             # the arguments from the last, each leaf's text put before what follows it
             after, sep = ")", ""
             for arg in reversed(node.args):
                 ta = type(arg)
-                if ta in _LEAVES:
-                    after = (int_text(arg.value) if ta is IntLit else arg.name) + sep + after
+                if ta is IntLit:
+                    v = arg.value
+                    after = (str(v) if v.bit_length() <= _PLAIN_BITS else int_text(v)) + sep + after
+                elif ta in _LEAVES:
+                    after = arg.name + sep + after
                 else:
                     if sub is not None:
                         push(sub)
@@ -525,14 +554,13 @@ def pretty_print(g: Goal, spans: dict[int, Span] | None = None) -> str:
                 pieces.append(item)
                 pos += len(item)
             elif type(item) is int:
-                spans[item] = (spans[item], pos, printed)
+                spans[item] = spans[item] << SPAN_SHIFT | pos
             else:
                 node = item
                 break
         else:  # the stack is empty: the whole goal is written
             break
-    printed.append("".join(pieces))
-    return printed[0]
+    return "".join(pieces)
 
 
 def pretty_program(p: Program) -> str:

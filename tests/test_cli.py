@@ -1,3 +1,6 @@
+import copy
+import gc
+import importlib.util
 import io
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -491,10 +495,48 @@ class TestTraceOutput:
         lines = trace_lines(records)
         assert len(lines) == count
         text, sink = io.StringIO(), Sink()
-        render_trace(list(records), text)
+        render_trace(copy.copy(records), text)  # the records with their texts
         render_trace(records, sink)
         assert text.getvalue() == "\n".join(lines) + "\n"
         assert records == [] and sink.lines == count and sink.writes == -(-count // TRACE_BATCH)
+
+
+def load_scaling():
+    """`tools/scaling.py`, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceGrowth:
+    """The traced shapes of `tools/scaling.py`, at a sixteenth of its sizes, grow linearly."""
+
+    @staticmethod
+    def written_and_peak(tmp_path, source: str) -> tuple[int, int]:
+        """Bytes a traced `tci run` writes, and its tracemalloc peak, in this process."""
+        path = write(tmp_path, "p.tc", source)
+        out, err = io.StringIO(), io.StringIO()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["run", path, "--trace"]) in (EXIT_SUCCESS, EXIT_FAILURE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return len(out.getvalue().encode("utf-8")) + len(err.getvalue().encode("utf-8")), peak
+
+    @pytest.mark.parametrize("shape", ["chain-traced", "union-traced", "sum-traced", "frame-traced"])
+    def test_bytes_and_peak_at_twice_the_size(self, tmp_path, shape):
+        n, program, traced = load_scaling().SHAPES[shape]
+        assert traced
+        n //= 16
+        self.written_and_peak(tmp_path, program(n // 10))  # what a first run in the process fills
+        (written, peak), (written2, peak2) = (self.written_and_peak(tmp_path, program(size)) for size in (n, 2 * n))
+        assert written2 / written <= 2.2
+        assert peak2 / peak <= 2.2
 
 
 class TestImports:

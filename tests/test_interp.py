@@ -26,7 +26,7 @@ from tci.interp import Budget, Evaluator, Success, eval_goal, run_main, trace_li
 from tci.oracle import Derivable, DepthExhausted, derive_bounded, gen_program
 from tci.parser import parse_goal, parse_program
 from tci.store import Store
-from tci.syntax import Else, Seq, Span, TrueGoal, Union, iter_goals, pretty_print
+from tci.syntax import Else, Seq, Span, TrueGoal, Union, iter_goals, pretty_print, span_bounds
 
 
 def capped(text: str) -> str:
@@ -370,6 +370,17 @@ class TestTraceText:
             "      [rule 5] x = 1 => success",
         ]
 
+    def test_long_frame_values_are_kept_few(self):
+        # a new 677-digit value at each call: each head shows its own
+        # value's first digits, and the evaluator keeps few of them
+        x = 7 ** 800
+        program = parse_program(f"p(n, k) = (k == 0; ret = 0) else p(n * 3, k - 1)\nmain p({x}, 20)")
+        ev = Evaluator(program, Store(), trace=True)
+        assert isinstance(ev.run(program.main), Success)
+        heads = re.findall(r"\{n = (\d+)\.\.\. ", "\n".join(trace_lines(ev.trace)))
+        assert heads == [syntax.int_text(x * 3 ** i)[:interp.TRACE_WIDTH - 8] for i in range(21)]
+        assert len(ev._long_texts) <= interp._LONG_VALUES < 21
+
     def test_trace_agrees_with_the_recursive_definition(self, monkeypatch):
         # every line shows its step's text as the reference prints it,
         # cut to the trace width; a deferred tail step's line is finished
@@ -418,7 +429,7 @@ class TestTraceText:
             rule = "6" if type(node) is Seq else "5"
             assert body.startswith(f"[rule {rule}] ") and body.endswith(" => success")
             text = body[len(f"[rule {rule}] "):-len(" => success")]
-            start, end, _ = spans[id(node)]
+            start, end = span_bounds(spans[id(node)])
             assert len(text) <= interp.TRACE_WIDTH == 160
             assert text.endswith("...") == (end - start > 160)
             if i % 97 == 0 or i > len(lines) - 5:

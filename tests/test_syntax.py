@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import tracemalloc
 import types
 import typing
 
@@ -38,6 +39,7 @@ from tci.syntax import (
     pretty_program,
     shared_union_vars,
     Span,
+    span_bounds,
     _children,
     _walk,
 )
@@ -118,11 +120,10 @@ class TestPrettyPrint:
         spans: dict[int, Span] = {}
         text = pretty_print(g, spans)
         assert text == "x = 1; (y = 2 + a | z = h(3)); t"
-        # one printed text, and a slice of it for each goal and call
-        assert len({id(printed) for _, _, printed in spans.values()}) == 1
-        assert all(printed == [text] for _, _, printed in spans.values())
+        # one int for each goal and call, which holds where its slice of the text lies
+        assert all(type(span) is int for span in spans.values())
         shown = {id(node): node for node in _walk(g) if id(node) in spans}
-        assert sorted(text[spans[i][0]:spans[i][1]] for i in shown) == sorted([
+        assert sorted(text[slice(*span_bounds(spans[i]))] for i in shown) == sorted([
             "x = 1; (y = 2 + a | z = h(3)); t", "x = 1", "(y = 2 + a | z = h(3)); t",
             "y = 2 + a | z = h(3)", "y = 2 + a", "z = h(3)", "h(3)", "t",
         ])
@@ -189,6 +190,22 @@ class TestPrettyPrint:
             e = Binary("+", e, IntLit(1))
         return e
 
+    def test_span_table_size(self):
+        # the table and the text, per span, of a 4,000-statement chain:
+        # 172 B when each span was a (start, end, text) tuple
+        g = parse_goal("; ".join(f"x{i} = {i}" for i in range(4_000)))
+        tracemalloc.start()
+        try:
+            spans: dict[int, Span] = {}
+            text = pretty_print(g, spans)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(spans) == 7_999
+        assert held / len(spans) <= 125
+        start, end = span_bounds(spans[id(g.second.second)])
+        assert text[start:end] == "; ".join(f"x{i} = {i}" for i in range(2, 4_000))
+
     def test_deep_goals_print_without_host_recursion(self, default_recursion_limit):
         n = 20_000
         chain = "; ".join(["x = 1"] * n)
@@ -231,15 +248,21 @@ class TestPrettyPrint:
 
 
 def assert_spans(g: Goal) -> None:
-    """`g` prints as the recursive definition says, and so does the span of each goal and call below it."""
+    """`g` prints as the recursive definition says, and so does the span of each goal and call below it.
+
+    Printed after 7 characters of other text, every span lies 7 further on.
+    """
     spans: dict[int, Span] = {}
     text = pretty_print(g, spans)
     assert text == recursive_pretty(g)
+    shifted: dict[int, Span] = {}
+    assert pretty_print(g, shifted, 7) == text
+    assert shifted.keys() == spans.keys()
     for node in _walk(g):
         if isinstance(node, Goal) or type(node) is CallExpr:
-            start, end, printed = spans[id(node)]
-            assert printed[0] is text
+            start, end = span_bounds(spans[id(node)])
             assert text[start:end] == recursive_pretty(node)
+            assert span_bounds(shifted[id(node)]) == (start + 7, end + 7)
 
 
 def goal_exprs(g: Goal) -> list[Expr]:

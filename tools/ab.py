@@ -39,9 +39,13 @@ tree has read 0.978-1.016 at 5 rounds), so `--processes K` runs this
 tool K times against OTHER and K times against this checkout (A/A),
 alternating, each in a fresh process with the same workload, seed and
 rounds.  For each workload it prints the median of the K per-process
-median ratios, with their minimum and maximum, for A/B and for A/A.
-It stops, with exit code 1, at the first process that fails or reports
-a wrong call.
+median ratios, with their minimum and maximum and their 2nd-smallest
+and 2nd-largest, for A/B and for A/A.  One outlying process widens the
+minimum-maximum range but not the inner one, which holds the true
+median of the per-process medians with probability 1 - 2 (K + 1) 2^-K
+(0.93 at K = 8; the minimum-maximum range, 1 - 2^(1-K)).  It stops,
+with exit code 1, at the first process that fails or reports a wrong
+call.
 """
 
 from __future__ import annotations
@@ -175,10 +179,18 @@ def fresh_reading(other: Path, workload: str, seed: int, rounds: int) -> dict[st
     return found
 
 
+def inner_range(medians: list[float]) -> tuple[float, float]:
+    """The 2nd-smallest and 2nd-largest of per-process medians (the smallest and largest of fewer than 3)."""
+    ordered = sorted(medians)
+    inner = ordered[1:-1] or ordered
+    return inner[0], inner[-1]
+
+
 def across_processes(other: Path, workload: str, seed: int, rounds: int, processes: int) -> dict[str, dict]:
     """`processes` fresh A/B and A/A readings, alternating: {"A/B" or "A/A": {workload: [reading, ...]}}.
 
-    Prints, per workload, the median (min-max) of each side's per-process median ratios.
+    Prints, per workload, the median (min-max; 2nd-smallest-2nd-largest)
+    of each side's per-process median ratios.
     """
     readings: dict[str, dict[str, list[dict]]] = {"A/B": {}, "A/A": {}}
     for _ in range(processes):
@@ -188,9 +200,11 @@ def across_processes(other: Path, workload: str, seed: int, rounds: int, process
 
     def summary(name: str, label: str) -> str:
         medians = [reading["median"] for reading in readings[label][name]]
-        return f"{statistics.median(medians):.3f} ({min(medians):.3f}-{max(medians):.3f})"
+        low, high = inner_range(medians)
+        return f"{statistics.median(medians):.3f} ({min(medians):.3f}-{max(medians):.3f}; {low:.3f}-{high:.3f})"
 
-    print(f"seed {seed}, {rounds} rounds: median (min-max) of {processes} per-process median ratios this/other")
+    print(f"seed {seed}, {rounds} rounds: median (min-max; 2nd-smallest-2nd-largest) of {processes} per-process"
+          " median ratios this/other")
     for name in readings["A/B"]:
         print(f"  {name:8} A/B {summary(name, 'A/B')}  A/A {summary(name, 'A/A')}")
     return readings

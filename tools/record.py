@@ -22,7 +22,9 @@ The record holds:
   against itself), alternating.  For each workload, side and seed it
   keeps each process's reading (pairs, median ratio this/other, its
   25th and 75th percentile, the share of pairs won, both sides'
-  `peak_mb`) and the median, minimum and maximum of their medians;
+  `peak_mb`) and the median, minimum and maximum of their medians, and
+  their 2nd-smallest and 2nd-largest (`inner_min`, `inner_max`: an
+  interval that one outlying process does not widen);
 - opcodes per op: the Python bytecode instructions `cli.main` executes
   per op, averaged over the first `OPCODE_OPS` ops of each workload at
   seed 1 (after one untraced warm-up call), counted with `sys.settrace`
@@ -58,14 +60,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from ab import NO_BYTECODE, across_processes, refuse_bytecode  # noqa: E402
+from ab import NO_BYTECODE, across_processes, inner_range, refuse_bytecode  # noqa: E402
 from run import END_TO_END, write_ops  # noqa: E402
 
 SEEDS = (1, 4242)
 RUNS = 3  # bench runs per seed: the fewest that give a median and an IQR
 SECONDS = 2.0  # each bench run's timed pass per workload and mode
 ROUNDS = 5  # tools/ab.py rounds: at 3, readings of nearly the same code moved by up to 1.7%
-PROCESSES = 8  # tools/ab.py processes per side: min-max of 8 medians holds their true median with p ~ 0.99
+PROCESSES = 8  # tools/ab.py processes per side: of 8 medians, min-max holds their true median with p ~ 0.99, 2nd-7th with p ~ 0.93
 OPCODE_SEED = 1
 OPCODE_OPS = 8
 
@@ -161,9 +163,11 @@ def opcodes_per_op(tree: Path) -> dict[str, float]:
 
 
 def process_medians(readings: list[dict]) -> dict:
-    """One side's per-process readings of a workload, with the median, minimum and maximum of their medians."""
+    """One side's per-process readings of a workload, with the median, extremes and inner range of their medians."""
     medians = [reading["median"] for reading in readings]
-    return {"readings": readings, "median": statistics.median(medians), "min": min(medians), "max": max(medians)}
+    low, high = inner_range(medians)
+    return {"readings": readings, "median": statistics.median(medians), "min": min(medians), "max": max(medians),
+            "inner_min": low, "inner_max": high}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,9 +29,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-
-from run import _PEAK_SCRIPT  # noqa: E402
 
 REPEAT = 3
 
@@ -80,13 +77,16 @@ SHAPES = {
 }
 
 
-def measure(src: Path, path: Path, trace: bool) -> tuple[float, int, float]:
-    """(seconds, bytes written, tracemalloc peak in MB) of `tci run` on `path`, each from a fresh process."""
+def measure(src: Path, path: Path, trace: bool, peak_script: str) -> tuple[float, int, float]:
+    """(seconds, bytes written, tracemalloc peak in MB) of `tci run` on `path`, each from a fresh process.
+
+    `peak_script` is `bench/run.py`'s `_PEAK_SCRIPT`.
+    """
     argv = ["run", str(path), *(["--trace"] if trace else [])]
     timed = subprocess.run([sys.executable, "-c", _TIME_SCRIPT, str(src), str(REPEAT), *argv],
                            capture_output=True, text=True, timeout=600, check=True)
     seconds, written = timed.stdout.split()
-    peak = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(src), *argv],
+    peak = subprocess.run([sys.executable, "-c", peak_script, str(src), *argv],
                           capture_output=True, text=True, timeout=600, check=True)
     return float(seconds), int(written), int(peak.stdout) / 2**20
 
@@ -96,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("checkout", type=Path, nargs="?", default=ROOT, help="the checkout to measure (default: this one)")
     ap.add_argument("--shape", action="append", choices=SHAPES, help="a shape to run (default: all)")
     args = ap.parse_args(argv)
+    # loaded here, so that the shapes can be imported without the bench
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import _PEAK_SCRIPT
 
     src = args.checkout.resolve() / "src"
     if not (src / "tci" / "__init__.py").is_file():
@@ -109,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             for size in (n, 2 * n):
                 path = Path(tmp) / f"{name}-{size}.tc"
                 path.write_text(program(size), encoding="utf-8")
-                rows.append(measure(src, path, trace))
+                rows.append(measure(src, path, trace, _PEAK_SCRIPT))
             (t1, b1, p1), (t2, b2, p2) = rows
             print(f"{name:15} {n:7d}  {t1:7.3f} {t2:7.3f} {t2 / t1:5.2f}  {b1:9d} {b2:9d} {b2 / max(b1, 1):5.2f}"
                   f"  {p1:8.3f} {p2:8.3f} {p2 / p1:5.2f}")
