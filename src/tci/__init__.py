@@ -50,7 +50,6 @@ from .syntax import (
     TrueGoal,
     Union,
     Var,
-    free_vars,
     pretty_print,
     pretty_program,
 )

@@ -25,32 +25,37 @@ ends a run with every mark its descent opened still open: `run` rolls
 back to its own mark, which ends them all.
 
 A run takes one of two loops, chosen once by `run`: the traced loop
-(`_eval`, with `_expr` for expressions and `_enter` to start a call)
-when it keeps a trace, else the untraced loop (`_run`, with `_value`).
-Both apply the same rules and end with the same outcome, store and
-`Budget.used`.  One step is one iteration of a loop: it spends a unit of
-the budget, picks the goal's rule by testing `type(goal) is ...`, most
-frequent types first, and runs it in the same host frame; expressions
-are dispatched the same way.  A step in a tail position, where nothing
-is left to do after it, replaces the step that reached it and the loop
-goes on.  The tail positions are a `;`'s second operand once the first
-has succeeded, an `else`'s handler after the rollback, the chosen `case`
-arm or default, and the body of a call in goal position, under the
-callee's frame.  So tail recursion runs in constant host stack.  A `|`
-chain's step walks the spine in one loop, each spine union spending its
-step when it is reached, so a chain of any width takes constant host
-stack and is bounded only by the budget.  Outcomes are immutable, so
-they are shared: one Success, and one Failure for each fixed /F/sys path
-the machine throws, built at import; an `else` hands its tried operand's
-Failure on as the ambient failure that `case` reads, and a `case` with
-no matching arm fails with that same object.
+(`_eval`, with `_enter` to start a call) when it keeps a trace, else the
+untraced loop (`_run`).  One expression evaluator, `_value`, serves
+both: only its `CallExpr` rule tells them apart, by one test of whether
+the run keeps a trace.  Both loops apply the same rules and end with the
+same outcome, store and `Budget.used`.  One step is one iteration of a
+loop: it spends a unit of the budget, picks the goal's rule by testing
+`type(goal) is ...`, most frequent types first, and runs it in the same
+host frame; expressions are dispatched the same way.  A step in a tail
+position, where nothing is left to do after it, replaces the step that
+reached it and the loop goes on.  The tail positions are a `;`'s second
+operand once the first has succeeded, an `else`'s handler after the
+rollback, the chosen `case` arm or default, and the body of a call in
+goal position, under the callee's frame.  So tail recursion runs in
+constant host stack.  A `|` chain's step walks the spine in one loop,
+each spine union spending its step when it is reached, so a chain of any
+width takes constant host stack and is bounded only by the budget.
+Outcomes are immutable, so they are shared: one Success, and one Failure
+for each fixed /F/sys path the machine throws, built at import; an
+`else` hands its tried operand's Failure on as the ambient failure that
+`case` reads, and a `case` with no matching arm fails with that same
+object.
 
-The traced loop is the reference: it holds the generic rules only, and
-every step has its trace line.  Every operand that is not in a tail
-position (a `;`'s first, an `else`'s tried operand, each `|` operand,
+The traced loop is the reference for goals: it holds the generic rules
+only, and every step has its trace line.  Every operand that is not in a
+tail position (a `;`'s first, an `else`'s tried operand, each `|` operand,
 arguments, calls in expression position) is run by a nested call of
-`_eval` or `_expr`, one host frame deeper, and a call's arguments by
-`_enter`, which returns the body to run and its trace head.
+`_eval` or `_value`, one host frame deeper, and a call's arguments by
+`_enter`, which returns the body to run and its trace head.  Expression
+values have their own reference, the independent semantics of
+`tci.oracle`: tests and `tci selfcheck` hold the untraced loop to it,
+and tests hold the two loops to each other.
 
 The untraced loop holds no trace code, and three fast paths.  A leaf
 operand runs in the frame of the step that holds it, and spends its own
@@ -75,13 +80,15 @@ can edit the store (the callee's assignments, the input cursor) before
 it fails, and so can an assignment before the test; both keep their
 mark.  `_enter` is inline in the untraced `Call` rule, so a goal-position
 call evaluates its arguments, finds its definition and goes on into the
-body in the same frame, and in `_value`'s `CallExpr` rule, so a call
-nested in an argument takes one host frame, not two.  So an untraced
-non-tail level such as `p(n) = (n == 0; ret = 0) else ret = 1 + p(n -
-1)` takes three host frames (`_run` for the assignment, `_value` for the
-sum and for the call), as it does traced, and each call nested in an
-argument, as in `g(g(...))`, takes one, where a traced run takes two
-(`_expr` and `_enter`).
+body in the same frame, and in the untraced branch of `_value`'s
+`CallExpr` rule, so a call nested in an argument takes one host frame,
+not two.  So an untraced non-tail level such as `p(n) = (n == 0; ret =
+0) else ret = 1 + p(n - 1)` takes three host frames (`_run` for the
+assignment, `_value` for the sum and for the call), as it does traced,
+and each call nested in an argument, as in `g(g(...))`, takes one, where
+a traced run takes two (`_value` and `_enter`).  The traced branch is
+inline in `_value` too, not a method of its own, which would add a frame
+to each traced nested call.
 
 A call evaluates its arguments in the caller's frame and runs the
 procedure body unchanged with the list of those values as its frame.
@@ -295,6 +302,14 @@ _COMPARE = {
 }
 
 
+def _arm(case: Case, ambient: Failure) -> Goal | None:
+    """The goal a `case` goes on to under `ambient`: its first matching arm, else its default (None if it has none)."""
+    for pattern, body in case.arms:
+        if matches(pattern, ambient):
+            return body
+    return case.default
+
+
 def format_value(v: Value) -> str:
     """How print() renders a value on the output stream."""
     return v if isinstance(v, str) else int_text(v)
@@ -483,11 +498,7 @@ class Evaluator:
                     if defn is not None:
                         g, frame = defn.body, values
                         continue
-                    if g.name == PRINT_BUILTIN and len(values) == 1:
-                        store.emit_output(format_value(values[0]))
-                        out = _SUCCESS
-                    else:
-                        out = _FAIL_UNDEF
+                    out = self._builtin(g.name, values)
             elif t is Else:
                 tried = g.tried
                 if type(tried) is Seq and type(tried.first) is Test and budget.remaining >= 2:
@@ -535,7 +546,7 @@ class Evaluator:
                     g, ambient = g.handler, out
                     continue
             elif t is Test:
-                out = self._test(g, ambient, frame, self._value)
+                out = self._test(g, ambient, frame)
             elif t is Union:
                 # `_eval`'s chain walk, where an `f` operand writes nothing, so
                 # it opens no mark; its step runs here.
@@ -590,11 +601,7 @@ class Evaluator:
                 if ambient is None:
                     out = _FAIL_CASE
                 else:
-                    for pattern, body in g.arms:
-                        if matches(pattern, ambient):
-                            break
-                    else:
-                        body = g.default
+                    body = _arm(g, ambient)
                     if body is None:
                         out = ambient
                     else:
@@ -607,10 +614,13 @@ class Evaluator:
             g, then = then, None  # the leaf was a `;`'s first operand: go on to its second
 
     def _value(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
-        """An expression's value in an untraced run; a failure raises `_EvalFailure`.
+        """An expression's value, in either loop; a failure raises `_EvalFailure`.
 
-        `_expr`'s rules, with `_enter` inline in the `CallExpr` rule, so a
-        nested call in an argument takes one host frame.
+        `Binary` and `CallExpr` are tested first: the rules that hold an
+        operand read a leaf operand themselves.  A call in an untraced run
+        has `_enter` inline and runs its body by `_run`, so a call nested in
+        an argument takes one host frame; in a traced run it has its
+        `call-expr` line and runs by `_enter` and `_eval`, two frames.
         """
         t = type(e)
         if t is Binary:
@@ -649,26 +659,31 @@ class Evaluator:
                 raise _EvalFailure(_FAIL_DIV0)
             return _int_div(lv, rv)
         if t is CallExpr:
-            # `_enter`, inline.  No checkpoint of its own: a failure here fails
-            # the enclosing goal, and the nearest catch point rolls back what
-            # the call did.
-            values = []
-            for a in e.args:
-                if type(a) is Param:
-                    values.append(frame[a.index])
-                elif type(a) is IntLit:
-                    values.append(a.value)
-                else:
-                    values.append(self._value(a, ambient, frame))
-            defn = self.program.defs.get((e.name, len(values)))
-            if defn is not None:
-                out = self._run(defn.body, ambient, values)
-                if out is not _SUCCESS:
-                    raise _EvalFailure(out)
-            elif e.name == PRINT_BUILTIN and len(values) == 1:
-                self.store.emit_output(format_value(values[0]))
+            # No checkpoint of its own: a failure here fails the enclosing
+            # goal, and the nearest catch point rolls back what the call did.
+            if self.trace is None:
+                # `_enter`, inline: the body runs one frame deeper, in `_run`
+                values = []
+                for a in e.args:
+                    if type(a) is Param:
+                        values.append(frame[a.index])
+                    elif type(a) is IntLit:
+                        values.append(a.value)
+                    else:
+                        values.append(self._value(a, ambient, frame))
+                defn = self.program.defs.get((e.name, len(values)))
+                out = self._builtin(e.name, values) if defn is None else self._run(defn.body, ambient, values)
             else:
-                raise _EvalFailure(_FAIL_UNDEF)
+                # inline, not a method: a nested traced call takes two frames, this and `_enter`
+                at = self._open_line()
+                out = self._enter(e.name, e.args, ambient, frame)
+                if type(out) is tuple:
+                    body, callee_frame, head = out
+                    out = self._eval(body, ambient, callee_frame, head)
+                self._close_line(at, "call-expr", "", e, self._result(out))
+                self._depth -= 1
+            if out is not _SUCCESS:
+                raise _EvalFailure(out)
             name = RET_VAR
         elif t is Param:
             return frame[e.index]
@@ -685,6 +700,13 @@ class Evaluator:
             return self.store.lookup(name)
         except UnboundVariable:
             raise _EvalFailure(_FAIL_UNBOUND) from None
+
+    def _builtin(self, name: str, values: list[Value]) -> Outcome:
+        """A call no definition matches: `print` of one value emits it; any other is undefined."""
+        if name == PRINT_BUILTIN and len(values) == 1:
+            self.store.emit_output(format_value(values[0]))
+            return _SUCCESS
+        return _FAIL_UNDEF
 
     # -- the traced loop -----------------------------------------------------
 
@@ -822,7 +844,7 @@ class Evaluator:
             elif t is Assign:
                 rule = 5
                 try:
-                    value = self._expr(g.expr, ambient, frame)
+                    value = self._value(g.expr, ambient, frame)
                 except _EvalFailure as fail:
                     out = fail.out
                 else:
@@ -838,7 +860,7 @@ class Evaluator:
                     continue
             elif t is Test:
                 rule = "test"
-                out = self._test(g, ambient, frame, self._expr)
+                out = self._test(g, ambient, frame)
             elif t is Else:
                 store = self.store
                 mark = store.checkpoint()
@@ -917,11 +939,7 @@ class Evaluator:
                 if ambient is None:
                     out = _FAIL_CASE
                 else:
-                    for pattern, body in g.arms:
-                        if matches(pattern, ambient):
-                            break
-                    else:
-                        body = g.default
+                    body = _arm(g, ambient)
                     if body is None:
                         out = ambient
                     else:
@@ -942,12 +960,14 @@ class Evaluator:
     def _enter(
         self, name: str, args: tuple[Expr, ...], ambient: Failure | None, frame: Frame
     ) -> Outcome | tuple[Goal, Frame, str]:
-        """Start a traced call: its outcome if it ends here, else (body, callee frame, body's trace head).
+        """Start a traced call, in goal position (`_eval`) or expression position (`_value`).
 
-        The arguments are evaluated in the caller's frame, and their list
-        is the callee's frame; a failing argument, the `print` builtin and
-        an undefined procedure end the call here.  The trace head names
-        each parameter.
+        Returns the call's outcome if it ends here, else (body, callee
+        frame, body's trace head).  The arguments are evaluated by
+        `_value` in the caller's frame, and their list is the callee's
+        frame; a failing argument and a call no definition matches
+        (`_builtin`) end the call here.  The trace head names each
+        parameter.
         """
         # A loop, not a comprehension: before Python 3.12 a comprehension
         # runs in a function frame of its own.  A parameter or an integer
@@ -960,26 +980,23 @@ class Evaluator:
                 elif type(a) is IntLit:
                     values.append(a.value)
                 else:
-                    values.append(self._expr(a, ambient, frame))
+                    values.append(self._value(a, ambient, frame))
         except _EvalFailure as fail:
             return fail.out
         defn = self.program.defs.get((name, len(values)))
         if defn is None:
-            if name == PRINT_BUILTIN and len(values) == 1:
-                self.store.emit_output(format_value(values[0]))
-                return _SUCCESS
-            return _FAIL_UNDEF
+            return self._builtin(name, values)
         if id(defn.body) not in self._spans:
             self._print_root(defn.body)
         return defn.body, values, self._frame_text(defn.params, values) + " "
 
-    def _test(self, g: Test, ambient: Failure | None, frame: Frame, value) -> Outcome:
+    def _test(self, g: Test, ambient: Failure | None, frame: Frame) -> Outcome:
         """The test rule: read both operands, then compare them.
 
         Integers compare by every relop, strings only by (in)equality, and
         any other pair fails the test.  A parameter, variable or integer
         operand is read here, without a call; any other is evaluated by
-        `value`, the loop's expression evaluator (`_value` or `_expr`).
+        `_value`, the one expression evaluator of both loops.
         """
         left, right = g.left, g.right
         try:
@@ -990,7 +1007,7 @@ class Evaluator:
             elif type(left) is IntLit:
                 lv = left.value
             else:
-                lv = value(left, ambient, frame)
+                lv = self._value(left, ambient, frame)
             if type(right) is IntLit:
                 rv = right.value
             elif type(right) is Param:
@@ -998,7 +1015,7 @@ class Evaluator:
             elif type(right) is Var:
                 rv = self.store.lookup(right.name)
             else:
-                rv = value(right, ambient, frame)
+                rv = self._value(right, ambient, frame)
         except _EvalFailure as fail:
             return fail.out
         except UnboundVariable:
@@ -1007,76 +1024,6 @@ class Evaluator:
         if type(lv) is int and type(rv) is int or type(lv) is str and type(rv) is str and (op == "==" or op == "!="):
             return _SUCCESS if _COMPARE[op](lv, rv) else _FAIL_TEST
         return _FAIL_TEST
-
-    def _expr(self, e: Expr, ambient: Failure | None, frame: Frame) -> Value:
-        """An expression's value in a traced run; a failure raises `_EvalFailure`.
-
-        `Binary` and `CallExpr` are tested first: the rules that hold an
-        operand read a leaf operand themselves.
-        """
-        t = type(e)
-        if t is Binary:
-            # A literal, parameter or variable operand is read here, without a call.
-            left, right = e.left, e.right
-            try:
-                if type(left) is IntLit:
-                    lv = left.value
-                elif type(left) is Param:
-                    lv = frame[left.index]
-                elif type(left) is Var:
-                    lv = self.store.lookup(left.name)
-                else:
-                    lv = self._expr(left, ambient, frame)
-                if type(right) is IntLit:
-                    rv = right.value
-                elif type(right) is Param:
-                    rv = frame[right.index]
-                elif type(right) is Var:
-                    rv = self.store.lookup(right.name)
-                else:
-                    rv = self._expr(right, ambient, frame)
-            except UnboundVariable:
-                raise _EvalFailure(_FAIL_UNBOUND) from None
-            if not (type(lv) is int and type(rv) is int):
-                raise _EvalFailure(_FAIL_TEST)
-            op = e.op
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            if rv == 0:
-                raise _EvalFailure(_FAIL_DIV0)
-            return _int_div(lv, rv)
-        if t is CallExpr:
-            # No checkpoint of its own: a failure here fails the enclosing
-            # goal, and the nearest catch point rolls back what the call did.
-            at = self._open_line()
-            out = self._enter(e.name, e.args, ambient, frame)
-            if type(out) is tuple:
-                body, callee_frame, head = out
-                out = self._eval(body, ambient, callee_frame, head)
-            self._close_line(at, "call-expr", "", e, self._result(out))
-            self._depth -= 1
-            if out is not _SUCCESS:
-                raise _EvalFailure(out)
-            name = RET_VAR
-        elif t is Param:
-            return frame[e.index]
-        elif t is Var:
-            name = e.name
-        elif t is IntLit or t is StrLit:
-            return e.value
-        elif t is Read:
-            return self.store.read_input()
-        else:
-            raise TypeError(f"not an expression: {e!r}")
-        # a variable, or the result of a call
-        try:
-            return self.store.lookup(name)
-        except UnboundVariable:
-            raise _EvalFailure(_FAIL_UNBOUND) from None
 
 
 def eval_goal(program: Program, store: Store, goal: Goal, budget: Budget | None = None) -> Outcome:

@@ -313,19 +313,6 @@ def _own_vars(node: Goal | Expr) -> set[str]:
     return {node.name} if t is Var else {node.var} if t is Assign else set()
 
 
-def expr_vars(e: Expr) -> set[str]:
-    """Store variable names an expression reads (parameters excluded)."""
-    return {node.name for node in _walk(e) if type(node) is Var}
-
-
-def free_vars(g: Goal) -> set[str]:
-    """All store variable names a goal reads or assigns (procedure and parameter names excluded)."""
-    out: set[str] = set()
-    for node in _walk(g):
-        out |= _own_vars(node)
-    return out
-
-
 # Up to this many bits (2,467 digits) an int is converted by `str()`,
 # which is then about as fast as binary splitting and within the
 # interpreter's default limit of 4,300 digits; it is also the splitting's

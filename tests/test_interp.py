@@ -877,19 +877,19 @@ CALL_SHAPES = (
 )
 
 
-def run_corpus_untraced():
-    """Run, untraced, the golden programs on each golden input, and each guard and call shape at every budget."""
+def run_corpus(trace: bool = False):
+    """Run the golden programs on each golden input, and each guard and call shape at every budget."""
     for source in sorted(GOLDEN_DIR.glob("*.tc")):
         for data in sorted(GOLDEN_DIR.glob("*.in")):
             tokens = [int(token) for token in data.read_text(encoding="utf-8").split()]
             program = parse_program(source.read_text(encoding="utf-8"))
-            Evaluator(program, Store(tokens)).run(program.main)
+            Evaluator(program, Store(tokens), trace=trace).run(program.main)
     for source in GUARD_SHAPES + CALL_SHAPES:
         program = parse_program(source)
         budget = Budget()
-        Evaluator(program, Store((1, 2)), budget).run(program.main)
+        Evaluator(program, Store((1, 2)), budget, trace=trace).run(program.main)
         for max_steps in range(budget.used):
-            Evaluator(program, Store((1, 2)), Budget(max_steps)).run(program.main)
+            Evaluator(program, Store((1, 2)), Budget(max_steps), trace=trace).run(program.main)
 
 
 class TestUntracedAgreesWithTraced:
@@ -999,16 +999,17 @@ def branches_not_taken(functions, work) -> set[tuple[str, str, str]]:
 
 
 class TestUntracedLoop:
-    # The untraced loop (`_run`, `_value`) is checked against the traced
-    # reference above; these show that the corpus reaches all of it, and
-    # that it reaches no traced-only code.
+    # The untraced loop (`_run`, and `_value`, the expression evaluator of
+    # both loops) is checked against the traced reference above; these
+    # show that the corpus reaches all of it, and that an untraced run
+    # reaches no traced-only code.
     def test_no_untraced_step_reaches_traced_code(self, monkeypatch):
         def traced_only(*args, **kwargs):
             raise AssertionError("an untraced run reached traced-only code")
 
-        for name in ("_eval", "_expr", "_enter", "_open_line", "_close_line", "_close_spine", "_result"):
+        for name in ("_eval", "_enter", "_open_line", "_close_line", "_close_spine", "_result"):
             monkeypatch.setattr(Evaluator, name, traced_only)
-        run_corpus_untraced()
+        run_corpus()
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="the untaken jumps below are those of CPython 3.11's bytecode; "
@@ -1017,8 +1018,15 @@ class TestUntracedLoop:
         # Every conditional jump of `_run` and `_value` goes both ways,
         # but for an `except` that meets another exception type and the
         # last type test before each `raise TypeError`, which no program
-        # the parser builds reaches.
-        missing = branches_not_taken((Evaluator._run, Evaluator._value), run_corpus_untraced)
+        # the parser builds reaches.  `_value` serves both loops, so the
+        # corpus runs untraced and traced: its `trace is None` test, and
+        # the traced call's test of whether `_enter` ended the call, go
+        # both ways.
+        def both():
+            run_corpus()
+            run_corpus(trace=True)
+
+        missing = branches_not_taken((Evaluator._run, Evaluator._value), both)
         other_exceptions = {way for way in missing if way[1].startswith("except ") and way[2] == "jumps"}
         assert missing - other_exceptions == {("_run", "elif t is Case:", "jumps"), ("_value", "elif t is Read:", "jumps")}
 
@@ -1076,6 +1084,23 @@ class TestHostFrames:
         # frame: 900 nested calls take 900 frames, and would take 1,800 at two
         source = "g(a) = ret = a\nmain x = " + "g(" * 900 + "1" + ")" * 900
         out, store, _ = run_main(parse_program(source))
+        assert isinstance(out, Success) and store.bindings["x"] == 1
+
+    def test_a_traced_non_tail_level_takes_three_host_frames(self, default_recursion_limit):
+        # a level holds `_eval` (the handler's assignment) and `_value` for
+        # the sum and for the call, whose body `_eval` runs in the next
+        # level's frame: 300 levels fit (320 do, 340 do not), and would
+        # not at four a level
+        source = "p(n) = (n == 0; ret = 0) else ret = 1 + p(n - 1)\nmain x = p(300)"
+        out, store, _ = run_main(parse_program(source), trace=True)
+        assert isinstance(out, Success) and store.bindings["x"] == 300
+
+    def test_a_traced_nested_argument_call_takes_two_host_frames(self, default_recursion_limit):
+        # a traced call in an argument takes `_value`, with its `call-expr`
+        # line inline, and `_enter` for its arguments: 450 nested calls
+        # fit (490 do, 520 do not), and would take 1,350 frames at three
+        source = "g(a) = ret = a\nmain x = " + "g(" * 450 + "1" + ")" * 450
+        out, store, _ = run_main(parse_program(source), trace=True)
         assert isinstance(out, Success) and store.bindings["x"] == 1
 
     def test_a_wide_union_takes_no_host_frame_per_operand(self, default_recursion_limit, tmp_path, capsys):

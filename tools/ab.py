@@ -22,7 +22,12 @@ checkout won.  It also prints each side's `peak_mb` as the bench
 measures it: the largest tracemalloc peak over the pool's `MEMORY_OPS`
 largest ops, each run by `bench/run.py`'s `_PEAK_SCRIPT` in a fresh
 process on that side's `src`.  `--workload all` compares the four
-workloads in turn, printing that block, ratio line included, for each.  Times are raw
+workloads in turn, printing that block, ratio line included, for each.
+A workload read there can differ from the same workload read alone: a
+`trace` change that read 0.986 with `--workload trace` read 1.000 in
+`--workload all`, where it runs last, after the other three in the same
+process.  `tools/record.py` takes each workload from processes of its
+own.  Times are raw
 `perf_counter` times of `cli.main`, not scaled to a reference host.
 The exit code is 1 when any call is wrong, else 0.  It refuses to run
 while either tree's `src/tci` holds a `__pycache__`: a bytecode cache

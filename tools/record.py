@@ -16,15 +16,18 @@ The record holds:
   and 75th percentile and IQR of each end-to-end metric over the runs.
   (`--workload all` would also run every workload's traced pass, whose
   per-layer metrics a record does not keep);
-- with `--against`, `tools/ab.py OTHER --workload all --processes K`
-  at each seed, with `ROUNDS` rounds and K = `PROCESSES`: K fresh
-  processes against OTHER and K fresh A/A processes (this checkout
-  against itself), alternating.  For each workload, side and seed it
-  keeps each process's reading (pairs, median ratio this/other, its
-  25th and 75th percentile, the share of pairs won, both sides'
-  `peak_mb`) and the median, minimum and maximum of their medians, and
-  their 2nd-smallest and 2nd-largest (`inner_min`, `inner_max`: an
-  interval that one outlying process does not widen);
+- with `--against`, `tools/ab.py OTHER --workload W --processes K`
+  for each workload W at each seed, with `ROUNDS` rounds and K =
+  `PROCESSES`: K fresh processes against OTHER and K fresh A/A
+  processes (this checkout against itself), alternating, each running
+  W alone.  (In `--workload all` a workload runs after the others in
+  the same process, and its reading depends on them: a `trace` change
+  that read 0.986 alone read 1.000 there.)  For each workload, side
+  and seed it keeps each process's reading (pairs, median ratio
+  this/other, its 25th and 75th percentile, the share of pairs won,
+  both sides' `peak_mb`) and the median, minimum and maximum of their
+  medians, and their 2nd-smallest and 2nd-largest (`inner_min`,
+  `inner_max`: an interval that one outlying process does not widen);
 - opcodes per op: the Python bytecode instructions `cli.main` executes
   per op, averaged over the first `OPCODE_OPS` ops of each workload at
   seed 1 (after one untraced warm-up call), counted with `sys.settrace`
@@ -39,7 +42,9 @@ time spent waiting counts nothing.  So they compare two versions of the
 program; they are not a speed.  Bench times are raw, as `bench/run.py`
 reports them, and read only beside an A/A reading taken in the same
 session.  The exit code is 1 when a run is wrong or a count does not
-repeat, else 0.  Like `tools/ab.py`, it refuses to run while a
+repeat, else 0.  A record takes about 12 minutes on a 2-core host
+(734 s with Python 3.11.7), most of it in the 128 `tools/ab.py`
+processes, 4-8 s each.  Like `tools/ab.py`, it refuses to run while a
 `__pycache__` exists under either tree's `src/tci`, and the processes it
 starts write no bytecode.
 """
@@ -202,11 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         }
         record["ab"] = {"against": other.name, "rounds": ROUNDS, "processes": PROCESSES, "seeds": {}}
         for seed in SEEDS:
-            readings = across_processes(other, "all", seed, ROUNDS, PROCESSES)
-            record["ab"]["seeds"][str(seed)] = {
-                label: {name: process_medians(side[name]) for name in side}
-                for label, side in (("this/other", readings["A/B"]), ("A/A", readings["A/A"]))
-            }
+            by_side = record["ab"]["seeds"][str(seed)] = {"this/other": {}, "A/A": {}}
+            for name in workloads.WORKLOADS:
+                readings = across_processes(other, name, seed, ROUNDS, PROCESSES)
+                by_side["this/other"][name] = process_medians(readings["A/B"][name])
+                by_side["A/A"][name] = process_medians(readings["A/A"][name])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"record: wrote {args.out}")
     return 0
